@@ -26,4 +26,4 @@ try:
 except DesyncError as err:
     print(f"\nrejected: {err}")
 print(f"session poisoned: {session.poisoned}")
-print(f"steps accepted before the desync: {len(session.step_log)}")
+print(f"steps accepted before the desync: {session.steps}")

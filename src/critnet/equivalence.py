@@ -1,20 +1,22 @@
 """Machine equivalences: isomorphism, bisimulation, and network reduction.
 
-Isomorphism here is structural identity up to state renaming, outputs and
-initial states included. Bisimulation is the coarser behavioural match used
-to drop redundant network members before synthesis: bisimilar members add no
-information to the composed estimate, only state-space volume.
+Isomorphism here is structural identity of two observers up to state
+renaming, outputs and initial states included. Bisimulation is the coarser
+behavioural match used to drop redundant network members before synthesis:
+bisimilar members add no information to the composed estimate, only
+state-space volume. Every bisimulation question is answered by one partition
+refinement over the disjoint union of the machines involved.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product
 
 from .compose import Network, compose_network
-from .fsm import Fsm, reachable_states
+from .fsm import Fsm
 from .observer import (
     ObserverFsm,
     Verdict,
@@ -23,55 +25,6 @@ from .observer import (
     sampled_runs_agree,
     validate_critical_observer,
 )
-
-Machine = Fsm | ObserverFsm
-
-
-class _View:
-    """Uniform read access to a machine-with-outputs of either kind."""
-
-    __slots__ = ("states", "initials", "alphabet", "_succ", "_out")
-
-    def __init__(self, m: Machine):
-        if isinstance(m, Fsm):
-            self.states = frozenset(m.states)
-            self.initials = frozenset(m.initial)
-            self.alphabet = m.alphabet
-            self._succ = m.succ
-            self._out = lambda x: 1 if x in m.critical else 0
-        else:
-            self.states = frozenset(m.states)
-            self.initials = frozenset([m.initial])
-            self.alphabet = m.alphabet
-            self._succ = lambda z, a: (
-                frozenset([m.succ_state(z, a)]) if m.succ_state(z, a) is not None else frozenset()
-            )
-            self._out = m.output
-
-    def succ(self, state, label) -> frozenset:
-        return self._succ(state, label)
-
-    def output(self, state) -> int:
-        return self._out(state)
-
-    def accessible_states(self) -> frozenset:
-        seen = set(self.initials)
-        frontier = deque(self.initials)
-        while frontier:
-            x = frontier.popleft()
-            for label in self.alphabet:
-                for y in self.succ(x, label):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        return frozenset(seen)
-
-    def deterministic(self) -> bool:
-        if len(self.initials) != 1:
-            return False
-        return all(
-            len(self.succ(x, label)) <= 1 for x in self.states for label in self.alphabet
-        )
 
 
 @dataclass(frozen=True)
@@ -84,170 +37,101 @@ class IsoWitness:
         return self.mapping[state]
 
 
-def is_iso_witness(m1: Machine, m2: Machine, mapping: dict) -> bool:
+def is_iso_witness(o1: ObserverFsm, o2: ObserverFsm, mapping: dict) -> bool:
     """Check a candidate bijection against the isomorphism conditions.
 
-    The map must be a bijection of the full state sets that sends initial
-    states onto initial states, preserves every output, and commutes with
-    the transition relation on all reachable states.
+    The map must be a bijection of the full state sets that sends the
+    initial state to the initial state, preserves every output, and commutes
+    with the transitions: a move exists on one side exactly when its image
+    exists on the other.
     """
-    v1, v2 = _View(m1), _View(m2)
-    if v1.alphabet != v2.alphabet:
+    if o1.alphabet != o2.alphabet:
         return False
-    if set(mapping) != set(v1.states):
+    if set(mapping) != set(o1.states):
         return False
-    if set(mapping.values()) != set(v2.states) or len(mapping) != len(v2.states):
+    if set(mapping.values()) != set(o2.states) or len(mapping) != len(o2.states):
         return False
-    if {mapping[x] for x in v1.initials} != set(v2.initials):
+    if mapping[o1.initial] != o2.initial:
         return False
-    if any(v1.output(x) != v2.output(mapping[x]) for x in v1.states):
-        return False
-    for x in v1.accessible_states():
-        for label in v1.alphabet:
-            image = {mapping[y] for y in v1.succ(x, label)}
-            if image != set(v2.succ(mapping[x], label)):
-                return False
+    for z in o1.states:
+        if o1.output(z) != o2.output(mapping[z]):
+            return False
+        image = {label: mapping[dst] for label, dst in o1.moves(z).items()}
+        if image != o2.moves(mapping[z]):
+            return False
     return True
 
 
-def _refinement_classes(views: list[_View], states: list[tuple[int, object]]):
-    """Iterated signature refinement over a disjoint union of machines.
+def iso_check(o1: ObserverFsm, o2: ObserverFsm) -> IsoWitness | None:
+    """Find an isomorphism witness, or None when the observers differ.
 
-    Two tagged states end in the same class only if an isomorphism (or
-    bisimulation, which shares the invariant) could relate them.
+    Observers are deterministic and every state is reachable, so walking
+    both from their initial states in lockstep pins the only candidate map.
+    If the walk pairs each state with one partner, outputs and enabled
+    labels agreeing, the map is onto: both sides run the same words, so it
+    reaches every state of each. Equal sizes then make it a bijection.
     """
-    labels = sorted(set().union(*(v.alphabet for v in views)))
-    cls = {
-        s: (views[s[0]].output(s[1]), s[1] in views[s[0]].initials) for s in states
-    }
-    while True:
-        sig = {}
-        for s in states:
-            tag, x = s
-            succ_sig = tuple(
-                frozenset(cls[(tag, y)] for y in views[tag].succ(x, label))
-                if label in views[tag].alphabet
-                else frozenset()
-                for label in labels
-            )
-            sig[s] = (cls[s], succ_sig)
-        renumber = {v: i for i, v in enumerate(sorted(set(sig.values()), key=repr))}
-        new_cls = {s: renumber[sig[s]] for s in states}
-        if len(set(new_cls.values())) == len(set(cls.values())):
-            return new_cls
-        cls = new_cls
-
-
-def _search_bijection(v1: _View, v2: _View, acc1: list, acc2: list) -> dict | None:
-    """Backtracking bijection search on accessible parts, class-pruned."""
-    cls = _refinement_classes([v1, v2], [(0, x) for x in acc1] + [(1, y) for y in acc2])
-    by_class: dict[int, list] = {}
-    for y in acc2:
-        by_class.setdefault(cls[(1, y)], []).append(y)
-    # Fewer candidates first keeps the tree narrow.
-    order = sorted(acc1, key=lambda x: len(by_class.get(cls[(0, x)], [])))
-    labels = sorted(v1.alphabet)
-    mapping: dict = {}
-    used: set = set()
-
-    def consistent(x, y) -> bool:
-        for label in labels:
-            s1, s2 = v1.succ(x, label), v2.succ(y, label)
-            if len(s1) != len(s2):
-                return False
-            for a in s1:
-                if a in mapping and mapping[a] not in s2:
-                    return False
-        for a, b in mapping.items():
-            for label in labels:
-                if x in v1.succ(a, label) and y not in v2.succ(b, label):
-                    return False
-                if y in v2.succ(b, label) and x not in v1.succ(a, label):
-                    return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in by_class.get(cls[(0, x)], []):
-            if y in used or cls[(1, y)] != cls[(0, x)]:
-                continue
-            if not consistent(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    return dict(mapping) if extend(0) else None
-
-
-def iso_check(m1: Machine, m2: Machine) -> IsoWitness | None:
-    """Find an isomorphism witness, or None when the machines differ.
-
-    Deterministic machines with a single initial state are compared by
-    synchronized forward exploration, which is exact. Other machines get a
-    backtracking search over the accessible parts; unreachable states are
-    then paired by output, which is all the conditions require of them.
-    """
-    v1, v2 = _View(m1), _View(m2)
-    if v1.alphabet != v2.alphabet or len(v1.states) != len(v2.states):
+    if o1.alphabet != o2.alphabet or len(o1.states) != len(o2.states):
         return None
-    acc1, acc2 = v1.accessible_states(), v2.accessible_states()
-    if len(acc1) != len(acc2):
-        return None
-    rest1 = sorted(v1.states - acc1, key=repr)
-    rest2 = sorted(v2.states - acc2, key=repr)
-    if Counter(v1.output(x) for x in rest1) != Counter(v2.output(y) for y in rest2):
-        return None
-
-    if v1.deterministic() and v2.deterministic():
-        core = _paired_exploration(v1, v2)
-    else:
-        core = _search_bijection(v1, v2, sorted(acc1, key=repr), sorted(acc2, key=repr))
-    if core is None:
-        return None
-
-    leftovers2 = {0: [], 1: []}
-    for y in rest2:
-        leftovers2[v2.output(y)].append(y)
-    for x in rest1:
-        core[x] = leftovers2[v1.output(x)].pop()
-    if not is_iso_witness(m1, m2, core):
-        return None
-    return IsoWitness(core)
-
-
-def _paired_exploration(v1: _View, v2: _View) -> dict | None:
-    (x0,) = v1.initials
-    (y0,) = v2.initials
-    mapping = {x0: y0}
-    inverse = {y0: x0}
-    frontier = deque([(x0, y0)])
-    labels = sorted(v1.alphabet)
+    mapping = {o1.initial: o2.initial}
+    frontier = deque([(o1.initial, o2.initial)])
     while frontier:
         x, y = frontier.popleft()
-        if v1.output(x) != v2.output(y):
+        moves1, moves2 = o1.moves(x), o2.moves(y)
+        if o1.output(x) != o2.output(y) or moves1.keys() != moves2.keys():
             return None
-        for label in labels:
-            s1, s2 = v1.succ(x, label), v2.succ(y, label)
-            if len(s1) != len(s2):
+        for label, a in moves1.items():
+            b = moves2[label]
+            if a not in mapping:
+                mapping[a] = b
+                frontier.append((a, b))
+            elif mapping[a] != b:
                 return None
-            if not s1:
-                continue
-            (a,), (b,) = tuple(s1), tuple(s2)
-            if a in mapping or b in inverse:
-                if mapping.get(a) != b or inverse.get(b) != a:
-                    return None
-                continue
-            mapping[a] = b
-            inverse[b] = a
-            frontier.append((a, b))
-    return mapping
+    return IsoWitness(mapping)
+
+
+def _first_seen_ids(keys: list) -> tuple[list[int], int]:
+    """Number keys in order of first occurrence; also return how many."""
+    ids: dict = {}
+    return [ids.setdefault(k, len(ids)) for k in keys], len(ids)
+
+
+def _refinement_classes(machines: Sequence[Fsm]) -> list[dict[str, int]]:
+    """Coarsest stable partition of the disjoint union of ``machines``.
+
+    Round-based signature refinement over integer state ids, after
+    Kanellakis and Smolka 1990 (Paige and Tarjan 1987 refine by splitters
+    instead, in O(m log n)). Blocks start from the (critical, initial)
+    signature; each round splits a block by the classes its states reach
+    under every label, until no block splits. Class ids are numbered in
+    order of first occurrence, so no round sorts anything but labels.
+    Two states share a class exactly when some bisimulation relates them,
+    within one machine or across two. Returns one state -> class map per
+    machine; class ids are shared across the maps.
+    """
+    ids: list[dict[str, int]] = []
+    moves: list[tuple] = []
+    start: list[tuple[bool, bool]] = []
+    for m in machines:
+        local = {x: len(moves) + i for i, x in enumerate(m.states)}
+        ids.append(local)
+        for x in local:
+            out = m.moves(x)
+            moves.append(
+                tuple([(label, [local[y] for y in out[label]]) for label in sorted(out)])
+            )
+            start.append((x in m.critical, x in m.initial))
+    cls, count = _first_seen_ids(start)
+    while True:
+        signatures = [
+            (c, tuple([(label, frozenset([cls[y] for y in ys])) for label, ys in out]))
+            for c, out in zip(cls, moves)
+        ]
+        new_cls, new_count = _first_seen_ids(signatures)
+        if new_count == count:
+            break
+        cls, count = new_cls, new_count
+    return [{x: cls[i] for x, i in local.items()} for local in ids]
 
 
 @dataclass(frozen=True)
@@ -266,22 +150,15 @@ class BisimRelation:
 def largest_bisimulation(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]]:
     """All pairs related by some bisimulation between the two machines.
 
-    Computed by partition refinement on the disjoint union, with blocks
-    seeded by the (critical, initial) signature. The union of all
-    bisimulations is itself one, so the block relation is the largest.
+    The union of all bisimulations is itself one, so relating every state
+    of ``m1`` to every state of ``m2`` in the same refinement class gives
+    the largest.
     """
-    v1, v2 = _View(m1), _View(m2)
-    states = [(0, x) for x in sorted(v1.states)] + [(1, y) for y in sorted(v2.states)]
-    cls = _refinement_classes([v1, v2], states)
-    by_class: dict[int, list] = {}
-    for s in states:
-        by_class.setdefault(cls[s], []).append(s)
-    pairs = set()
-    for members in by_class.values():
-        left = [x for tag, x in members if tag == 0]
-        right = [y for tag, y in members if tag == 1]
-        pairs.update(product(left, right))
-    return frozenset(pairs)
+    cls1, cls2 = _refinement_classes([m1, m2])
+    right: dict[int, list[str]] = {}
+    for y, c in cls2.items():
+        right.setdefault(c, []).append(y)
+    return frozenset((x, y) for x, c in cls1.items() for y in right.get(c, ()))
 
 
 def bisim_check(m1: Fsm, m2: Fsm) -> BisimRelation | None:
@@ -320,34 +197,30 @@ class EquivalenceClasses:
 def quotient_network(network: Network) -> tuple[Network, EquivalenceClasses]:
     """Drop members bisimilar to an earlier one, keeping lowest-index reps.
 
-    Bisimilarity between machines is transitive, so a union-find over the
-    pairwise checks partitions the members consistently.
+    Members merge only with equal alphabets, so each alphabet gets one
+    refinement over all its members. Initial states can only be related to
+    initial states, so two members pass ``bisim_check`` exactly when their
+    initial states fall in the same set of classes; that set is the key.
     """
     members = network.members
-    parent = list(range(len(members)))
+    by_alphabet: dict[frozenset[str], list[int]] = {}
+    for i, (_, m) in enumerate(members):
+        by_alphabet.setdefault(m.alphabet, []).append(i)
+    key: dict[int, tuple] = {}
+    for alphabet, indices in by_alphabet.items():
+        if len(indices) == 1:  # nothing to merge with
+            key[indices[0]] = (alphabet,)
+            continue
+        maps = _refinement_classes([members[i][1] for i in indices])
+        for i, cls in zip(indices, maps):
+            key[i] = (alphabet, frozenset(cls[x] for x in members[i][1].initial))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    grouped: dict[tuple, list[int]] = {}
     for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if find(i) == find(j):
-                continue
-            if bisim_check(members[i][1], members[j][1]) is not None:
-                parent[find(j)] = find(i)
-
-    grouped: dict[int, list[int]] = {}
-    for i in range(len(members)):
-        grouped.setdefault(find(i), []).append(i)
-    roots = sorted(grouped, key=lambda r: min(grouped[r]))
-    classes = tuple(tuple(members[i][0] for i in sorted(grouped[r])) for r in roots)
-    rep_indices = [min(grouped[r]) for r in roots]
-    reps = tuple(members[i][0] for i in rep_indices)
-    reduced = Network(tuple(members[i] for i in rep_indices))
-    return reduced, EquivalenceClasses(classes, reps)
+        grouped.setdefault(key[i], []).append(i)
+    classes = tuple(tuple(members[i][0] for i in group) for group in grouped.values())
+    reps = tuple(members[group[0]] for group in grouped.values())
+    return Network(reps), EquivalenceClasses(classes, tuple(name for name, _ in reps))
 
 
 @dataclass(frozen=True)

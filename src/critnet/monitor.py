@@ -7,8 +7,10 @@ session flag is the OR of the local flags and is recomputed once per event,
 after all affected locals have stepped.
 
 Sessions are the one mutable thing in this package and expect a single
-writer. An event no run of the plant allows poisons the session: the step is
-not applied and every later feed fails fast.
+writer. They keep the current estimates and a step counter, never a record
+per event, so a long stream runs in constant memory. An event no run of the
+plant allows poisons the session: the step is not applied and every later
+feed fails fast.
 """
 
 from __future__ import annotations
@@ -47,8 +49,17 @@ class MonitorSession:
             raise InvalidInputError(f"duplicate local names in {names}")
         self._locals = tuple(locals_)
         self._states = [obs.initial for _, obs in self._locals]
+        owners: dict[str, list[int]] = {}
+        for i, (_, obs) in enumerate(self._locals):
+            for label in obs.alphabet:
+                owners.setdefault(label, []).append(i)
+        # Per label: the locals that step, and the record's moved flags.
+        self._owners = {
+            label: (tuple(idx), tuple(i in idx for i in range(len(self._locals))))
+            for label, idx in owners.items()
+        }
         self.poisoned = False
-        self.step_log: list[StepRecord] = []
+        self.steps = 0
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -69,7 +80,7 @@ class MonitorSession:
         return 1 if any(self.outputs) else 0
 
     def feed(self, label: str) -> StepRecord:
-        """Apply one event atomically and log the step.
+        """Apply one event atomically and count the step.
 
         The label must belong to at least one local's alphabet. If some
         local that owns the label has no move, no local steps at all, the
@@ -77,11 +88,9 @@ class MonitorSession:
         """
         if self.poisoned:
             raise DesyncError("session poisoned by an earlier desync")
-        owners = [
-            i for i, (_, obs) in enumerate(self._locals) if label in obs.alphabet
-        ]
-        if not owners:
+        if label not in self._owners:
             raise InvalidInputError(f"label {label!r} is in no local's alphabet")
+        owners, moved = self._owners[label]
         targets = {}
         for i in owners:
             nxt = self._locals[i][1].succ_state(self._states[i], label)
@@ -94,15 +103,15 @@ class MonitorSession:
             targets[i] = nxt
         for i, nxt in targets.items():
             self._states[i] = nxt
-        record = StepRecord(
-            index=len(self.step_log) + 1,
+        self.steps += 1
+        outputs = self.outputs
+        return StepRecord(
+            index=self.steps,
             label=label,
-            moved=tuple(i in targets for i in range(len(self._locals))),
-            outputs=self.outputs,
-            flag=self.flag,
+            moved=moved,
+            outputs=outputs,
+            flag=1 if any(outputs) else 0,
         )
-        self.step_log.append(record)
-        return record
 
     def replay(self, word: Word | Iterable[str]) -> list[StepRecord]:
         """Feed a whole word; the first desync propagates."""

@@ -14,6 +14,7 @@ word; it is not a label.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 
 from .compose import Network
@@ -22,6 +23,7 @@ from .fsm import EPSILON_TOKEN, Fsm, Word
 from .observer import ObserverFsm, state_sort_key, state_text
 
 _FORBIDDEN = set('#"{}') | set(" \t\r\n")
+_INNERMOST_GROUP = re.compile(r"\([^()]*\)")
 
 
 def _check_token(token: str, what: str, line: int | None = None) -> str:
@@ -30,6 +32,25 @@ def _check_token(token: str, what: str, line: int | None = None) -> str:
     bad = sorted(set(token) & _FORBIDDEN)
     if bad:
         raise FormatError(f"{what} {token!r} contains forbidden {bad}", line)
+    return token
+
+
+def _check_state(token: str, line: int | None = None) -> str:
+    """A state token must come back whole from an estimate like "{p,q}".
+
+    So besides the characters every token avoids, its parentheses balance
+    and it has no comma outside them; product names like "(x,y)" pass.
+    Deleting innermost groups until none is left decides both.
+    """
+    _check_token(token, "state", line)
+    bare = token
+    while "(" in bare or ")" in bare:
+        outer = _INNERMOST_GROUP.sub("", bare)
+        if outer == bare:
+            raise FormatError(f"unbalanced parentheses in {token!r}", line)
+        bare = outer
+    if "," in bare:
+        raise FormatError(f"state {token!r} has a comma outside parentheses", line)
     return token
 
 
@@ -86,16 +107,16 @@ def parse_network(text: str) -> Network:
             continue
         if current is None:
             raise FormatError(f"{directive!r} before any fsm section", number)
-        if directive in ("states", "initial", "alphabet", "critical"):
-            kind = "label" if directive == "alphabet" else "state"
-            items = [_check_token(a, kind, number) for a in args]
-            getattr(current, directive).extend(items)
+        if directive == "alphabet":
+            current.alphabet.extend(_check_token(a, "label", number) for a in args)
+        elif directive in ("states", "initial", "critical"):
+            getattr(current, directive).extend(_check_state(a, number) for a in args)
         elif directive == "trans":
             if len(args) != 3:
                 raise FormatError("trans takes source, label, target", number)
-            src = _check_token(args[0], "state", number)
+            src = _check_state(args[0], number)
             label = _check_token(args[1], "label", number)
-            dst = _check_token(args[2], "state", number)
+            dst = _check_state(args[2], number)
             triple = (src, label, dst)
             if triple in current.seen_trans:
                 raise FormatError(f"duplicate transition {' '.join(triple)}", number)
@@ -128,7 +149,7 @@ def serialize_network(network: Network) -> str:
     for name, m in network.members:
         _check_token(name, "member name")
         for state in m.states:
-            _check_token(state, "state")
+            _check_state(state)
         for label in m.alphabet:
             _check_token(label, "label")
         lines = [f"fsm {name}"]
@@ -262,6 +283,8 @@ def serialize_observer(name: str, obs: ObserverFsm) -> str:
             raise FormatError(
                 "only estimate-state observers serialize; composed banks do not"
             )
+        for state in z:
+            _check_state(state)
     ordered = sorted(obs.states, key=state_sort_key)
     lines = [f"observer {name}"]
     lines.append("  states " + " ".join(state_text(z) for z in ordered))

@@ -252,3 +252,46 @@ def network_traces(net: Network, max_len: int, cap: int = 2000) -> list[tuple[st
                         return traces
         frontier = nxt
     return traces
+
+
+def naive_is_iso_witness(m1: Fsm, m2: Fsm, mapping: dict[str, str]) -> bool:
+    """Definition of a machine isomorphism, checked literally.
+
+    A bijection of the full state sets that sends initial states onto
+    initial states, preserves criticality, and maps every reachable state's
+    successor sets onto the image's successor sets.
+    """
+    if m1.alphabet != m2.alphabet or set(mapping) != set(m1.states):
+        return False
+    if set(mapping.values()) != set(m2.states) or len(m1.states) != len(m2.states):
+        return False
+    if {mapping[x] for x in m1.initial} != set(m2.initial):
+        return False
+    if any((x in m1.critical) != (mapping[x] in m2.critical) for x in m1.states):
+        return False
+    seen = set(m1.initial)
+    stack = list(m1.initial)
+    while stack:
+        x = stack.pop()
+        for label in m1.alphabet:
+            succ = m1.succ(x, label)
+            if {mapping[y] for y in succ} != set(m2.succ(mapping[x], label)):
+                return False
+            stack.extend(succ - seen)
+            seen |= succ
+    return True
+
+
+def naive_iso_check(m1: Fsm, m2: Fsm) -> dict[str, str] | None:
+    """First criticality-preserving bijection that is a witness, or None."""
+    sides1 = [sorted(m1.critical), sorted(m1.states - m1.critical)]
+    sides2 = [sorted(m2.critical), sorted(m2.states - m2.critical)]
+    if [len(s) for s in sides1] != [len(s) for s in sides2]:
+        return None
+    for crit, rest in itertools.product(
+        itertools.permutations(sides2[0]), itertools.permutations(sides2[1])
+    ):
+        mapping = dict(zip(sides1[0] + sides1[1], crit + rest))
+        if naive_is_iso_witness(m1, m2, mapping):
+            return mapping
+    return None

@@ -29,58 +29,67 @@ from genutil import (
     split_state_variant,
     with_duplicates,
 )
-from oracles import brute_force_largest_bisim, is_bisimulation
+from oracles import (
+    brute_force_largest_bisim,
+    is_bisimulation,
+    naive_is_iso_witness,
+    naive_iso_check,
+)
+
+
+def fz(*names):
+    return frozenset(names)
 
 
 class TestIsoWitnessCheck:
     def test_identity_mapping_on_self(self, fsm_a):
-        assert is_iso_witness(fsm_a, fsm_a, {s: s for s in fsm_a.states})
+        assert naive_is_iso_witness(fsm_a, fsm_a, {s: s for s in fsm_a.states})
 
     def test_renamed_copy_witness(self, fsm_a):
         copy = renamed_copy(fsm_a, "n_")
         mapping = {s: f"n_{s}" for s in fsm_a.states}
-        assert is_iso_witness(fsm_a, copy, mapping)
+        assert naive_is_iso_witness(fsm_a, copy, mapping)
 
     def test_wrong_initial_image_rejected(self, fsm_a):
         copy = renamed_copy(fsm_a, "n_")
         swapped = {"p": "n_q", "q": "n_p"}
-        assert not is_iso_witness(fsm_a, copy, swapped)
+        assert not naive_is_iso_witness(fsm_a, copy, swapped)
 
     def test_partial_mapping_rejected(self, fsm_a):
-        assert not is_iso_witness(fsm_a, fsm_a, {"p": "p"})
+        assert not naive_is_iso_witness(fsm_a, fsm_a, {"p": "p"})
 
     def test_non_injective_mapping_rejected(self, fsm_a):
-        assert not is_iso_witness(fsm_a, fsm_a, {"p": "p", "q": "p"})
+        assert not naive_is_iso_witness(fsm_a, fsm_a, {"p": "p", "q": "p"})
 
 
 class TestIsoCheck:
     def test_self_iso(self, fsm_a, fsm_b):
         for m in (fsm_a, fsm_b):
-            w = iso_check(m, m)
+            w = naive_iso_check(m, m)
             assert w is not None
-            assert is_iso_witness(m, m, w.mapping)
+            assert naive_is_iso_witness(m, m, w)
 
     def test_renamed_copies_random(self):
         rng = random.Random(401)
         for _ in range(40):
             m = random_fsm(rng, max_states=5)
             copy = renamed_copy(m, "r_")
-            w = iso_check(m, copy)
+            w = naive_iso_check(m, copy)
             assert w is not None
-            assert is_iso_witness(m, copy, w.mapping)
+            assert naive_is_iso_witness(m, copy, w)
 
     def test_not_iso_on_output_difference(self):
         m1 = Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "y")], critical=["y"])
         m2 = Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "y")], critical=[])
-        assert iso_check(m1, m2) is None
+        assert naive_iso_check(m1, m2) is None
 
     def test_not_iso_on_alphabet_difference(self):
         m1 = Fsm(["x"], ["x"], ["a"], [])
         m2 = Fsm(["x"], ["x"], ["b"], [])
-        assert iso_check(m1, m2) is None
+        assert naive_iso_check(m1, m2) is None
 
     def test_not_iso_on_size_difference(self, fsm_a, fsm_b):
-        assert iso_check(fsm_a, fsm_b) is None
+        assert naive_iso_check(fsm_a, fsm_b) is None
 
     def test_symmetric_nondeterministic_permutation(self):
         # Two interchangeable branches; a name-order canonicalization would
@@ -99,22 +108,22 @@ class TestIsoCheck:
             [("s", "a", "u"), ("s", "a", "v"), ("u", "b", "u"), ("v", "b", "v")],
             critical=["u"],
         )
-        w = iso_check(m1, m2)
+        w = naive_iso_check(m1, m2)
         assert w is not None
-        assert w.mapping["v"] == "u"
-        assert is_iso_witness(m1, m2, w.mapping)
+        assert w["v"] == "u"
+        assert naive_is_iso_witness(m1, m2, w)
 
     def test_unreachable_states_paired_by_output(self):
         m1 = Fsm(["x", "dead"], ["x"], ["a"], [], critical=["dead"])
         m2 = Fsm(["y", "gone"], ["y"], ["a"], [], critical=["gone"])
-        w = iso_check(m1, m2)
+        w = naive_iso_check(m1, m2)
         assert w is not None
-        assert w.mapping["dead"] == "gone"
+        assert w["dead"] == "gone"
 
     def test_unreachable_output_mismatch(self):
         m1 = Fsm(["x", "dead"], ["x"], ["a"], [], critical=["dead"])
         m2 = Fsm(["y", "gone"], ["y"], ["a"], [], critical=[])
-        assert iso_check(m1, m2) is None
+        assert naive_iso_check(m1, m2) is None
 
     def test_on_observers(self, fsm_a):
         o1 = build_observer(fsm_a)
@@ -122,11 +131,72 @@ class TestIsoCheck:
         w = iso_check(o1, o2)
         assert w is not None
         assert w[frozenset({"p"})] == frozenset({"z_p"})
+        assert is_iso_witness(o1, o2, w.mapping)
 
     def test_different_branching_not_iso(self):
         m1 = Fsm(["x", "y", "z"], ["x"], ["a"], [("x", "a", "y"), ("x", "a", "z")])
         m2 = Fsm(["x", "y", "z"], ["x"], ["a"], [("x", "a", "y"), ("y", "a", "z")])
-        assert iso_check(m1, m2) is None
+        assert naive_iso_check(m1, m2) is None
+
+
+def _det_observer(labels, edges, flagged=()):
+    """Observer of a deterministic machine given by (src, label, dst) edges."""
+    states = sorted({x for src, _, dst in edges for x in (src, dst)} | {"x"})
+    return build_observer(Fsm(states, ["x"], labels, edges, flagged))
+
+
+class TestObserverIso:
+    def test_not_iso_on_alphabet_difference(self):
+        o1 = _det_observer(["a"], [("x", "a", "x")])
+        o2 = _det_observer(["a", "b"], [("x", "a", "x")])
+        assert iso_check(o1, o2) is None
+        assert not is_iso_witness(o1, o2, {fz("x"): fz("x")})
+
+    def test_not_iso_on_size_difference(self):
+        o1 = _det_observer(["a"], [("x", "a", "x")])
+        o2 = _det_observer(["a"], [("x", "a", "y"), ("y", "a", "x")])
+        assert iso_check(o1, o2) is None
+        # The lockstep walk folds the two-cycle onto the loop; only the
+        # size tells them apart.
+        assert iso_check(o2, o1) is None
+
+    def test_not_iso_on_output_difference(self):
+        edges = [("x", "a", "y"), ("y", "a", "x")]
+        o1 = _det_observer(["a"], edges, flagged=["y"])
+        o2 = _det_observer(["a"], edges)
+        assert iso_check(o1, o2) is None
+        assert not is_iso_witness(o1, o2, {fz("x"): fz("x"), fz("y"): fz("y")})
+
+    def test_not_iso_on_transition_difference(self):
+        # Same size, outputs and alphabet; the cycle closes elsewhere, or
+        # one side has a move the other lacks.
+        o1 = _det_observer(["a"], [("x", "a", "y"), ("y", "a", "x")])
+        o2 = _det_observer(["a"], [("x", "a", "y"), ("y", "a", "y")])
+        assert iso_check(o1, o2) is None
+        assert not is_iso_witness(o1, o2, {fz("x"): fz("x"), fz("y"): fz("y")})
+        o3 = _det_observer(["a"], [("x", "a", "y")])
+        assert iso_check(o3, o1) is None
+        assert iso_check(o1, o3) is None
+        assert not is_iso_witness(o3, o1, {fz("x"): fz("x"), fz("y"): fz("y")})
+
+    # Each map below fails exactly one condition: a two-cycle folds onto a
+    # one-state loop, and the two-cycle's swap is an automorphism but for
+    # the initial state.
+
+    def test_partial_map_rejected(self):
+        cycle = _det_observer(["a"], [("x", "a", "y"), ("y", "a", "x")])
+        loop = _det_observer(["a"], [("x", "a", "x")])
+        assert not is_iso_witness(cycle, loop, {fz("x"): fz("x")})
+
+    def test_non_injective_map_rejected(self):
+        cycle = _det_observer(["a"], [("x", "a", "y"), ("y", "a", "x")])
+        loop = _det_observer(["a"], [("x", "a", "x")])
+        assert not is_iso_witness(cycle, loop, {fz("x"): fz("x"), fz("y"): fz("x")})
+
+    def test_wrong_initial_map_rejected(self):
+        cycle = _det_observer(["a"], [("x", "a", "y"), ("y", "a", "x")])
+        assert is_iso_witness(cycle, cycle, {fz("x"): fz("x"), fz("y"): fz("y")})
+        assert not is_iso_witness(cycle, cycle, {fz("x"): fz("y"), fz("y"): fz("x")})
 
 
 class TestLargestBisimulation:
@@ -277,6 +347,57 @@ class TestQuotient:
         assert reduced is not None
         assert reduced.names == ("A",)
         assert classes.representatives == ("A",)
+
+
+def _pairwise_grouping(net: Network):
+    """Classes and representatives straight from pairwise bisim_check.
+
+    Each member's class is every member bisimilar to it; listing the
+    distinct classes in order of first member gives the grouping the
+    quotient must produce, and also fails if the relation is not an
+    equivalence.
+    """
+    mates = [
+        tuple(n for n, other in net.members if bisim_check(m, other) is not None)
+        for _, m in net.members
+    ]
+    classes = tuple(dict.fromkeys(mates))
+    return classes, tuple(c[0] for c in classes)
+
+
+class TestQuotientMatchesPairwise:
+    def test_random_networks_with_copies(self):
+        rng = random.Random(410)
+        mixed_alphabets = kept_apart = 0
+        for trial in range(60):
+            base = random_network(rng, max_members=4, max_states=4)
+            # One more member over an existing alphabet, so members with equal
+            # alphabets but different behaviour meet in one refinement.
+            _, like = rng.choice(base.members)
+            extra = random_fsm(rng, max_states=4, alphabet=sorted(like.alphabet))
+            net = Network(base.members + (("X", extra),))
+            net = with_duplicates(rng, net, copies=3, split=trial % 2 == 1)
+            reduced, classes = quotient_network(net)
+            expected = _pairwise_grouping(net)
+            assert (classes.classes, classes.representatives) == expected, net
+            assert reduced.names == expected[1]
+            alphabets = [m.alphabet for m in reduced.machines]
+            mixed_alphabets += len(set(alphabets)) > 1
+            kept_apart += len(set(alphabets)) < len(alphabets)
+        assert mixed_alphabets >= 40
+        assert kept_apart >= 40
+
+    def test_same_alphabet_different_initial_classes(self):
+        # M2 has an initial state bisimilar to M1's and one matching nothing
+        # in M1, so the initial class sets differ and the two stay apart;
+        # a renamed copy of M2 has the same set and merges with it.
+        m1 = Fsm(["x0", "x1"], ["x0"], ["a"], [("x0", "a", "x1")])
+        m2 = Fsm(["y0", "y1", "y2"], ["y0", "y1"], ["a"], [("y0", "a", "y2")])
+        net = Network((("M1", m1), ("M2", m2), ("M3", renamed_copy(m2, "c_"))))
+        reduced, classes = quotient_network(net)
+        assert classes.classes == (("M1",), ("M2", "M3"))
+        assert classes.representatives == ("M1", "M2")
+        assert (classes.classes, classes.representatives) == _pairwise_grouping(net)
 
 
 class TestPreservation:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critnet import (
     FormatError,
@@ -247,6 +249,52 @@ class TestObserverDocuments:
             (name, again), = parse_observers(text)
             assert again == obs
             assert serialize_observer("O", again) == text
+
+
+def _two_state_doc(u: str, v: str) -> str:
+    """A member whose observer reaches the two-state estimate {u,v}."""
+    return (
+        f"fsm M\n  states {u} {v}\n  initial {u}\n  alphabet a b\n  critical {v}\n"
+        f"  trans {u} a {u}\n  trans {u} a {v}\n  trans {v} b {u}\n"
+    )
+
+
+class TestStateTokens:
+    @pytest.mark.parametrize("bad", ["a,b", ",a", "(a", "a)", ")a(", "(a),b", "(a,b))"])
+    def test_rejected_at_parse(self, bad):
+        with pytest.raises(FormatError, match="comma|unbalanced"):
+            parse_network(_two_state_doc(bad, "v"))
+        with pytest.raises(FormatError, match="comma|unbalanced"):
+            parse_network(_two_state_doc("u", "v") + f"  trans u a {bad}\n")
+
+    def test_rejected_at_serialize(self):
+        m = Fsm(["a,b", "c"], ["c"], ["a"], [("c", "a", "a,b"), ("c", "a", "c")])
+        with pytest.raises(FormatError, match="comma"):
+            serialize_network(Network((("M", m),)))
+        with pytest.raises(FormatError, match="comma"):
+            serialize_observer("M", build_observer(m))
+
+    def test_product_names_accepted(self):
+        net = parse_network(_two_state_doc("(x,y)", "(x,(y,z))"))
+        obs = build_observer(net.get("M"))
+        assert "{(x,(y,z)),(x,y)}" in serialize_observer("M", obs)
+
+
+STATE_TOKENS = st.text("ab(),", min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(STATE_TOKENS, min_size=2, max_size=2, unique=True))
+def test_accepted_state_tokens_round_trip(tokens):
+    # Whatever state token the network parser lets in must come back
+    # unchanged from an observer document, including inside {u,v}.
+    try:
+        net = parse_network(_two_state_doc(*tokens))
+    except FormatError:
+        return
+    assert parse_network(serialize_network(net)) == net
+    obs = build_observer(net.get("M"))
+    assert parse_observers(serialize_observer("M", obs)) == (("M", obs),)
 
 
 class TestDotExport:
