@@ -85,13 +85,8 @@ class Fsm:
                 "initial states must be all critical or all non-critical"
             )
 
-        self._key = (
-            self.states,
-            self.initial,
-            self.alphabet,
-            self.critical,
-            frozenset(self.transitions()),
-        )
+        # Built on the first comparison or hash; see _identity.
+        self._key = None
 
     def succ(self, state: str, label: str) -> frozenset[str]:
         """Successor set of one state under one label (empty if none)."""
@@ -120,13 +115,24 @@ class Fsm:
             for dsts in by_label.values()
         )
 
+    def _identity(self) -> tuple:
+        if self._key is None:
+            self._key = (
+                self.states,
+                self.initial,
+                self.alphabet,
+                self.critical,
+                frozenset(self.transitions()),
+            )
+        return self._key
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fsm):
             return NotImplemented
-        return self._key == other._key
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._identity())
 
     def __repr__(self) -> str:
         return (

@@ -3,8 +3,9 @@
 A session holds one local observer per member. Each incoming event moves
 every local whose alphabet contains it and leaves the others untouched, so
 each local sees exactly the projection of the stream onto its alphabet. The
-session flag is the OR of the local flags and is recomputed once per event,
-after all affected locals have stepped.
+session keeps one flag per local and refreshes only the flags of the locals
+that stepped; the session flag is their OR, recomputed once per event, after
+all affected locals have stepped.
 
 Sessions are the one mutable thing in this package and expect a single
 writer. They keep the current estimates and a step counter, never a record
@@ -49,6 +50,7 @@ class MonitorSession:
             raise InvalidInputError(f"duplicate local names in {names}")
         self._locals = tuple(locals_)
         self._states = [obs.initial for _, obs in self._locals]
+        self._outputs = [obs.output(obs.initial) for _, obs in self._locals]
         owners: dict[str, list[int]] = {}
         for i, (_, obs) in enumerate(self._locals):
             for label in obs.alphabet:
@@ -71,13 +73,11 @@ class MonitorSession:
 
     @property
     def outputs(self) -> tuple[int, ...]:
-        return tuple(
-            obs.output(z) for (_, obs), z in zip(self._locals, self._states)
-        )
+        return tuple(self._outputs)
 
     @property
     def flag(self) -> int:
-        return 1 if any(self.outputs) else 0
+        return 1 if any(self._outputs) else 0
 
     def feed(self, label: str) -> StepRecord:
         """Apply one event atomically and count the step.
@@ -103,8 +103,9 @@ class MonitorSession:
             targets[i] = nxt
         for i, nxt in targets.items():
             self._states[i] = nxt
+            self._outputs[i] = self._locals[i][1].output(nxt)
         self.steps += 1
-        outputs = self.outputs
+        outputs = tuple(self._outputs)
         return StepRecord(
             index=self.steps,
             label=label,

@@ -118,13 +118,8 @@ class ObserverFsm:
             unreachable = sorted(state_text(z) for z in self._state_set - seen)
             raise MalformedFsmError(f"unreachable observer states: {unreachable}")
 
-        self._key = (
-            self._state_set,
-            self.initial,
-            self.alphabet,
-            frozenset(self._trans.items()),
-            frozenset(self.outputs.items()),
-        )
+        # Built on the first comparison or hash; see _identity.
+        self._key = None
 
     def succ_state(self, z: ObserverState, label: str) -> ObserverState | None:
         """Unique successor estimate, or None when the word leaves the language."""
@@ -143,13 +138,24 @@ class ObserverFsm:
             key=lambda t: (state_sort_key(t[0]), t[1]),
         )
 
+    def _identity(self) -> tuple:
+        if self._key is None:
+            self._key = (
+                self._state_set,
+                self.initial,
+                self.alphabet,
+                frozenset(self._trans.items()),
+                frozenset(self.outputs.items()),
+            )
+        return self._key
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObserverFsm):
             return NotImplemented
-        return self._key == other._key
+        return self._identity() == other._identity()
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self._identity())
 
     def __repr__(self) -> str:
         return (
@@ -175,30 +181,83 @@ class Verdict:
         return f"not observable, witness {state_text(self.witness)}"
 
 
+class EstimateTable:
+    """A machine's local observer, built lazily and interned as int ids.
+
+    Estimates get ids in discovery order, starting with the initial estimate
+    at id 0. Per id the table keeps the estimate, its cached sort key, whether
+    it touches the critical set and whether it lies inside it, and a
+    successor row ``{label: id}`` computed by ``step`` the first time the id
+    is expanded and never again. Only the estimates some exploration reaches
+    are ever expanded.
+    """
+
+    __slots__ = (
+        "machine",
+        "labels",
+        "estimates",
+        "keys",
+        "touches",
+        "contained",
+        "rows",
+        "_ids",
+    )
+
+    def __init__(self, m: Fsm):
+        self.machine = m
+        self.labels = sorted(m.alphabet)
+        self.estimates: list[frozenset[str]] = []
+        self.keys: list[tuple] = []
+        self.touches: list[bool] = []
+        self.contained: list[bool] = []
+        self.rows: list[dict[str, int] | None] = []
+        self._ids: dict[frozenset[str], int] = {}
+        self._intern(frozenset(m.initial))
+
+    def _intern(self, z: frozenset[str]) -> int:
+        i = self._ids.get(z)
+        if i is None:
+            i = self._ids[z] = len(self.estimates)
+            critical = self.machine.critical
+            self.estimates.append(z)
+            self.keys.append(state_sort_key(z))
+            self.touches.append(not z.isdisjoint(critical))
+            self.contained.append(z <= critical)
+            self.rows.append(None)
+        return i
+
+    def row(self, i: int) -> dict[str, int]:
+        """Successor ids of estimate ``i`` by label, in sorted label order."""
+        row = self.rows[i]
+        if row is None:
+            m, z = self.machine, self.estimates[i]
+            row = {}
+            for label in self.labels:
+                image = step(m, z, label)
+                if image:
+                    row[label] = self._intern(image)
+            self.rows[i] = row
+        return row
+
+
 def build_observer(m: Fsm, max_states: int | None = None) -> ObserverFsm:
-    """Subset construction seeded at the full initial-state estimate."""
-    z0 = frozenset(m.initial)
-    states: list[frozenset[str]] = [z0]
-    seen = {z0}
+    """Subset construction seeded at the full initial-state estimate.
+
+    Expands every row of a fresh estimate table in id order, which is
+    breadth-first discovery order.
+    """
+    table = EstimateTable(m)
+    est = table.estimates
     trans: dict[tuple[ObserverState, str], ObserverState] = {}
-    outputs: dict[ObserverState, int] = {z0: 1 if z0 & m.critical else 0}
-    labels = sorted(m.alphabet)
-    frontier = deque([z0])
-    while frontier:
-        if max_states is not None and len(seen) > max_states:
+    # Expanding a row appends the estimates it discovers, so ``est`` is the
+    # BFS queue and the loop ends when no row adds anything new.
+    for i, z in enumerate(est):
+        if max_states is not None and len(est) > max_states:
             raise BudgetExceededError(f"observer exceeded {max_states} states")
-        z = frontier.popleft()
-        for label in labels:
-            image = step(m, z, label)
-            if not image:
-                continue
-            trans[(z, label)] = image
-            if image not in seen:
-                seen.add(image)
-                states.append(image)
-                outputs[image] = 1 if image & m.critical else 0
-                frontier.append(image)
-    return ObserverFsm(states, z0, m.alphabet, trans, outputs)
+        for label, j in table.row(i).items():
+            trans[(z, label)] = est[j]
+    outputs = {z: 1 if touch else 0 for z, touch in zip(est, table.touches)}
+    return ObserverFsm(est, est[0], m.alphabet, trans, outputs)
 
 
 def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:

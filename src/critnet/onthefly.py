@@ -13,11 +13,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import chain
+from operator import getitem
 
 from .compose import Network
 from .errors import BudgetExceededError
-from .fsm import step
-from .observer import ObserverFsm, Verdict, state_sort_key
+from .observer import EstimateTable, ObserverFsm, Verdict
 
 # One estimate per member, in member order.
 AggregateState = tuple[frozenset[str], ...]
@@ -61,10 +61,6 @@ class OnTheFlyOutcome:
     ]
 
 
-def _aggregate_key(agg: AggregateState):
-    return tuple(state_sort_key(z) for z in agg)
-
-
 def run_onthefly(
     network: Network,
     max_states: int | None = None,
@@ -77,27 +73,34 @@ def run_onthefly(
     first straddling aggregate (the witness) is reproducible. The optional
     ``on_generation`` callback receives (generation index, frontier size,
     aggregates seen so far) at the start of each generation.
+
+    Each member's estimates live in its own lazily built ``EstimateTable``,
+    so aggregates are tuples of int ids and every member step is computed
+    once per estimate. Estimates reappear only in the outcome.
     """
     machines = network.machines
     names = network.names
-    criticals = [m.critical for m in machines]
+    tables = [EstimateTable(m) for m in machines]
+    keys = [t.keys for t in tables]
+    touches = [t.touches for t in tables]
+    contained = [t.contained for t in tables]
     alphabet = sorted(set(chain.from_iterable(m.alphabet for m in machines)))
-    owners = {
-        label: tuple(i for i, m in enumerate(machines) if label in m.alphabet)
+    owners = [
+        (label, tuple(i for i, m in enumerate(machines) if label in m.alphabet))
         for label in alphabet
-    }
+    ]
 
-    init = tuple(frozenset(m.initial) for m in machines)
-    # The initial aggregate is never straddle-tested: construction forces
-    # each member's initial states to one side of its critical set, which
-    # puts the initial product wholly on one side too.
-    seen: set[AggregateState] = {init}
-    rec_states: list[dict[frozenset[str], None]] = [
-        dict.fromkeys([z]) for z in init
-    ]
-    rec_trans: list[dict[tuple[frozenset[str], str], frozenset[str]]] = [
-        {} for _ in machines
-    ]
+    def canonical(agg: tuple[int, ...]):
+        return tuple(map(getitem, keys, agg))
+
+    # Every table interns its member's initial estimate as id 0. The initial
+    # aggregate is never straddle-tested: construction forces each member's
+    # initial states to one side of its critical set, which puts the initial
+    # product wholly on one side too.
+    init = (0,) * len(machines)
+    seen: set[tuple[int, ...]] = {init}
+    rec_states: list[dict[int, None]] = [{0: None} for _ in machines]
+    rec_trans: list[dict[tuple[int, str], int]] = [{} for _ in machines]
 
     def outcome(verdict: Verdict, locals_) -> OnTheFlyOutcome:
         return OnTheFlyOutcome(
@@ -105,10 +108,15 @@ def run_onthefly(
             locals=locals_,
             aggregates_seen=len(seen),
             generations=generation,
-            witnessed_states=tuple(tuple(d) for d in rec_states),
+            witnessed_states=tuple(
+                tuple(t.estimates[z] for z in d) for t, d in zip(tables, rec_states)
+            ),
             witnessed_transitions=tuple(
-                tuple((src, label, dst) for (src, label), dst in d.items())
-                for d in rec_trans
+                tuple(
+                    (t.estimates[src], label, t.estimates[dst])
+                    for (src, label), dst in d.items()
+                )
+                for t, d in zip(tables, rec_trans)
             ),
         )
 
@@ -117,14 +125,15 @@ def run_onthefly(
     while frontier:
         if on_generation is not None:
             on_generation(generation, len(frontier), len(seen))
-        next_frontier: list[AggregateState] = []
-        for agg in sorted(frontier, key=_aggregate_key):
-            for label in alphabet:
+        next_frontier: list[tuple[int, ...]] = []
+        for agg in sorted(frontier, key=canonical):
+            rows = [t.row(z) for t, z in zip(tables, agg)]
+            for label, members in owners:
                 parts = list(agg)
                 blocked = False
-                for i in owners[label]:
-                    image = step(machines[i], agg[i], label)
-                    if not image:
+                for i in members:
+                    image = rows[i].get(label)
+                    if image is None:
                         blocked = True
                         break
                     parts[i] = image
@@ -132,36 +141,42 @@ def run_onthefly(
                     continue
                 successor = tuple(parts)
                 if successor not in seen:
-                    if straddle_test(successor, criticals):
-                        return outcome(Verdict(False, successor), None)
+                    # straddle_test's closed form, over every member's flags.
+                    if any(map(getitem, touches, successor)) and not any(
+                        map(getitem, contained, successor)
+                    ):
+                        witness = tuple(
+                            t.estimates[z] for t, z in zip(tables, successor)
+                        )
+                        return outcome(Verdict(False, witness), None)
                     seen.add(successor)
                     if max_states is not None and len(seen) > max_states:
                         raise BudgetExceededError(
                             f"exploration exceeded {max_states} aggregates"
                         )
                     next_frontier.append(successor)
-                for i in owners[label]:
-                    if successor[i] not in rec_states[i]:
-                        rec_states[i][successor[i]] = None
+                for i in members:
+                    rec_states[i][successor[i]] = None
                     rec_trans[i][(agg[i], label)] = successor[i]
         frontier = next_frontier
         generation += 1
 
     locals_ = tuple(
-        (names[i], _finalize_local(machines[i], rec_states[i]))
+        (names[i], _finalize_local(tables[i], rec_states[i]))
         for i in range(len(machines))
     )
     return outcome(Verdict(True), locals_)
 
 
-def _finalize_local(m, kept: dict[frozenset[str], None]) -> ObserverFsm:
+def _finalize_local(table: EstimateTable, kept: dict[int, None]) -> ObserverFsm:
     """Full local observer restricted to the states the composition visits."""
-    states = list(kept)
+    est = table.estimates
+    states = [est[z] for z in kept]
     trans: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-    for z in states:
-        for label in sorted(m.alphabet):
-            image = step(m, z, label)
-            if image and image in kept:
-                trans[(z, label)] = image
-    outputs = {z: 1 if z & m.critical else 0 for z in states}
+    for z in kept:
+        for label, dst in table.row(z).items():
+            if dst in kept:
+                trans[(est[z], label)] = est[dst]
+    outputs = {est[z]: 1 if table.touches[z] else 0 for z in kept}
+    m = table.machine
     return ObserverFsm(states, frozenset(m.initial), m.alphabet, trans, outputs)

@@ -61,9 +61,13 @@ def _estimate_size(z) -> int:
 
 def _observer_units(obs: ObserverFsm) -> tuple[int, int, int]:
     """(transition units, output units, transition count) for one machine."""
-    triples = obs.transitions()
-    s1 = sum(_estimate_size(src) + _estimate_size(dst) + 1 for src, _, dst in triples)
-    return s1, len(obs.states), len(triples)
+    size = {z: _estimate_size(z) for z in obs.states}
+    s1 = count = 0
+    for z in obs.states:
+        for dst in obs.moves(z).values():
+            s1 += size[z] + size[dst] + 1
+            count += 1
+    return s1, len(obs.states), count
 
 
 def ledger_for_observers(observers: list[ObserverFsm]) -> CostLedger:

@@ -42,6 +42,62 @@ def semantic_observable(m: Fsm) -> tuple[bool, frozenset[str] | None]:
     return True, None
 
 
+def naive_subset_order(m: Fsm) -> list[frozenset[str]]:
+    """Observer states in breadth-first discovery order, labels sorted."""
+    order = [frozenset(m.initial)]
+    for est in order:  # the list grows while it is walked: a queue
+        for label in sorted(m.alphabet):
+            nxt = naive_step(m, est, label)
+            if nxt and nxt not in order:
+                order.append(nxt)
+    return order
+
+
+def naive_first_straddle(
+    net: Network,
+) -> tuple[tuple[frozenset[str], ...] | None, list[list[frozenset[str]]]]:
+    """Generation-sorted breadth-first search over aggregates.
+
+    Within a generation aggregates go in order of their members' estimate
+    keys (size, then sorted state names), labels in sorted order. Returns
+    the first fresh aggregate whose expanded product straddles the critical
+    boundary (None if there is none) and, per member, the estimates reached
+    through labels it owns, in first-reached order after its initial one.
+    The initial aggregate is never tested.
+    """
+    machines = [m for _, m in net.members]
+    criticals = tuple(m.critical for m in machines)
+    labels = sorted(set().union(*(m.alphabet for m in machines)))
+    init = tuple(frozenset(m.initial) for m in machines)
+    recorded = [[z] for z in init]
+
+    def key(agg):
+        return tuple((len(z), tuple(sorted(z))) for z in agg)
+
+    seen = {init}
+    frontier = [init]
+    while frontier:
+        nxt = []
+        for agg in sorted(frontier, key=key):
+            for label in labels:
+                succ = tuple(
+                    naive_step(m, z, label) if label in m.alphabet else z
+                    for m, z in zip(machines, agg)
+                )
+                if not all(succ):
+                    continue
+                if succ not in seen:
+                    if straddle_by_enumeration(succ, criticals):
+                        return succ, recorded
+                    seen.add(succ)
+                    nxt.append(succ)
+                for i, m in enumerate(machines):
+                    if label in m.alphabet and succ[i] not in recorded[i]:
+                        recorded[i].append(succ[i])
+        frontier = nxt
+    return None, recorded
+
+
 def estimates_by_word(m: Fsm, max_len: int) -> dict[tuple[str, ...], frozenset[str]]:
     """Every nonempty joint estimate for words up to max_len, by literal enumeration."""
     out: dict[tuple[str, ...], frozenset[str]] = {(): frozenset(m.initial)}

@@ -1,0 +1,74 @@
+"""The benchmark's traced run still finds every library name it wraps.
+
+`bench/tracing.py` records per-layer spans by replacing module attributes
+that `critnet.cli` and `critnet.pipeline` call through. A target the library
+no longer has is only warned about, and the traced metrics then read 0, so a
+refactor could silently blank them. These tests read the benchmark's files
+and never change them.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import critnet.cli
+import critnet.pipeline
+from critnet import Network
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "critnet_bench_tracing", ROOT / "bench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    targets = _tracing().TARGETS
+    assert targets
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in targets
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
+
+
+def test_run_onthefly_keeps_the_traced_signature(fsm_a):
+    params = list(inspect.signature(critnet.pipeline.run_onthefly).parameters)
+    assert params[:3] == ["network", "max_states", "on_generation"]
+    calls = []
+    outcome = critnet.pipeline.run_onthefly(
+        Network((("A", fsm_a),)), None, on_generation=lambda *a: calls.append(a)
+    )
+    assert outcome.aggregates_seen == 2
+    assert outcome.generations == 2
+    assert len(calls) == 2
+
+
+def test_traced_check_counts_exploration(capsys):
+    original = critnet.pipeline.run_onthefly
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = tracer.call_job(0, critnet.cli.main, ["check", str(ROOT / "demos/data/line.net")])
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr()
+    assert code == 0 and "verdict: observable" in out.out
+    assert "not traced" not in out.err
+    explored = [
+        tracer.counts[i]
+        for i, span in enumerate(tracer.spans)
+        if span[0] == "onthefly.run_onthefly"
+    ]
+    assert len(explored) == 1
+    assert explored[0]["aggregates"] > 0 and explored[0]["generations"] > 0
+    assert critnet.pipeline.run_onthefly is original

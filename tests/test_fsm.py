@@ -99,6 +99,15 @@ class TestConstruction:
         m2 = Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "y")], critical=["y"])
         assert m1 != m2
 
+    def test_hash_key_built_on_first_use(self):
+        m1 = Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "y")])
+        m2 = Fsm(["y", "x"], ["x"], ["a"], [("x", "a", "y")])
+        assert m1._key is None and m2._key is None
+        assert m1 == m2
+        assert m1._key is not None and m2._key is not None
+        assert hash(m1) == hash(m2)
+        assert m1 != Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "x")])
+
 
 class TestDeterministic:
     def test_fixture_a_deterministic(self, fsm_a):

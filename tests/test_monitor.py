@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from critnet import (
@@ -145,3 +147,23 @@ class TestFlagMeaning:
             run = observer_run(composed_obs, word)
             for record, (_, flag) in zip(records, run[1:]):
                 assert record.flag == flag
+
+    def test_local_outputs_follow_local_states(self):
+        # Only the label's owners refresh their flag; every record must still
+        # show each local's output at its current estimate.
+        from genutil import random_network
+        from oracles import network_traces
+
+        rng = random.Random(701)
+        for _ in range(30):
+            net = random_network(rng, max_members=3, max_states=4)
+            bank = build_decentralized(net)
+            for word in network_traces(net, max_len=5, cap=40)[1:]:
+                session = start_session(bank)
+                for label in word:
+                    record = session.feed(label)
+                    want = tuple(
+                        obs.output(z) for obs, z in zip(bank.observers, session.states)
+                    )
+                    assert record.outputs == session.outputs == want
+                    assert record.flag == session.flag == (1 if any(want) else 0)

@@ -27,7 +27,7 @@ from critnet import (
 )
 from conftest import make_converse_pair
 from genutil import observable_fsm, random_fsm, random_network
-from oracles import estimates_by_word, semantic_observable
+from oracles import estimates_by_word, naive_subset_order, semantic_observable
 
 
 class TestStateText:
@@ -83,6 +83,22 @@ class TestBuildObserver:
         with pytest.raises(BudgetExceededError):
             build_observer(fsm_a, max_states=1)
 
+    def test_states_in_naive_discovery_order(self):
+        rng = random.Random(303)
+        for _ in range(200):
+            m = random_fsm(rng, max_states=6)
+            assert list(build_observer(m).states) == naive_subset_order(m)
+
+    def test_budget_threshold_is_exact(self):
+        rng = random.Random(304)
+        for _ in range(100):
+            m = random_fsm(rng, max_states=6)
+            n = len(build_observer(m).states)
+            assert len(build_observer(m, max_states=n).states) == n
+            if n > 1:
+                with pytest.raises(BudgetExceededError, match=f"exceeded {n - 1} states"):
+                    build_observer(m, max_states=n - 1)
+
     def test_critical_initial_flagged_immediately(self):
         m = Fsm(["x"], ["x"], ["a"], [("x", "a", "x")], critical=["x"])
         obs = build_observer(m)
@@ -128,6 +144,13 @@ class TestObserverFsmValidation:
         o1 = ObserverFsm([z1, z2], z1, ["a"], trans, {z1: 0, z2: 1})
         o2 = ObserverFsm([z1, z2], z1, ["a"], dict(reversed(list(trans.items()))), {z2: 1, z1: 0})
         assert o1 == o2 and hash(o1) == hash(o2)
+
+    def test_hash_key_built_on_first_use(self, fsm_a):
+        o1, o2 = build_observer(fsm_a), build_observer(fsm_a)
+        assert o1._key is None and o2._key is None
+        assert hash(o1) == hash(o2)
+        assert o1._key is not None and o2._key is not None
+        assert o1 == o2 and o1 != build_observer(make_converse_pair().machines[0])
 
 
 class TestCheckObservable:

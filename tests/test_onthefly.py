@@ -17,7 +17,7 @@ from critnet import (
     straddle_test,
 )
 from genutil import random_network
-from oracles import project_observer, straddle_by_enumeration
+from oracles import naive_first_straddle, project_observer, straddle_by_enumeration
 
 
 def fz(*names):
@@ -159,3 +159,35 @@ class TestRunOnTheFly:
                 for src, label, dst in out.witnessed_transitions[i]:
                     assert src in states and dst in states
                     assert step(m, src, label) == dst
+
+
+class TestAgainstNaiveSearch:
+    """Witness and recording order against a generation-sorted naive BFS."""
+
+    def test_witness_and_recorded_order_match_naive_bfs(self):
+        rng = random.Random(505)
+        refuted = 0
+        for _ in range(240):
+            net = random_network(rng, max_members=4, max_states=5)
+            out = run_onthefly(net)
+            witness, recorded = naive_first_straddle(net)
+            assert out.verdict.witness == witness
+            assert out.verdict.observable == (witness is None)
+            assert [list(states) for states in out.witnessed_states] == recorded
+            refuted += witness is not None
+        assert refuted >= 30
+
+    def test_budget_counts_every_stored_aggregate(self):
+        rng = random.Random(506)
+        checked = 0
+        for _ in range(60):
+            net = random_network(rng, max_members=3, max_states=4)
+            out = run_onthefly(net)
+            n = out.aggregates_seen
+            if not out.verdict.observable or n < 2:
+                continue
+            checked += 1
+            assert run_onthefly(net, max_states=n).aggregates_seen == n
+            with pytest.raises(BudgetExceededError):
+                run_onthefly(net, max_states=n - 1)
+        assert checked >= 10

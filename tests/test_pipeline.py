@@ -10,9 +10,11 @@ from critnet import (
     BudgetExceededError,
     CostLedger,
     Network,
+    build_decentralized,
     build_observer,
     check_aggregate_observer,
     check_observable,
+    compose_decentralized,
     ledger_for_observers,
     run_algorithm1,
     run_algorithm3,
@@ -142,3 +144,20 @@ class TestAggregateScan:
         two = ledger_for_observers([obs, obs])
         assert two.space == 2 * one.space
         assert two.time == 2 * one.time
+
+    def test_ledger_matches_literal_sum_over_transitions(self):
+        # The ledger's definition, restated over the sorted transition list:
+        # per stored transition the sizes of both estimate tuples plus one,
+        # plus one unit per stored state.
+        def size(z):
+            return sum(len(part) for part in (z if isinstance(z, tuple) else (z,)))
+
+        rng = random.Random(604)
+        for _ in range(40):
+            net = random_network(rng, max_members=3, max_states=4)
+            bank = build_decentralized(net)
+            for obs in (*bank.observers, compose_decentralized(bank)):
+                triples = obs.transitions()
+                space = sum(size(src) + size(dst) + 1 for src, _, dst in triples)
+                want = CostLedger(space=space + len(obs.states), time=len(triples))
+                assert ledger_for_observers([obs]) == want
