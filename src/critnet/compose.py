@@ -1,22 +1,25 @@
-"""Parallel composition of machines and networks.
+"""Parallel composition of machines and networks, and the product walk.
 
 Members synchronize on shared labels and interleave on private ones. A shared
 label fires only when every member owning it has at least one successor;
 otherwise it blocks. A product state is critical as soon as one component is.
 
-Product states are flattened to N-tuples with the textual encoding
-"(x1,x2,...,xN)". Re-composing an already composed machine flattens again, so
-association order changes neither state names nor structure. The encoding
-assumes member state names do not themselves contain top-level commas inside
-parentheses except as produced by composition.
+``explore`` is the one breadth-first kernel behind every synchronous product
+in the package: the plant here, the observer bank and the on-the-fly
+aggregates elsewhere. ``compose_many`` walks tuples of member states and
+names each once at the end as "(x1,x2,...,xN)". Re-composing a composed
+machine flattens again, so association order changes neither state names
+nor structure. Member state names are assumed free of top-level commas
+inside parentheses except as produced by composition.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from math import inf
+from operator import getitem
 
 from .errors import BudgetExceededError, InvalidInputError, MalformedFsmError
 from .fsm import Fsm
@@ -97,6 +100,66 @@ def product_state_name(member_states: Sequence[str]) -> str:
     return "(" + ",".join(flat) + ")"
 
 
+def owners_by_label(members: Iterable) -> list[tuple[str, tuple[int, ...]]]:
+    """Sorted (label, indices of the members owning it); members have ``alphabet``."""
+    alphabets = [m.alphabet for m in members]
+    return [
+        (label, tuple(i for i, a in enumerate(alphabets) if label in a))
+        for label in sorted(set().union(*alphabets))
+    ]
+
+
+def explore(
+    init: Iterable[Hashable],
+    expand: Callable[[Hashable], Iterable[Hashable]],
+    max_states: int | None = None,
+    budget_message: str = "",
+    *,
+    key: Callable[[Hashable], object] | None = None,
+    stop: Callable[[Hashable], bool] | None = None,
+    on_generation: Callable[[int, int, int], None] | None = None,
+) -> tuple[list[Hashable], Hashable | None, int]:
+    """Breadth-first walk from ``init``, one generation at a time.
+
+    A generation is expanded in discovery order, or sorted by ``key``. Code
+    after a ``yield`` in ``expand`` runs only once the kernel has stored that
+    successor or found it stored, so callers record moves there. A fresh
+    state for which ``stop`` holds ends the walk before it is stored, and
+    the move to it is never recorded. More than ``max_states`` states, in
+    the initial set or after any store, raise ``BudgetExceededError`` with
+    ``budget_message.format(max_states)``. ``on_generation`` gets
+    (generation, frontier size, states stored) before each generation.
+
+    Returns the stored states in discovery order, the stop state or None,
+    and the number of generations expanded before the stop.
+    """
+    limit = inf if max_states is None else max_states
+    seen = dict.fromkeys(init)
+    if len(seen) > limit:
+        raise BudgetExceededError(budget_message.format(max_states))
+    frontier = list(seen)
+    generation = 0
+    while frontier:
+        if on_generation is not None:
+            on_generation(generation, len(frontier), len(seen))
+        if key is not None:
+            frontier.sort(key=key)
+        next_frontier = []
+        push = next_frontier.append
+        for s in frontier:
+            for t in expand(s):
+                if t not in seen:
+                    if stop is not None and stop(t):
+                        return list(seen), t, generation
+                    seen[t] = None
+                    if len(seen) > limit:
+                        raise BudgetExceededError(budget_message.format(max_states))
+                    push(t)
+        frontier = next_frontier
+        generation += 1
+    return list(seen), None, generation
+
+
 def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     """Accessible part of the synchronous product of the given machines.
 
@@ -108,61 +171,46 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     if len(machines) == 1:
         return machines[0]
 
-    alphabet: set[str] = set()
-    for m in machines:
-        alphabet |= m.alphabet
-    owners = {
-        label: tuple(i for i, m in enumerate(machines) if label in m.alphabet)
-        for label in alphabet
-    }
-    labels = sorted(alphabet)
+    owners = owners_by_label(machines)
+    triples: list[tuple[tuple[str, ...], str, tuple[str, ...]]] = []
+
+    def expand(parts: tuple[str, ...]):
+        unmoved = [(x,) for x in parts]
+        for label, members in owners:
+            choices = unmoved.copy()
+            for i in members:
+                image = machines[i].succ(parts[i], label)
+                if not image:
+                    break
+                choices[i] = sorted(image)
+            else:
+                for successor in product(*choices):
+                    yield successor
+                    triples.append((parts, label, successor))
 
     initial = sorted(product(*(sorted(m.initial) for m in machines)))
-    seen: set[tuple[str, ...]] = set(initial)
-    frontier: deque[tuple[str, ...]] = deque(initial)
-    triples: list[tuple[tuple[str, ...], str, tuple[str, ...]]] = []
-    while frontier:
-        if max_states is not None and len(seen) > max_states:
-            raise BudgetExceededError(f"product exceeded {max_states} states")
-        parts = frontier.popleft()
-        for label in labels:
-            images: dict[int, frozenset[str]] = {}
-            blocked = False
-            for i in owners[label]:
-                img = machines[i].succ(parts[i], label)
-                if not img:
-                    blocked = True
-                    break
-                images[i] = img
-            if blocked:
-                continue
-            choices = [
-                sorted(images[i]) if i in images else (parts[i],)
-                for i in range(len(machines))
-            ]
-            for successor in product(*choices):
-                triples.append((parts, label, successor))
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
+    states, _, _ = explore(initial, expand, max_states, "product exceeded {} states")
 
+    # Each member state is split into its components once, however many
+    # product states it appears in.
+    flat = [{x: tuple_parts(x) for x in m.states} for m in machines]
     names: dict[tuple[str, ...], str] = {}
     used: set[str] = set()
-    for parts in seen:
-        name = product_state_name(parts)
+    for parts in states:
+        name = "(" + ",".join(chain.from_iterable(map(getitem, flat, parts))) + ")"
         if name in used:
             raise MalformedFsmError(f"product name collision at {name!r}")
         used.add(name)
         names[parts] = name
     critical = {
         names[parts]
-        for parts in seen
+        for parts in states
         if any(x in m.critical for x, m in zip(parts, machines))
     }
     return Fsm(
         names.values(),
         (names[parts] for parts in initial),
-        alphabet,
+        {label for label, _ in owners},
         ((names[a], label, names[b]) for a, label, b in triples),
         critical,
     )

@@ -254,11 +254,11 @@ def preservation_check(
     full_m = compose_network(network, max_states=max_states)
     red_m = compose_network(reduced, max_states=max_states)
     verdict_full = check_observable(build_observer(full_m, max_states), full_m.critical)
-    verdict_reduced = check_observable(build_observer(red_m, max_states), red_m.critical)
+    red_obs = build_observer(red_m, max_states)
+    verdict_reduced = check_observable(red_obs, red_m.critical)
 
     # Merged members share an alphabet, so both compositions do too and the
     # reduced observer is directly comparable against the full machine.
-    red_obs = build_observer(red_m, max_states)
     serves_full = validate_critical_observer(red_obs, full_m)
     serves_reduced = validate_critical_observer(red_obs, red_m)
     rng = random.Random(seed)

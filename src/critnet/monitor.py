@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
+from .compose import owners_by_label
 from .errors import DesyncError, InvalidInputError
 from .fsm import Word
 from .observer import DecentralizedObserver, ObserverFsm
@@ -51,14 +52,10 @@ class MonitorSession:
         self._locals = tuple(locals_)
         self._states = [obs.initial for _, obs in self._locals]
         self._outputs = [obs.output(obs.initial) for _, obs in self._locals]
-        owners: dict[str, list[int]] = {}
-        for i, (_, obs) in enumerate(self._locals):
-            for label in obs.alphabet:
-                owners.setdefault(label, []).append(i)
         # Per label: the locals that step, and the record's moved flags.
         self._owners = {
-            label: (tuple(idx), tuple(i in idx for i in range(len(self._locals))))
-            for label, idx in owners.items()
+            label: (idx, tuple(i in idx for i in range(len(self._locals))))
+            for label, idx in owners_by_label(obs for _, obs in self._locals)
         }
         self.poisoned = False
         self.steps = 0

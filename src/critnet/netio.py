@@ -260,7 +260,8 @@ def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
                     f"observer {section.name!r} flags undeclared state {state_text(z)}",
                     section.line,
                 )
-        outputs = {z: (1 if z in set(section.flagged) else 0) for z in section.states}
+        flagged = set(section.flagged)
+        outputs = {z: (1 if z in flagged else 0) for z in section.states}
         try:
             obs = ObserverFsm(
                 list(dict.fromkeys(section.states)),
@@ -285,6 +286,8 @@ def serialize_observer(name: str, obs: ObserverFsm) -> str:
             )
         for state in z:
             _check_state(state)
+    for label in obs.alphabet:
+        _check_token(label, "label")
     ordered = sorted(obs.states, key=state_sort_key)
     lines = [f"observer {name}"]
     lines.append("  states " + " ".join(state_text(z) for z in ordered))

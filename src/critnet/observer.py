@@ -13,17 +13,11 @@ to the observer of the composed network.
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .compose import Network
-from .errors import (
-    BudgetExceededError,
-    InvalidInputError,
-    MalformedFsmError,
-    TraceError,
-)
+from .compose import Network, explore, owners_by_label
+from .errors import InvalidInputError, MalformedFsmError, TraceError
 from .fsm import Fsm, Word, step
 
 # An estimate is a nonempty frozenset of plant states. Composed banks use
@@ -46,6 +40,9 @@ def state_sort_key(z: ObserverState):
     return tuple(state_sort_key(part) for part in z)
 
 
+_NO_MOVES: Mapping[str, ObserverState] = {}
+
+
 def _nonempty(z: ObserverState) -> bool:
     if isinstance(z, frozenset):
         return bool(z)
@@ -66,7 +63,6 @@ class ObserverFsm:
         "initial",
         "alphabet",
         "outputs",
-        "_trans",
         "_moves",
         "_state_set",
         "_key",
@@ -84,7 +80,6 @@ class ObserverFsm:
         self._state_set = frozenset(self.states)
         self.initial = initial
         self.alphabet = frozenset(alphabet)
-        self._trans = dict(transitions)
         self.outputs = dict(outputs)
 
         if len(self._state_set) != len(self.states):
@@ -99,23 +94,16 @@ class ObserverFsm:
         if len(self.outputs) != len(self.states):
             raise MalformedFsmError("outputs given for unknown states")
         self._moves: dict[ObserverState, dict[str, ObserverState]] = {}
-        for (src, label), dst in self._trans.items():
+        for (src, label), dst in transitions.items():
             if src not in self._state_set or dst not in self._state_set:
                 raise MalformedFsmError("transition endpoint is not an observer state")
             if label not in self.alphabet:
                 raise MalformedFsmError(f"transition label {label!r} not in alphabet")
             self._moves.setdefault(src, {})[label] = dst
 
-        seen = {initial}
-        frontier = deque([initial])
-        while frontier:
-            z = frontier.popleft()
-            for dst in self._moves.get(z, {}).values():
-                if dst not in seen:
-                    seen.add(dst)
-                    frontier.append(dst)
-        if seen != self._state_set:
-            unreachable = sorted(state_text(z) for z in self._state_set - seen)
+        reached, _, _ = explore((initial,), lambda z: self.moves(z).values())
+        if len(reached) != len(self.states):
+            unreachable = sorted(state_text(z) for z in self._state_set - set(reached))
             raise MalformedFsmError(f"unreachable observer states: {unreachable}")
 
         # Built on the first comparison or hash; see _identity.
@@ -123,20 +111,22 @@ class ObserverFsm:
 
     def succ_state(self, z: ObserverState, label: str) -> ObserverState | None:
         """Unique successor estimate, or None when the word leaves the language."""
-        return self._trans.get((z, label))
+        return self._moves.get(z, _NO_MOVES).get(label)
 
     def moves(self, z: ObserverState) -> Mapping[str, ObserverState]:
-        return self._moves.get(z, {})
+        return self._moves.get(z, _NO_MOVES)
 
     def output(self, z: ObserverState) -> int:
         return self.outputs[z]
 
     def transitions(self) -> list[tuple[ObserverState, str, ObserverState]]:
         """Transition triples in canonical (source, label) order."""
-        return sorted(
-            ((src, label, dst) for (src, label), dst in self._trans.items()),
-            key=lambda t: (state_sort_key(t[0]), t[1]),
-        )
+        return sorted(self._triples(), key=lambda t: (state_sort_key(t[0]), t[1]))
+
+    def _triples(self):
+        for src, row in self._moves.items():
+            for label, dst in row.items():
+                yield src, label, dst
 
     def _identity(self) -> tuple:
         if self._key is None:
@@ -144,7 +134,7 @@ class ObserverFsm:
                 self._state_set,
                 self.initial,
                 self.alphabet,
-                frozenset(self._trans.items()),
+                frozenset(((src, label), dst) for src, label, dst in self._triples()),
                 frozenset(self.outputs.items()),
             )
         return self._key
@@ -243,21 +233,17 @@ class EstimateTable:
 def build_observer(m: Fsm, max_states: int | None = None) -> ObserverFsm:
     """Subset construction seeded at the full initial-state estimate.
 
-    Expands every row of a fresh estimate table in id order, which is
-    breadth-first discovery order.
+    Expands every row of a fresh estimate table breadth first, so ids come
+    out in discovery order.
     """
     table = EstimateTable(m)
+    ids, _, _ = explore(
+        (0,), lambda i: table.row(i).values(), max_states, "observer exceeded {} states"
+    )
     est = table.estimates
-    trans: dict[tuple[ObserverState, str], ObserverState] = {}
-    # Expanding a row appends the estimates it discovers, so ``est`` is the
-    # BFS queue and the loop ends when no row adds anything new.
-    for i, z in enumerate(est):
-        if max_states is not None and len(est) > max_states:
-            raise BudgetExceededError(f"observer exceeded {max_states} states")
-        for label, j in table.row(i).items():
-            trans[(z, label)] = est[j]
-    outputs = {z: 1 if touch else 0 for z, touch in zip(est, table.touches)}
-    return ObserverFsm(est, est[0], m.alphabet, trans, outputs)
+    trans = {(est[i], label): est[j] for i in ids for label, j in table.rows[i].items()}
+    outputs = {est[i]: 1 if table.touches[i] else 0 for i in ids}
+    return ObserverFsm([est[i] for i in ids], est[0], m.alphabet, trans, outputs)
 
 
 def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:
@@ -340,48 +326,31 @@ def compose_decentralized(
     if len(d.locals) == 1:
         return d.locals[0][1]
     observers = d.observers
-    alphabet: set[str] = set()
-    for obs in observers:
-        alphabet |= obs.alphabet
-    labels = sorted(alphabet)
-    owners = {
-        label: tuple(i for i, obs in enumerate(observers) if label in obs.alphabet)
-        for label in labels
-    }
-
-    z0 = tuple(obs.initial for obs in observers)
-    states: list[ObserverState] = [z0]
-    seen = {z0}
+    owners = owners_by_label(observers)
     trans: dict[tuple[ObserverState, str], ObserverState] = {}
-    outputs: dict[ObserverState, int] = {
-        z0: 1 if any(obs.output(z) for obs, z in zip(observers, z0)) else 0
-    }
-    frontier = deque([z0])
-    while frontier:
-        if max_states is not None and len(seen) > max_states:
-            raise BudgetExceededError(f"composed bank exceeded {max_states} states")
-        agg = frontier.popleft()
-        for label in labels:
+
+    def expand(agg: tuple):
+        for label, members in owners:
             parts = list(agg)
-            blocked = False
-            for i in owners[label]:
+            for i in members:
                 nxt = observers[i].succ_state(agg[i], label)
                 if nxt is None:
-                    blocked = True
                     break
                 parts[i] = nxt
-            if blocked:
-                continue
-            successor = tuple(parts)
-            trans[(agg, label)] = successor
-            if successor not in seen:
-                seen.add(successor)
-                states.append(successor)
-                outputs[successor] = (
-                    1 if any(obs.output(z) for obs, z in zip(observers, successor)) else 0
-                )
-                frontier.append(successor)
-    return ObserverFsm(states, z0, alphabet, trans, outputs)
+            else:
+                successor = tuple(parts)
+                yield successor
+                trans[(agg, label)] = successor
+
+    z0 = tuple(obs.initial for obs in observers)
+    states, _, _ = explore(
+        (z0,), expand, max_states, "composed bank exceeded {} states"
+    )
+    outputs = {
+        agg: 1 if any(obs.output(z) for obs, z in zip(observers, agg)) else 0
+        for agg in states
+    }
+    return ObserverFsm(states, z0, {label for label, _ in owners}, trans, outputs)
 
 
 def validate_critical_observer(obs: ObserverFsm, m: Fsm) -> bool:
@@ -393,22 +362,25 @@ def validate_critical_observer(obs: ObserverFsm, m: Fsm) -> bool:
     """
     if obs.alphabet != m.alphabet:
         raise InvalidInputError("observer and machine must share an alphabet")
-    pairs = {(x, obs.initial) for x in m.initial}
-    frontier = deque(pairs)
-    while frontier:
-        x, z = frontier.popleft()
-        if obs.output(z) != (1 if x in m.critical else 0):
-            return False
+
+    def wrong(pair: tuple[str, ObserverState | None]) -> bool:
+        # No observer state: the plant can move but the observer cannot
+        # follow the run.
+        x, z = pair
+        return z is None or obs.output(z) != (1 if x in m.critical else 0)
+
+    def expand(pair: tuple[str, ObserverState]):
+        x, z = pair
         for label, dsts in m.moves(x).items():
             z2 = obs.succ_state(z, label)
-            if z2 is None:
-                # The plant can move but the observer cannot follow the run.
-                return False
             for x2 in dsts:
-                if (x2, z2) not in pairs:
-                    pairs.add((x2, z2))
-                    frontier.append((x2, z2))
-    return True
+                yield x2, z2
+
+    init = [(x, obs.initial) for x in m.initial]
+    if any(map(wrong, init)):
+        return False
+    _, bad, _ = explore(init, expand, stop=wrong)
+    return bad is None
 
 
 def sampled_runs_agree(

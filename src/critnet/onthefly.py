@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain
 from operator import getitem
 
-from .compose import Network
-from .errors import BudgetExceededError
+from .compose import Network, explore, owners_by_label
 from .observer import EstimateTable, ObserverFsm, Verdict
 
 # One estimate per member, in member order.
@@ -79,93 +77,74 @@ def run_onthefly(
     once per estimate. Estimates reappear only in the outcome.
     """
     machines = network.machines
-    names = network.names
     tables = [EstimateTable(m) for m in machines]
     keys = [t.keys for t in tables]
     touches = [t.touches for t in tables]
     contained = [t.contained for t in tables]
-    alphabet = sorted(set(chain.from_iterable(m.alphabet for m in machines)))
-    owners = [
-        (label, tuple(i for i, m in enumerate(machines) if label in m.alphabet))
-        for label in alphabet
-    ]
+    owners = owners_by_label(machines)
+    rec_states: list[dict[int, None]] = [{0: None} for _ in machines]
+    rec_trans: list[dict[tuple[int, str], int]] = [{} for _ in machines]
 
-    def canonical(agg: tuple[int, ...]):
-        return tuple(map(getitem, keys, agg))
+    def expand(agg: tuple[int, ...]):
+        rows = list(map(EstimateTable.row, tables, agg))
+        for label, members in owners:
+            parts = list(agg)
+            for i in members:
+                image = rows[i].get(label)
+                if image is None:
+                    break
+                parts[i] = image
+            else:
+                successor = tuple(parts)
+                yield successor
+                for i in members:
+                    rec_states[i][successor[i]] = None
+                    rec_trans[i][(agg[i], label)] = successor[i]
+
+    def straddles(agg: tuple[int, ...]) -> bool:
+        # straddle_test's closed form, over every member's flags.
+        return any(map(getitem, touches, agg)) and not any(
+            map(getitem, contained, agg)
+        )
 
     # Every table interns its member's initial estimate as id 0. The initial
     # aggregate is never straddle-tested: construction forces each member's
     # initial states to one side of its critical set, which puts the initial
     # product wholly on one side too.
-    init = (0,) * len(machines)
-    seen: set[tuple[int, ...]] = {init}
-    rec_states: list[dict[int, None]] = [{0: None} for _ in machines]
-    rec_trans: list[dict[tuple[int, str], int]] = [{} for _ in machines]
-
-    def outcome(verdict: Verdict, locals_) -> OnTheFlyOutcome:
-        return OnTheFlyOutcome(
-            verdict=verdict,
-            locals=locals_,
-            aggregates_seen=len(seen),
-            generations=generation,
-            witnessed_states=tuple(
-                tuple(t.estimates[z] for z in d) for t, d in zip(tables, rec_states)
-            ),
-            witnessed_transitions=tuple(
-                tuple(
-                    (t.estimates[src], label, t.estimates[dst])
-                    for (src, label), dst in d.items()
-                )
-                for t, d in zip(tables, rec_trans)
-            ),
-        )
-
-    generation = 0
-    frontier = [init]
-    while frontier:
-        if on_generation is not None:
-            on_generation(generation, len(frontier), len(seen))
-        next_frontier: list[tuple[int, ...]] = []
-        for agg in sorted(frontier, key=canonical):
-            rows = [t.row(z) for t, z in zip(tables, agg)]
-            for label, members in owners:
-                parts = list(agg)
-                blocked = False
-                for i in members:
-                    image = rows[i].get(label)
-                    if image is None:
-                        blocked = True
-                        break
-                    parts[i] = image
-                if blocked:
-                    continue
-                successor = tuple(parts)
-                if successor not in seen:
-                    # straddle_test's closed form, over every member's flags.
-                    if any(map(getitem, touches, successor)) and not any(
-                        map(getitem, contained, successor)
-                    ):
-                        witness = tuple(
-                            t.estimates[z] for t, z in zip(tables, successor)
-                        )
-                        return outcome(Verdict(False, witness), None)
-                    seen.add(successor)
-                    if max_states is not None and len(seen) > max_states:
-                        raise BudgetExceededError(
-                            f"exploration exceeded {max_states} aggregates"
-                        )
-                    next_frontier.append(successor)
-                for i in members:
-                    rec_states[i][successor[i]] = None
-                    rec_trans[i][(agg[i], label)] = successor[i]
-        frontier = next_frontier
-        generation += 1
-
-    locals_ = tuple(
-        (names[i], _finalize_local(tables[i], rec_states[i]))
-        for i in range(len(machines))
+    seen, witness, generations = explore(
+        ((0,) * len(machines),),
+        expand,
+        max_states,
+        "exploration exceeded {} aggregates",
+        key=lambda agg: tuple(map(getitem, keys, agg)),
+        stop=straddles,
+        on_generation=on_generation,
     )
-    return outcome(Verdict(True), locals_)
+    if witness is None:
+        verdict = Verdict(True)
+        locals_ = tuple(
+            (name, _finalize_local(t, kept))
+            for name, t, kept in zip(network.names, tables, rec_states)
+        )
+    else:
+        verdict = Verdict(False, tuple(t.estimates[z] for t, z in zip(tables, witness)))
+        locals_ = None
+    return OnTheFlyOutcome(
+        verdict=verdict,
+        locals=locals_,
+        aggregates_seen=len(seen),
+        generations=generations,
+        witnessed_states=tuple(
+            tuple(t.estimates[z] for z in d) for t, d in zip(tables, rec_states)
+        ),
+        witnessed_transitions=tuple(
+            tuple(
+                (t.estimates[src], label, t.estimates[dst])
+                for (src, label), dst in d.items()
+            )
+            for t, d in zip(tables, rec_trans)
+        ),
+    )
 
 
 def _finalize_local(table: EstimateTable, kept: dict[int, None]) -> ObserverFsm:

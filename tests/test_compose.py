@@ -7,6 +7,7 @@ import random
 import pytest
 
 from critnet import (
+    BudgetExceededError,
     Fsm,
     InvalidInputError,
     Network,
@@ -125,6 +126,30 @@ class TestComposeFixtures:
             parts = tuple_parts(name)
             expected = parts[0] in make_fsm_a().critical or parts[1] in make_fsm_b().critical
             assert (name in c.critical) == expected
+
+
+class TestBudget:
+    def test_threshold_is_exact(self):
+        rng = random.Random(911)
+        checked = 0
+        for _ in range(60):
+            net = random_network(rng, max_members=3, max_states=4)
+            if len(net.members) < 2:
+                continue
+            checked += 1
+            n = len(compose_network(net).states)
+            assert len(compose_network(net, max_states=n).states) == n
+            with pytest.raises(BudgetExceededError, match=f"^product exceeded {n - 1} states$"):
+                compose_network(net, max_states=n - 1)
+        assert checked >= 20
+
+    def test_initial_product_over_budget(self):
+        # Two initial states each and no moves: the product is its 4 initial states.
+        a, b = Fsm(["p", "q"], ["p", "q"], [], []), Fsm(["r", "s"], ["r", "s"], [], [])
+        net = Network((("A", a), ("B", b)))
+        assert len(compose_network(net, max_states=4).states) == 4
+        with pytest.raises(BudgetExceededError, match="^product exceeded 3 states$"):
+            compose_network(net, max_states=3)
 
 
 class TestAlgebraicProperties:

@@ -163,6 +163,15 @@ class TestSerializeNetwork:
         with pytest.raises(FormatError, match="forbidden"):
             serialize_network(Network((("M", m),)))
 
+    @pytest.mark.parametrize("label", ["x y", "x#", "{x}"])
+    def test_unserializable_label_rejected(self, label):
+        # An observer document with such a label would not parse back.
+        m = Fsm(["p"], ["p"], [label], [("p", label, "p")])
+        with pytest.raises(FormatError, match="forbidden"):
+            serialize_network(Network((("M", m),)))
+        with pytest.raises(FormatError, match="forbidden"):
+            serialize_observer("M", build_observer(m))
+
     def test_composed_state_names_survive(self, net_ab):
         composed = Network((("composed", compose_network(net_ab)),))
         assert parse_network(serialize_network(composed)) == composed

@@ -251,6 +251,28 @@ class TestDecentralized:
         witness = iso_check(composed, mono)
         assert witness is not None
 
+    def test_budget_threshold_is_exact(self):
+        rng = random.Random(912)
+        checked = 0
+        for _ in range(60):
+            net = random_network(rng, max_members=3, max_states=4)
+            if len(net.members) < 2:
+                continue
+            checked += 1
+            bank = build_decentralized(net)
+            n = len(compose_decentralized(bank).states)
+            assert len(compose_decentralized(bank, max_states=n).states) == n
+            with pytest.raises(
+                BudgetExceededError, match=f"^composed bank exceeded {n - 1} states$"
+            ):
+                compose_decentralized(bank, max_states=n - 1)
+        assert checked >= 20
+
+    def test_initial_aggregate_over_budget(self, net_ab):
+        bank = build_decentralized(net_ab)
+        with pytest.raises(BudgetExceededError, match="^composed bank exceeded 0 states$"):
+            compose_decentralized(bank, max_states=0)
+
     def test_converse_pair_behaves_as_designed(self):
         net = make_converse_pair()
         m1 = net.get("P")

@@ -110,6 +110,13 @@ class TestRunOnTheFly:
         with pytest.raises(BudgetExceededError):
             run_onthefly(Network((("A", fsm_a),)), max_states=1)
 
+    def test_initial_aggregate_counts_against_budget(self):
+        # Nothing moves, so the initial aggregate is all there is to store.
+        net = Network((("A", Fsm(["p"], ["p"], ["a"], [])),))
+        assert run_onthefly(net, max_states=1).aggregates_seen == 1
+        with pytest.raises(BudgetExceededError, match="^exploration exceeded 0 aggregates$"):
+            run_onthefly(net, max_states=0)
+
     def test_initial_aggregate_exempt_from_test(self):
         # A member whose states are all critical keeps every aggregate on the
         # critical side; the run must start normally and stay observable.
