@@ -109,6 +109,12 @@ def owners_by_label(members: Iterable) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+def check_budget(count: int, max_states: int | None, budget_message: str) -> None:
+    """Raise ``BudgetExceededError`` when ``count`` states exceed ``max_states``."""
+    if max_states is not None and count > max_states:
+        raise BudgetExceededError(budget_message.format(max_states))
+
+
 def explore(
     init: Iterable[Hashable],
     expand: Callable[[Hashable], Iterable[Hashable]],
@@ -135,8 +141,7 @@ def explore(
     """
     limit = inf if max_states is None else max_states
     seen = dict.fromkeys(init)
-    if len(seen) > limit:
-        raise BudgetExceededError(budget_message.format(max_states))
+    check_budget(len(seen), max_states, budget_message)
     frontier = list(seen)
     generation = 0
     while frontier:
@@ -164,11 +169,13 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     """Accessible part of the synchronous product of the given machines.
 
     With a single machine this is the identity. ``max_states`` bounds the
-    number of product states explored before giving up.
+    number of product states explored before giving up, and a single
+    machine's own states.
     """
     if not machines:
         raise InvalidInputError("nothing to compose")
     if len(machines) == 1:
+        check_budget(len(machines[0].states), max_states, "product exceeded {} states")
         return machines[0]
 
     owners = owners_by_label(machines)

@@ -3,15 +3,22 @@
 A session holds one local observer per member. Each incoming event moves
 every local whose alphabet contains it and leaves the others untouched, so
 each local sees exactly the projection of the stream onto its alphabet. The
-session keeps one flag per local and refreshes only the flags of the locals
-that stepped; the session flag is their OR, recomputed once per event, after
+session flag is the OR of the local flags, recomputed once per event, after
 all affected locals have stepped.
 
+A session compiles its locals once, when it starts. Locals with equal
+observers own the same labels and move in lockstep, so they share one
+cursor, as bisimilar members lifted from one class representative do. Each
+distinct observer becomes a table over int state ids: per label, one row
+mapping a state id to the next id (None when there is no move), and one
+output per id. An event steps each distinct owner once and fans the flags
+out to every local.
+
 Sessions are the one mutable thing in this package and expect a single
-writer. They keep the current estimates and a step counter, never a record
-per event, so a long stream runs in constant memory. An event no run of the
-plant allows poisons the session: the step is not applied and every later
-feed fails fast.
+writer. Their memory is fixed at start: the tables are sized by the
+distinct observers, and no record is kept per event, only the current
+states and two counters. An event no run of the plant allows poisons the
+session: the step is not applied and every later feed fails fast.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from .compose import owners_by_label
 from .errors import DesyncError, InvalidInputError
 from .fsm import Word
 from .observer import DecentralizedObserver, ObserverFsm
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -36,12 +45,16 @@ class StepRecord:
     flag: int
 
     def line(self) -> str:
-        bits = "".join(str(y) for y in self.outputs)
+        bits = bytes(self.outputs).translate(_BITS).decode("ascii")
         return f"{self.index} {self.label} {bits} {self.flag}"
 
 
 class MonitorSession:
-    """Stateful replay of an event stream through local observers."""
+    """Stateful replay of an event stream through local observers.
+
+    ``steps`` counts the events applied and ``raises`` the events after
+    which the session flag went from 0 to 1.
+    """
 
     def __init__(self, locals_: Sequence[tuple[str, ObserverFsm]]):
         if not locals_:
@@ -50,15 +63,42 @@ class MonitorSession:
         if len(set(names)) != len(names):
             raise InvalidInputError(f"duplicate local names in {names}")
         self._locals = tuple(locals_)
-        self._states = [obs.initial for _, obs in self._locals]
-        self._outputs = [obs.output(obs.initial) for _, obs in self._locals]
-        # Per label: the locals that step, and the record's moved flags.
-        self._owners = {
-            label: (idx, tuple(i in idx for i in range(len(self._locals))))
-            for label, idx in owners_by_label(obs for _, obs in self._locals)
+        # Cursors are numbered by first use, so a lower cursor's first local
+        # comes earlier in the session.
+        cursor_of: dict[ObserverFsm, int] = {}
+        self._cursors = tuple(
+            cursor_of.setdefault(obs, len(cursor_of)) for _, obs in self._locals
+        )
+        observers = list(cursor_of)
+        # Per cursor: its observer's states and outputs by state id, the
+        # current state id, and the current output.
+        self._estimates = [obs.states for obs in observers]
+        self._outputs_by_id = [[obs.output(z) for z in obs.states] for obs in observers]
+        self._current = []
+        rows_of = []
+        for obs in observers:
+            index = {z: i for i, z in enumerate(obs.states)}
+            rows = {label: [None] * len(index) for label in obs.alphabet}
+            for z, i in index.items():
+                for label, nxt in obs.moves(z).items():
+                    rows[label][i] = index[nxt]
+            self._current.append(index[obs.initial])
+            rows_of.append(rows)
+        self._out = [out[i] for out, i in zip(self._outputs_by_id, self._current)]
+        # Per label: the cursors that step, their rows, and the record's
+        # moved flags.
+        self._labels = {
+            label: (
+                owners,
+                tuple(rows_of[c][label] for c in owners),
+                tuple(c in owners for c in self._cursors),
+            )
+            for label, owners in owners_by_label(observers)
         }
+        self._last_flag = self.flag
         self.poisoned = False
         self.steps = 0
+        self.raises = 0
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -66,49 +106,54 @@ class MonitorSession:
 
     @property
     def states(self) -> tuple:
-        return tuple(self._states)
+        return tuple(self._estimates[c][self._current[c]] for c in self._cursors)
 
     @property
     def outputs(self) -> tuple[int, ...]:
-        return tuple(self._outputs)
+        return tuple(map(self._out.__getitem__, self._cursors))
 
     @property
     def flag(self) -> int:
-        return 1 if any(self._outputs) else 0
+        return 1 if 1 in self._out else 0
 
     def feed(self, label: str) -> StepRecord:
         """Apply one event atomically and count the step.
 
         The label must belong to at least one local's alphabet. If some
         local that owns the label has no move, no local steps at all, the
-        session is poisoned, and the desync is raised naming that local.
+        session is poisoned, and the desync is raised naming the first such
+        local in session order.
         """
         if self.poisoned:
             raise DesyncError("session poisoned by an earlier desync")
-        if label not in self._owners:
+        entry = self._labels.get(label)
+        if entry is None:
             raise InvalidInputError(f"label {label!r} is in no local's alphabet")
-        owners, moved = self._owners[label]
-        targets = {}
-        for i in owners:
-            nxt = self._locals[i][1].succ_state(self._states[i], label)
-            if nxt is None:
-                self.poisoned = True
-                raise DesyncError(
-                    f"local {self._locals[i][0]!r} has no move on {label!r}: "
-                    f"the stream is not a trace of the composed plant"
-                )
-            targets[i] = nxt
-        for i, nxt in targets.items():
-            self._states[i] = nxt
-            self._outputs[i] = self._locals[i][1].output(nxt)
+        owners, rows, moved = entry
+        current = self._current
+        targets = list(map(list.__getitem__, rows, map(current.__getitem__, owners)))
+        if None in targets:
+            self.poisoned = True
+            stuck = self._cursors.index(owners[targets.index(None)])
+            raise DesyncError(
+                f"local {self._locals[stuck][0]!r} has no move on {label!r}: "
+                f"the stream is not a trace of the composed plant"
+            )
+        out, outputs_by_id = self._out, self._outputs_by_id
+        for c, nxt in zip(owners, targets):
+            current[c] = nxt
+            out[c] = outputs_by_id[c][nxt]
         self.steps += 1
-        outputs = tuple(self._outputs)
+        flag = 1 if 1 in out else 0
+        if flag > self._last_flag:
+            self.raises += 1
+        self._last_flag = flag
         return StepRecord(
             index=self.steps,
             label=label,
             moved=moved,
-            outputs=outputs,
-            flag=1 if any(outputs) else 0,
+            outputs=tuple(map(out.__getitem__, self._cursors)),
+            flag=flag,
         )
 
     def replay(self, word: Word | Iterable[str]) -> list[StepRecord]:

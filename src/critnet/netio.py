@@ -204,10 +204,22 @@ class _ObserverSection:
 
 
 def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
-    """Parse one or more observer sections into (name, observer) pairs."""
+    """Parse one or more observer sections into (name, observer) pairs.
+
+    Each distinct estimate token is split once per document; a malformed
+    one fails at its first line, before it could be remembered.
+    """
     sections: list[_ObserverSection] = []
     names: set[str] = set()
     current: _ObserverSection | None = None
+    seen: dict[str, frozenset[str]] = {}
+
+    def estimate(token: str, line: int) -> frozenset[str]:
+        z = seen.get(token)
+        if z is None:
+            z = seen[token] = _split_estimate(token, line)
+        return z
+
     for number, tokens in _logical_lines(text):
         directive, args = tokens[0], tokens[1:]
         if directive == "observer":
@@ -223,7 +235,7 @@ def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
         if current is None:
             raise FormatError(f"{directive!r} before any observer section", number)
         if directive in ("states", "initial", "flag"):
-            estimates = [_split_estimate(a, number) for a in args]
+            estimates = [estimate(a, number) for a in args]
             target = {"states": current.states, "initial": current.initial, "flag": current.flagged}
             target[directive].extend(estimates)
         elif directive == "alphabet":
@@ -231,9 +243,9 @@ def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
         elif directive == "trans":
             if len(args) != 3:
                 raise FormatError("trans takes source, label, target", number)
-            src = _split_estimate(args[0], number)
+            src = estimate(args[0], number)
             label = _check_token(args[1], "label", number)
-            dst = _split_estimate(args[2], number)
+            dst = estimate(args[2], number)
             if (src, label) in current.trans:
                 raise FormatError(
                     f"second transition from {args[0]} on {label!r}: "

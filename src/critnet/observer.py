@@ -16,7 +16,7 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .compose import Network, explore, owners_by_label
+from .compose import Network, check_budget, explore, owners_by_label
 from .errors import InvalidInputError, MalformedFsmError, TraceError
 from .fsm import Fsm, Word, step
 
@@ -321,10 +321,13 @@ def compose_decentralized(
 
     States are aggregates: one estimate per member. A shared label moves
     every local owning it, and blocks when any of them has no move. With a
-    single local the bank composes to that local itself.
+    single local the bank composes to that local itself, within the same
+    budget.
     """
     if len(d.locals) == 1:
-        return d.locals[0][1]
+        only = d.locals[0][1]
+        check_budget(len(only.states), max_states, "composed bank exceeded {} states")
+        return only
     observers = d.observers
     owners = owners_by_label(observers)
     trans: dict[tuple[ObserverState, str], ObserverState] = {}

@@ -351,3 +351,33 @@ def naive_iso_check(m1: Fsm, m2: Fsm) -> dict[str, str] | None:
         if naive_is_iso_witness(m1, m2, mapping):
             return mapping
     return None
+
+
+def naive_monitor(
+    locals_: list[tuple[str, ObserverFsm]], word: tuple[str, ...]
+) -> tuple[list[tuple], tuple, str | None]:
+    """Replay a word by stepping every local on its own, one at a time.
+
+    Returns the records as (index, label, moved, outputs, flag) tuples, the
+    states reached, and the desync text of the first event some owner of
+    its label cannot follow (None if there is none). A desync stops the
+    replay with every local left where it was before that event.
+    """
+    states = [obs.initial for _, obs in locals_]
+    records: list[tuple] = []
+    for index, label in enumerate(word, start=1):
+        moved = tuple(label in obs.alphabet for _, obs in locals_)
+        after = list(states)
+        for i, (name, obs) in enumerate(locals_):
+            if moved[i]:
+                z = obs.succ_state(states[i], label)
+                if z is None:
+                    return records, tuple(states), (
+                        f"local {name!r} has no move on {label!r}: "
+                        f"the stream is not a trace of the composed plant"
+                    )
+                after[i] = z
+        states = after
+        outputs = tuple(obs.output(z) for (_, obs), z in zip(locals_, states))
+        records.append((index, label, moved, outputs, 1 if any(outputs) else 0))
+    return records, tuple(states), None

@@ -1,10 +1,10 @@
 """The benchmark's traced run still finds every library name it wraps.
 
 `bench/tracing.py` records per-layer spans by replacing module attributes
-that `critnet.cli` and `critnet.pipeline` call through. A target the library
-no longer has is only warned about, and the traced metrics then read 0, so a
-refactor could silently blank them. These tests read the benchmark's files
-and never change them.
+that `critnet.cli` and `critnet.pipeline` call through, and the method
+`MonitorSession.feed`. A target the library no longer has is only warned
+about, and the traced metrics then read 0, so a refactor could silently
+blank them. These tests read the benchmark's files and never change them.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import inspect
 from pathlib import Path
 
 import critnet.cli
+import critnet.monitor
 import critnet.pipeline
 from critnet import Network
 
@@ -72,3 +73,28 @@ def test_traced_check_counts_exploration(capsys):
     assert len(explored) == 1
     assert explored[0]["aggregates"] > 0 and explored[0]["generations"] > 0
     assert critnet.pipeline.run_onthefly is original
+
+
+def test_traced_monitor_records_one_span_per_event(tmp_path, capsys):
+    net = str(ROOT / "demos/data/line.net")
+    assert critnet.cli.main(["synth", net, "--out", str(tmp_path)]) == 0
+    events = ["load", "pass", "load", "pass", "take", "done"]
+    stream = tmp_path / "stream.events"
+    stream.write_text("\n".join(events) + "\n")
+    observers = sorted(str(p) for p in tmp_path.glob("*.obs"))
+    capsys.readouterr()
+    original = critnet.monitor.MonitorSession.feed
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = tracer.call_job(
+            0, critnet.cli.main, ["monitor", *observers, "--events", str(stream)]
+        )
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr()
+    assert code == 0 and len(out.out.splitlines()) == len(events)
+    assert "not traced" not in out.err
+    feeds = [span for span in tracer.spans if span[0] == "monitor.feed"]
+    assert len(feeds) == len(events)
+    assert critnet.monitor.MonitorSession.feed is original

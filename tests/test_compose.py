@@ -151,6 +151,19 @@ class TestBudget:
         with pytest.raises(BudgetExceededError, match="^product exceeded 3 states$"):
             compose_network(net, max_states=3)
 
+    def test_one_member_is_held_to_the_budget(self):
+        # A single member is its own product: the budget counts its states,
+        # unreachable ones included, and within it the member comes back.
+        m = Fsm(["p", "q", "r"], ["p"], ["a"], [("p", "a", "q")])
+        net = Network((("A", m),))
+        assert compose_network(net, max_states=3) is m
+        assert compose_many([m], max_states=3) is m
+        for budget in (0, 2):
+            with pytest.raises(
+                BudgetExceededError, match=f"^product exceeded {budget} states$"
+            ):
+                compose_network(net, max_states=budget)
+
 
 class TestAlgebraicProperties:
     def test_trace_projection_containment(self, fsm_a, fsm_b):

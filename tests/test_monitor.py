@@ -15,8 +15,11 @@ from critnet import (
     build_observer,
     compose_network,
     observer_run,
+    run_algorithm3,
     start_session,
 )
+from genutil import random_network, with_duplicates
+from oracles import naive_monitor, network_traces
 
 
 def fz(*names):
@@ -137,7 +140,6 @@ class TestFlagMeaning:
 
     def test_flag_on_longer_traces(self):
         from conftest import make_converse_pair
-        from oracles import network_traces
 
         net = make_converse_pair()
         composed_obs = build_observer(compose_network(net))
@@ -151,9 +153,6 @@ class TestFlagMeaning:
     def test_local_outputs_follow_local_states(self):
         # Only the label's owners refresh their flag; every record must still
         # show each local's output at its current estimate.
-        from genutil import random_network
-        from oracles import network_traces
-
         rng = random.Random(701)
         for _ in range(30):
             net = random_network(rng, max_members=3, max_states=4)
@@ -167,3 +166,82 @@ class TestFlagMeaning:
                     )
                     assert record.outputs == session.outputs == want
                     assert record.flag == session.flag == (1 if any(want) else 0)
+
+    def test_raises_counts_flag_rises(self):
+        rng = random.Random(703)
+        rises = 0
+        for _ in range(30):
+            net = random_network(rng, max_members=3, max_states=4)
+            bank = build_decentralized(net)
+            for word in network_traces(net, max_len=5, cap=40):
+                session = start_session(bank)
+                flags = [session.flag] + [r.flag for r in session.replay(word)]
+                want = sum(1 for a, b in zip(flags, flags[1:]) if (a, b) == (0, 1))
+                assert session.raises == want
+                rises += want
+        assert rises > 0
+
+
+def _agree_with_reference(locals_, net, rng):
+    """Every trace and one impossible event per trace match the naive replay."""
+    labels = sorted(net.alphabet())
+    desyncs = 0
+    for word in network_traces(net, max_len=5, cap=60):
+        session = start_session(locals_)
+        records = session.replay(word)
+        want, states, problem = naive_monitor(locals_, word)
+        assert problem is None
+        assert [(r.index, r.label, r.moved, r.outputs, r.flag) for r in records] == want
+        assert session.states == states
+        outputs = tuple(obs.output(z) for (_, obs), z in zip(locals_, states))
+        assert session.outputs == outputs
+        assert session.flag == (1 if any(outputs) else 0)
+        assert session.steps == len(word)
+        impossible = [
+            label
+            for label in labels
+            if naive_monitor(locals_, word + (label,))[2] is not None
+        ]
+        if impossible:
+            label = rng.choice(impossible)
+            _, states, problem = naive_monitor(locals_, word + (label,))
+            with pytest.raises(DesyncError) as caught:
+                session.feed(label)
+            assert str(caught.value) == problem
+            assert session.poisoned
+            assert session.states == states
+            assert session.steps == len(word)
+            desyncs += 1
+    return desyncs
+
+
+class TestAgainstReference:
+    def test_class_members_share_a_lifted_observer(self):
+        rng = random.Random(705)
+        shared = desyncs = 0
+        while shared < 25:
+            base = random_network(rng, max_members=3, max_states=4)
+            net = with_duplicates(rng, base, copies=rng.randint(1, 3), split=rng.random() < 0.5)
+            report = run_algorithm3(net)
+            if report.locals is None:
+                continue
+            observers = [obs for _, obs in report.locals]
+            assert len(set(observers)) < len(observers)
+            shared += 1
+            desyncs += _agree_with_reference(report.locals, net, rng)
+        assert desyncs > 0
+
+    def test_one_observer_under_several_names(self):
+        rng = random.Random(706)
+        desyncs = 0
+        for _ in range(25):
+            net = random_network(rng, max_members=3, max_states=4)
+            bank = build_decentralized(net)
+            locals_ = list(bank.locals) + [
+                (f"{name}_{k}", obs)
+                for k in range(rng.randint(1, 3))
+                for name, obs in bank.locals
+            ]
+            rng.shuffle(locals_)
+            desyncs += _agree_with_reference(locals_, net, rng)
+        assert desyncs > 0

@@ -259,6 +259,36 @@ class TestObserverDocuments:
             assert again == obs
             assert serialize_observer("O", again) == text
 
+    def test_repeated_malformed_estimate_fails_at_its_first_line(self):
+        doc = (
+            "observer O\n  states {x}\n  initial {x}\n  alphabet a\n"
+            "  trans {x} a {x,}\n  trans {x,} a {x}\n"
+        )
+        with pytest.raises(FormatError, match="empty component") as err:
+            parse_observers(doc)
+        assert err.value.line == 5
+
+    def test_repeated_estimates_parse_and_round_trip(self):
+        # Every token occurs on several lines; "{q,p}" spells "{p,q}" anew.
+        doc = (
+            "observer O\n"
+            "  states {p} {p,q}\n"
+            "  initial {p}\n"
+            "  alphabet a b\n"
+            "  flag {p,q}\n"
+            "  trans {p} a {p,q}\n"
+            "  trans {p,q} a {p,q}\n"
+            "  trans {p,q} b {p}\n"
+        )
+        (name, obs), = parse_observers(doc)
+        pq = frozenset({"p", "q"})
+        assert obs.states == (frozenset({"p"}), pq)
+        assert obs.outputs == {frozenset({"p"}): 0, pq: 1}
+        assert obs.succ_state(pq, "a") == pq
+        assert serialize_observer(name, obs) == doc
+        respelled = doc.replace("trans {p,q} b", "trans {q,p} b")
+        assert parse_observers(respelled) == ((name, obs),)
+
 
 def _two_state_doc(u: str, v: str) -> str:
     """A member whose observer reaches the two-state estimate {u,v}."""

@@ -273,6 +273,17 @@ class TestDecentralized:
         with pytest.raises(BudgetExceededError, match="^composed bank exceeded 0 states$"):
             compose_decentralized(bank, max_states=0)
 
+    def test_one_local_is_held_to_the_budget(self, fsm_a):
+        bank = build_decentralized(Network((("A", fsm_a),)))
+        only = bank.locals[0][1]
+        assert len(only.states) == 2
+        assert compose_decentralized(bank, max_states=2) is only
+        for budget in (0, 1):
+            with pytest.raises(
+                BudgetExceededError, match=f"^composed bank exceeded {budget} states$"
+            ):
+                compose_decentralized(bank, max_states=budget)
+
     def test_converse_pair_behaves_as_designed(self):
         net = make_converse_pair()
         m1 = net.get("P")
