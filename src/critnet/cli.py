@@ -9,6 +9,7 @@ budget when `--budget` is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -202,7 +203,13 @@ def _cmd_preserve(args) -> int:
     return 0 if consistent else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and reused after.
+
+    Parsing leaves the parser unchanged, so every ``main`` call in one
+    process can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="critnet",
         description="Critical observability of networks of finite state machines",

@@ -14,6 +14,7 @@ import random
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .compose import Network, compose_network
 from .fsm import Fsm
@@ -107,31 +108,28 @@ def _refinement_classes(machines: Sequence[Fsm]) -> list[dict[str, int]]:
     order of first occurrence, so no round sorts anything but labels.
     Two states share a class exactly when some bisimulation relates them,
     within one machine or across two. Returns one state -> class map per
-    machine; class ids are shared across the maps.
+    machine; class ids are shared across the maps. Each machine's int
+    encoding (``Fsm.int_moves``) is built once and kept, so repeated calls
+    over the same machines only refine.
     """
-    ids: list[dict[str, int]] = []
-    moves: list[tuple] = []
-    start: list[tuple[bool, bool]] = []
-    for m in machines:
-        local = {x: len(moves) + i for i, x in enumerate(m.states)}
-        ids.append(local)
-        for x in local:
-            out = m.moves(x)
-            moves.append(
-                tuple([(label, [local[y] for y in out[label]]) for label in sorted(out)])
-            )
-            start.append((x in m.critical, x in m.initial))
-    cls, count = _first_seen_ids(start)
+    encoded = [m.int_moves() for m in machines]
+    # State y of a machine has the id k + y in the union, k its offset.
+    offsets = list(accumulate([len(states) for states, _, _ in encoded], initial=0))
+    cls, count = _first_seen_ids([f for _, _, flags in encoded for f in flags])
     while True:
         signatures = [
-            (c, tuple([(label, frozenset([cls[y] for y in ys])) for label, ys in out]))
-            for c, out in zip(cls, moves)
+            (c, tuple([(label, frozenset([cls[k + y] for y in ys])) for label, ys in out]))
+            for (_, moves, _), k in zip(encoded, offsets)
+            for c, out in zip(cls[k : k + len(moves)], moves)
         ]
         new_cls, new_count = _first_seen_ids(signatures)
         if new_count == count:
             break
         cls, count = new_cls, new_count
-    return [{x: cls[i] for x, i in local.items()} for local in ids]
+    return [
+        dict(zip(states, cls[k : k + len(states)]))
+        for (states, _, _), k in zip(encoded, offsets)
+    ]
 
 
 @dataclass(frozen=True)

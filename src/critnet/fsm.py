@@ -29,7 +29,7 @@ class Fsm:
     non-critical, otherwise no observer could ever classify the empty trace.
     """
 
-    __slots__ = ("states", "initial", "alphabet", "critical", "_delta", "_key")
+    __slots__ = ("states", "initial", "alphabet", "critical", "_delta", "_key", "_ints")
 
     def __init__(
         self,
@@ -85,8 +85,9 @@ class Fsm:
                 "initial states must be all critical or all non-critical"
             )
 
-        # Built on the first comparison or hash; see _identity.
+        # Built on first use; see _identity and int_moves.
         self._key = None
+        self._ints = None
 
     def succ(self, state: str, label: str) -> frozenset[str]:
         """Successor set of one state under one label (empty if none)."""
@@ -114,6 +115,25 @@ class Fsm:
             for by_label in self._delta.values()
             for dsts in by_label.values()
         )
+
+    def int_moves(self) -> tuple[tuple[str, ...], tuple, tuple]:
+        """The machine over int state ids, built on first use and then kept.
+
+        Returns the states in id order; per id, its moves as (label, target
+        ids) pairs in label order; and per id, whether the state is critical
+        and whether it is initial.
+        """
+        if self._ints is None:
+            states = tuple(self.states)
+            index = {x: i for i, x in enumerate(states)}
+            moves = []
+            for x in states:
+                out = self.moves(x)
+                row = [(label, tuple([index[y] for y in out[label]])) for label in sorted(out)]
+                moves.append(tuple(row))
+            flags = tuple((x in self.critical, x in self.initial) for x in states)
+            self._ints = (states, tuple(moves), flags)
+        return self._ints
 
     def _identity(self) -> tuple:
         if self._key is None:

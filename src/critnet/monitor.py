@@ -8,11 +8,12 @@ all affected locals have stepped.
 
 A session compiles its locals once, when it starts. Locals with equal
 observers own the same labels and move in lockstep, so they share one
-cursor, as bisimilar members lifted from one class representative do. Each
-distinct observer becomes a table over int state ids: per label, one row
-mapping a state id to the next id (None when there is no move), and one
-output per id. An event steps each distinct owner once and fans the flags
-out to every local.
+cursor, as bisimilar members lifted from one class representative do; full
+equality is only tested between observers with the same initial state,
+alphabet and size. Each cursor steps over its observer's cached int table
+(``ObserverFsm.int_rows``): per label, one row mapping a state id to the
+next id (None when there is no move), and one output per id. An event steps
+each distinct owner once and fans the flags out to every local.
 
 Sessions are the one mutable thing in this package and expect a single
 writer. Their memory is fixed at start: the tables are sized by the
@@ -64,26 +65,28 @@ class MonitorSession:
             raise InvalidInputError(f"duplicate local names in {names}")
         self._locals = tuple(locals_)
         # Cursors are numbered by first use, so a lower cursor's first local
-        # comes earlier in the session.
-        cursor_of: dict[ObserverFsm, int] = {}
-        self._cursors = tuple(
-            cursor_of.setdefault(obs, len(cursor_of)) for _, obs in self._locals
-        )
-        observers = list(cursor_of)
+        # comes earlier in the session. Full identities are compared only
+        # among observers that agree on initial state, alphabet and size.
+        observers: list[ObserverFsm] = []
+        alike: dict[tuple, list[int]] = {}
+        cursors = []
+        for _, obs in self._locals:
+            same = alike.setdefault((obs.initial, obs.alphabet, len(obs.states)), [])
+            for c in same:
+                if observers[c] is obs or observers[c] == obs:
+                    break
+            else:
+                c = len(observers)
+                observers.append(obs)
+                same.append(c)
+            cursors.append(c)
+        self._cursors = tuple(cursors)
         # Per cursor: its observer's states and outputs by state id, the
         # current state id, and the current output.
+        initials, rows_of, outputs_by_id = zip(*(obs.int_rows() for obs in observers))
+        self._outputs_by_id = outputs_by_id
         self._estimates = [obs.states for obs in observers]
-        self._outputs_by_id = [[obs.output(z) for z in obs.states] for obs in observers]
-        self._current = []
-        rows_of = []
-        for obs in observers:
-            index = {z: i for i, z in enumerate(obs.states)}
-            rows = {label: [None] * len(index) for label in obs.alphabet}
-            for z, i in index.items():
-                for label, nxt in obs.moves(z).items():
-                    rows[label][i] = index[nxt]
-            self._current.append(index[obs.initial])
-            rows_of.append(rows)
+        self._current = list(initials)
         self._out = [out[i] for out, i in zip(self._outputs_by_id, self._current)]
         # Per label: the cursors that step, their rows, and the record's
         # moved flags.
@@ -131,7 +134,7 @@ class MonitorSession:
             raise InvalidInputError(f"label {label!r} is in no local's alphabet")
         owners, rows, moved = entry
         current = self._current
-        targets = list(map(list.__getitem__, rows, map(current.__getitem__, owners)))
+        targets = list(map(tuple.__getitem__, rows, map(current.__getitem__, owners)))
         if None in targets:
             self.poisoned = True
             stuck = self._cursors.index(owners[targets.index(None)])

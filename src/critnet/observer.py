@@ -8,6 +8,14 @@ estimate lies wholly inside the critical set, so the flag is never ambiguous.
 A decentralized observer keeps one local observer per network member and
 combines their flags with OR; composing the bank yields a machine isomorphic
 to the observer of the composed network.
+
+Every observer also reads as an int table (``ObserverFsm.int_rows``), built
+on first use and kept: state ids by position, one row per label mapping an
+id to the next id, and outputs by id. Bank composition and monitor sessions
+both step over these rows. Observers this package builds itself (local
+observers, composed banks, projected on-the-fly locals) skip the public
+constructor's checks; the public constructor, and so the observer parser,
+keeps every one.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import getitem
 
 from .compose import Network, check_budget, explore, owners_by_label
 from .errors import InvalidInputError, MalformedFsmError, TraceError
@@ -66,6 +75,7 @@ class ObserverFsm:
         "_moves",
         "_state_set",
         "_key",
+        "_ints",
     )
 
     def __init__(
@@ -76,11 +86,10 @@ class ObserverFsm:
         transitions: Mapping[tuple[ObserverState, str], ObserverState],
         outputs: Mapping[ObserverState, int],
     ):
-        self.states = tuple(states)
-        self._state_set = frozenset(self.states)
-        self.initial = initial
-        self.alphabet = frozenset(alphabet)
-        self.outputs = dict(outputs)
+        moves: dict[ObserverState, dict[str, ObserverState]] = {}
+        for (src, label), dst in transitions.items():
+            moves.setdefault(src, {})[label] = dst
+        self._assign(states, initial, alphabet, moves, outputs)
 
         if len(self._state_set) != len(self.states):
             raise MalformedFsmError("duplicate observer states")
@@ -93,21 +102,47 @@ class ObserverFsm:
                 raise MalformedFsmError(f"state {state_text(z)} needs a 0/1 output")
         if len(self.outputs) != len(self.states):
             raise MalformedFsmError("outputs given for unknown states")
-        self._moves: dict[ObserverState, dict[str, ObserverState]] = {}
         for (src, label), dst in transitions.items():
             if src not in self._state_set or dst not in self._state_set:
                 raise MalformedFsmError("transition endpoint is not an observer state")
             if label not in self.alphabet:
                 raise MalformedFsmError(f"transition label {label!r} not in alphabet")
-            self._moves.setdefault(src, {})[label] = dst
 
         reached, _, _ = explore((initial,), lambda z: self.moves(z).values())
         if len(reached) != len(self.states):
             unreachable = sorted(state_text(z) for z in self._state_set - set(reached))
             raise MalformedFsmError(f"unreachable observer states: {unreachable}")
 
-        # Built on the first comparison or hash; see _identity.
+    @classmethod
+    def _trusted(
+        cls,
+        states: Sequence[ObserverState],
+        initial: ObserverState,
+        alphabet: Iterable[str],
+        moves: dict[ObserverState, dict[str, ObserverState]],
+        outputs: Mapping[ObserverState, int],
+    ) -> ObserverFsm:
+        """An observer this package built itself, taken without re-validation.
+
+        The builder guarantees what ``__init__`` checks: distinct nonempty
+        states, every one reachable from ``initial`` in ``moves`` (a row
+        ``{label: target}`` per source, labels in ``alphabet``), and a 0/1
+        output for each. ``moves`` is kept, not copied.
+        """
+        obs = object.__new__(cls)
+        obs._assign(states, initial, alphabet, moves, outputs)
+        return obs
+
+    def _assign(self, states, initial, alphabet, moves, outputs) -> None:
+        self.states = tuple(states)
+        self._state_set = frozenset(self.states)
+        self.initial = initial
+        self.alphabet = frozenset(alphabet)
+        self.outputs = dict(outputs)
+        self._moves = moves
+        # Built on first use; see _identity and int_rows.
         self._key = None
+        self._ints = None
 
     def succ_state(self, z: ObserverState, label: str) -> ObserverState | None:
         """Unique successor estimate, or None when the word leaves the language."""
@@ -127,6 +162,27 @@ class ObserverFsm:
         for src, row in self._moves.items():
             for label, dst in row.items():
                 yield src, label, dst
+
+    def int_rows(self) -> tuple[int, dict[str, tuple], tuple[int, ...]]:
+        """The observer over int state ids, built on first use and then kept.
+
+        A state's id is its position in ``states``. Returns the initial
+        state's id; per label, a row mapping a state id to the next id, or
+        to None when the label cannot move; and the outputs by id.
+        """
+        if self._ints is None:
+            index = {z: i for i, z in enumerate(self.states)}
+            rows = {label: [None] * len(index) for label in self.alphabet}
+            for z, row in self._moves.items():
+                i = index[z]
+                for label, dst in row.items():
+                    rows[label][i] = index[dst]
+            self._ints = (
+                index[self.initial],
+                {label: tuple(row) for label, row in rows.items()},
+                tuple(self.outputs[z] for z in self.states),
+            )
+        return self._ints
 
     def _identity(self) -> tuple:
         if self._key is None:
@@ -241,9 +297,10 @@ def build_observer(m: Fsm, max_states: int | None = None) -> ObserverFsm:
         (0,), lambda i: table.row(i).values(), max_states, "observer exceeded {} states"
     )
     est = table.estimates
-    trans = {(est[i], label): est[j] for i in ids for label, j in table.rows[i].items()}
+    moves = {est[i]: {label: est[j] for label, j in table.rows[i].items()} for i in ids}
     outputs = {est[i]: 1 if table.touches[i] else 0 for i in ids}
-    return ObserverFsm([est[i] for i in ids], est[0], m.alphabet, trans, outputs)
+    states = [est[i] for i in ids]
+    return ObserverFsm._trusted(states, est[0], m.alphabet, moves, outputs)
 
 
 def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:
@@ -322,38 +379,48 @@ def compose_decentralized(
     States are aggregates: one estimate per member. A shared label moves
     every local owning it, and blocks when any of them has no move. With a
     single local the bank composes to that local itself, within the same
-    budget.
+    budget. The walk runs over tuples of the locals' int state ids, which
+    become estimate tuples once, at the end.
     """
     if len(d.locals) == 1:
         only = d.locals[0][1]
         check_budget(len(only.states), max_states, "composed bank exceeded {} states")
         return only
     observers = d.observers
+    z0, rows_of, outputs_by_id = zip(*(obs.int_rows() for obs in observers))
     owners = owners_by_label(observers)
-    trans: dict[tuple[ObserverState, str], ObserverState] = {}
+    by_label = [
+        (label, [(i, rows_of[i][label]) for i in members]) for label, members in owners
+    ]
+    moves: dict[tuple[int, ...], dict[str, tuple[int, ...]]] = {}
 
-    def expand(agg: tuple):
-        for label, members in owners:
+    def expand(agg: tuple[int, ...]):
+        row = moves[agg] = {}
+        for label, owned in by_label:
             parts = list(agg)
-            for i in members:
-                nxt = observers[i].succ_state(agg[i], label)
+            for i, ids in owned:
+                nxt = ids[agg[i]]
                 if nxt is None:
                     break
                 parts[i] = nxt
             else:
                 successor = tuple(parts)
                 yield successor
-                trans[(agg, label)] = successor
+                row[label] = successor
 
-    z0 = tuple(obs.initial for obs in observers)
-    states, _, _ = explore(
-        (z0,), expand, max_states, "composed bank exceeded {} states"
+    aggs, _, _ = explore((z0,), expand, max_states, "composed bank exceeded {} states")
+    states_by_id = [obs.states for obs in observers]
+    name = {agg: tuple(map(getitem, states_by_id, agg)) for agg in aggs}
+    return ObserverFsm._trusted(
+        name.values(),
+        name[z0],
+        {label for label, _ in owners},
+        {
+            name[agg]: {label: name[dst] for label, dst in row.items()}
+            for agg, row in moves.items()
+        },
+        {name[agg]: 1 if any(map(getitem, outputs_by_id, agg)) else 0 for agg in aggs},
     )
-    outputs = {
-        agg: 1 if any(obs.output(z) for obs, z in zip(observers, agg)) else 0
-        for agg in states
-    }
-    return ObserverFsm(states, z0, {label for label, _ in owners}, trans, outputs)
 
 
 def validate_critical_observer(obs: ObserverFsm, m: Fsm) -> bool:

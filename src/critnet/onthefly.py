@@ -150,12 +150,11 @@ def run_onthefly(
 def _finalize_local(table: EstimateTable, kept: dict[int, None]) -> ObserverFsm:
     """Full local observer restricted to the states the composition visits."""
     est = table.estimates
-    states = [est[z] for z in kept]
-    trans: dict[tuple[frozenset[str], str], frozenset[str]] = {}
-    for z in kept:
-        for label, dst in table.row(z).items():
-            if dst in kept:
-                trans[(est[z], label)] = est[dst]
+    moves = {
+        est[z]: {label: est[dst] for label, dst in table.row(z).items() if dst in kept}
+        for z in kept
+    }
     outputs = {est[z]: 1 if table.touches[z] else 0 for z in kept}
-    m = table.machine
-    return ObserverFsm(states, frozenset(m.initial), m.alphabet, trans, outputs)
+    return ObserverFsm._trusted(
+        [est[z] for z in kept], est[0], table.machine.alphabet, moves, outputs
+    )

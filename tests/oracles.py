@@ -2,15 +2,16 @@
 
 These are deliberately naive: word enumeration, relation enumeration over
 bitmasks, tuple expansion. They share as little code with the package as
-possible; only the raw transition accessor Fsm.succ and the constructors
-are reused.
+possible; only the raw transition accessors Fsm.succ and
+ObserverFsm.succ_state and the public constructors are reused.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
-from critnet import Fsm, Network, ObserverFsm, build_observer
+from critnet import DecentralizedObserver, Fsm, Network, ObserverFsm, build_observer
 
 
 def naive_step(m: Fsm, states: frozenset[str], label: str) -> frozenset[str]:
@@ -260,6 +261,39 @@ def naive_compose(machines: list[Fsm]) -> Fsm:
         ((flat(a), label, flat(b)) for a, label, b in trans),
         critical,
     )
+
+
+def naive_bank_product(bank: DecentralizedObserver) -> ObserverFsm:
+    """Breadth-first product of a bank of two or more locals, one member at a time.
+
+    From each aggregate, labels go in sorted order; a label fires when every
+    local owning it has a successor, and moves only those locals. The flag
+    is the OR of the local flags.
+    """
+    observers = bank.observers
+    labels = sorted(set().union(*(obs.alphabet for obs in observers)))
+    init = tuple(obs.initial for obs in observers)
+    order, seen, queue, trans = [init], {init}, deque([init]), {}
+    while queue:
+        agg = queue.popleft()
+        for label in labels:
+            nxt = list(agg)
+            for i, obs in enumerate(observers):
+                if label in obs.alphabet:
+                    nxt[i] = obs.succ_state(agg[i], label)
+            if None in nxt:
+                continue
+            target = tuple(nxt)
+            trans[(agg, label)] = target
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+                queue.append(target)
+    outputs = {
+        agg: 1 if any(obs.output(z) for obs, z in zip(observers, agg)) else 0
+        for agg in order
+    }
+    return ObserverFsm(order, init, labels, trans, outputs)
 
 
 def observer_language(obs: ObserverFsm, max_len: int) -> set[tuple[str, ...]]:

@@ -75,6 +75,28 @@ def test_traced_check_counts_exploration(capsys):
     assert critnet.pipeline.run_onthefly is original
 
 
+def test_traced_baseline_counts_the_composed_bank(capsys):
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = tracer.call_job(
+            0, critnet.cli.main, ["check", str(ROOT / "demos/data/line.net"), "--algorithm", "1"]
+        )
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr()
+    assert code == 0 and "verdict: observable" in out.out
+    assert "not traced" not in out.err
+    composed = [
+        (end - start, tracer.counts[i])
+        for i, (name, start, end, _, _) in enumerate(tracer.spans)
+        if name == "observer.compose_decentralized"
+    ]
+    assert len(composed) == 1
+    seconds, counts = composed[0]
+    assert seconds > 0 and counts["bank_states"] > 0
+
+
 def test_traced_monitor_records_one_span_per_event(tmp_path, capsys):
     net = str(ROOT / "demos/data/line.net")
     assert critnet.cli.main(["synth", net, "--out", str(tmp_path)]) == 0

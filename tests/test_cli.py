@@ -23,7 +23,7 @@ from critnet import (
     serialize_network,
     serialize_observer,
 )
-from critnet.cli import main
+from critnet.cli import _build_parser, main
 from conftest import make_fsm_a
 from genutil import renamed_copy
 
@@ -288,6 +288,16 @@ class TestErrors:
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    def test_parser_is_built_once_and_outlives_usage_errors(self, net_file, capsys):
+        parser = _build_parser()
+        assert main(["check", net_file, "--algorithm", "9"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["check", net_file, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["algorithm"] == "3"
+        assert main(["check", net_file]) == 1
+        assert "verdict: not observable" in capsys.readouterr().out
+        assert _build_parser() is parser
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -108,6 +108,26 @@ class TestConstruction:
         assert hash(m1) == hash(m2)
         assert m1 != Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "x")])
 
+    def test_int_moves_built_on_first_use(self):
+        m = Fsm(
+            ["x", "y", "z"],
+            ["x"],
+            ["a", "b"],
+            [("x", "b", "y"), ("x", "a", "y"), ("x", "a", "z"), ("z", "b", "x")],
+            critical=["z"],
+        )
+        assert m._ints is None
+        states, moves, flags = m.int_moves()
+        assert m.int_moves()[1] is moves
+        index = {x: i for i, x in enumerate(states)}
+        assert sorted(states) == ["x", "y", "z"]
+        assert moves[index["x"]] == (
+            ("a", tuple(index[y] for y in m.succ("x", "a"))),
+            ("b", (index["y"],)),
+        )
+        assert moves[index["y"]] == () and moves[index["z"]] == (("b", (index["x"],)),)
+        assert [flags[index[x]] for x in "xyz"] == [(False, True), (False, False), (True, False)]
+
 
 class TestDeterministic:
     def test_fixture_a_deterministic(self, fsm_a):

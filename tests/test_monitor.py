@@ -11,6 +11,7 @@ from critnet import (
     Fsm,
     InvalidInputError,
     Network,
+    ObserverFsm,
     build_decentralized,
     build_observer,
     compose_network,
@@ -245,3 +246,21 @@ class TestAgainstReference:
             rng.shuffle(locals_)
             desyncs += _agree_with_reference(locals_, net, rng)
         assert desyncs > 0
+
+
+class TestCursorSharing:
+    def test_alike_but_different_observers_get_their_own_cursors(self):
+        # Same initial estimate, alphabet and size; only the move from q
+        # differs. A copy of the first, built apart, shares its cursor.
+        p, q = fz("p"), fz("q")
+
+        def observer(back):
+            return ObserverFsm([p, q], p, ["a"], {(p, "a"): q, (q, "a"): back}, {p: 0, q: 1})
+
+        x, y, x_copy = observer(p), observer(q), observer(p)
+        assert x != y and x == x_copy and x is not x_copy
+        session = start_session([("X", x), ("Y", y), ("X2", x_copy)])
+        assert session._cursors == (0, 1, 0)
+        session.replay(["a", "a"])
+        assert session.states == (p, q, p)
+        assert session.outputs == (0, 1, 0)

@@ -21,13 +21,19 @@ from critnet import (
     compose_network,
     iso_check,
     observer_run,
+    run_onthefly,
     sampled_runs_agree,
     state_text,
     validate_critical_observer,
 )
 from conftest import make_converse_pair
 from genutil import observable_fsm, random_fsm, random_network
-from oracles import estimates_by_word, naive_subset_order, semantic_observable
+from oracles import (
+    estimates_by_word,
+    naive_bank_product,
+    naive_subset_order,
+    semantic_observable,
+)
 
 
 class TestStateText:
@@ -144,6 +150,15 @@ class TestObserverFsmValidation:
         o1 = ObserverFsm([z1, z2], z1, ["a"], trans, {z1: 0, z2: 1})
         o2 = ObserverFsm([z1, z2], z1, ["a"], dict(reversed(list(trans.items()))), {z2: 1, z1: 0})
         assert o1 == o2 and hash(o1) == hash(o2)
+
+    def test_int_rows_built_on_first_use(self):
+        z1, z2, z3 = self._z("x"), self._z("y"), self._z("z")
+        trans = {(z2, "a"): z1, (z1, "b"): z3, (z3, "a"): z2}
+        obs = ObserverFsm([z2, z1, z3], z1, ["a", "b"], trans, {z1: 0, z2: 1, z3: 0})
+        assert obs._ints is None
+        table = obs.int_rows()
+        assert obs.int_rows() is table
+        assert table == (1, {"a": (1, None, 0), "b": (None, 2, None)}, (1, 0, 0))
 
     def test_hash_key_built_on_first_use(self, fsm_a):
         o1, o2 = build_observer(fsm_a), build_observer(fsm_a)
@@ -290,6 +305,51 @@ class TestDecentralized:
         assert not check_observable(build_observer(m1), m1.critical).observable
         c = compose_network(net)
         assert check_observable(build_observer(c), c.critical).observable
+
+
+def _rebuilt(obs: ObserverFsm) -> ObserverFsm:
+    """The same observer through the public, validating constructor."""
+    trans = {(src, label): dst for src, label, dst in obs.transitions()}
+    return ObserverFsm(obs.states, obs.initial, obs.alphabet, trans, obs.outputs)
+
+
+class TestTrustedConstruction:
+    """Observers the package builds skip validation; the checks must still hold."""
+
+    def test_library_observers_pass_the_public_constructor(self):
+        rng = random.Random(1207)
+        kinds = {"local": 0, "bank": 0, "projected": 0}
+        for _ in range(80):
+            net = random_network(rng, max_members=3, max_states=4)
+            bank = build_decentralized(net)
+            built = [("local", obs) for obs in bank.observers]
+            if len(net.members) > 1:
+                built.append(("bank", compose_decentralized(bank)))
+            outcome = run_onthefly(net)
+            if outcome.locals is not None:
+                built.extend(("projected", obs) for _, obs in outcome.locals)
+            for kind, obs in built:
+                again = _rebuilt(obs)
+                assert again == obs and again.states == obs.states
+                assert again.int_rows() == obs.int_rows()
+                kinds[kind] += 1
+        assert min(kinds.values()) >= 40
+
+    def test_composed_bank_matches_naive_product(self):
+        rng = random.Random(1208)
+        checked = 0
+        for _ in range(80):
+            net = random_network(rng, max_members=4, max_states=4)
+            if len(net.members) < 2:
+                continue
+            bank = build_decentralized(net)
+            composed, naive = compose_decentralized(bank), naive_bank_product(bank)
+            assert composed.states == naive.states
+            assert composed.initial == naive.initial
+            assert composed.transitions() == naive.transitions()
+            assert composed.outputs == naive.outputs
+            checked += 1
+        assert checked >= 40
 
 
 class TestValidation:
