@@ -35,4 +35,4 @@ witness = iso_check(banked, mono)
 assert witness is not None
 print("\nthe two are isomorphic; the matching is the member-wise product:")
 for agg in banked.states:
-    print(f"  {state_text(agg)}  <->  {state_text(witness[agg])}")
+    print(f"  {state_text(agg)}  <->  {state_text(witness.mapping[agg])}")

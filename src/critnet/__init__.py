@@ -9,7 +9,6 @@ bisimulation first, and replay event streams through the observer bank.
 
 from .compose import (
     Network,
-    compose2,
     compose_many,
     compose_network,
     product_state_name,
@@ -34,26 +33,13 @@ from .errors import (
     FormatError,
     InvalidInputError,
     MalformedFsmError,
-    TraceError,
 )
-from .fsm import (
-    EPSILON_TOKEN,
-    Fsm,
-    Word,
-    accessible,
-    extended_delta,
-    in_language,
-    project_word,
-    reachable_states,
-    step,
-)
+from .fsm import EPSILON_TOKEN, Fsm, Word, in_language, step
 from .monitor import MonitorSession, StepRecord, start_session
 from .netio import (
     export_dot,
-    format_word,
     parse_network,
     parse_observers,
-    parse_word,
     serialize_network,
     serialize_observer,
 )
@@ -65,12 +51,11 @@ from .observer import (
     build_observer,
     check_observable,
     compose_decentralized,
-    observer_run,
     sampled_runs_agree,
     state_text,
     validate_critical_observer,
 )
-from .onthefly import AggregateState, OnTheFlyOutcome, run_onthefly, straddle_test
+from .onthefly import OnTheFlyOutcome, run_onthefly, straddle_test
 from .pipeline import (
     DEFAULT_STATE_BUDGET,
     CostLedger,

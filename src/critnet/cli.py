@@ -168,8 +168,9 @@ def _cmd_export(args) -> int:
 
 def _cmd_preserve(args) -> int:
     network = parse_network(_read(args.file))
+    budget = _resolve_budget(args)
     report = preservation_check(
-        network, runs=args.runs, max_len=args.length, seed=args.seed
+        network, runs=args.runs, max_len=args.length, seed=args.seed, max_states=budget
     )
     consistent = report.verdicts_agree and (
         report.observer_serves_full == report.observer_serves_reduced

@@ -48,12 +48,6 @@ class Network:
     def machines(self) -> tuple[Fsm, ...]:
         return tuple(m for _, m in self.members)
 
-    def alphabet(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for _, m in self.members:
-            out |= m.alphabet
-        return out
-
     def get(self, name: str) -> Fsm:
         for member_name, m in self.members:
             if member_name == name:
@@ -170,7 +164,8 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
 
     With a single machine this is the identity. ``max_states`` bounds the
     number of product states explored before giving up, and a single
-    machine's own states.
+    machine's own states. The product is valid by construction, so it
+    skips the public constructor's checks.
     """
     if not machines:
         raise InvalidInputError("nothing to compose")
@@ -179,10 +174,11 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
         return machines[0]
 
     owners = owners_by_label(machines)
-    triples: list[tuple[tuple[str, ...], str, tuple[str, ...]]] = []
+    moves: dict[tuple[str, ...], dict[str, list[tuple[str, ...]]]] = {}
 
     def expand(parts: tuple[str, ...]):
         unmoved = [(x,) for x in parts]
+        row = moves[parts] = {}
         for label, members in owners:
             choices = unmoved.copy()
             for i in members:
@@ -191,9 +187,10 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
                     break
                 choices[i] = sorted(image)
             else:
+                row[label] = targets = []
                 for successor in product(*choices):
                     yield successor
-                    triples.append((parts, label, successor))
+                    targets.append(successor)
 
     initial = sorted(product(*(sorted(m.initial) for m in machines)))
     states, _, _ = explore(initial, expand, max_states, "product exceeded {} states")
@@ -214,18 +211,18 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
         for parts in states
         if any(x in m.critical for x, m in zip(parts, machines))
     }
-    return Fsm(
+    delta = {
+        names[parts]: {label: frozenset(map(names.__getitem__, t)) for label, t in row.items()}
+        for parts, row in moves.items()
+        if row
+    }
+    return Fsm._trusted(
         names.values(),
         (names[parts] for parts in initial),
         {label for label, _ in owners},
-        ((names[a], label, names[b]) for a, label, b in triples),
+        delta,
         critical,
     )
-
-
-def compose2(m1: Fsm, m2: Fsm, max_states: int | None = None) -> Fsm:
-    """Parallel composition of two machines."""
-    return compose_many([m1, m2], max_states=max_states)
 
 
 def compose_network(network: Network, max_states: int | None = None) -> Fsm:

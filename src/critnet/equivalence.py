@@ -34,9 +34,6 @@ class IsoWitness:
 
     mapping: dict
 
-    def __getitem__(self, state):
-        return self.mapping[state]
-
 
 def is_iso_witness(o1: ObserverFsm, o2: ObserverFsm, mapping: dict) -> bool:
     """Check a candidate bijection against the isomorphism conditions.
@@ -140,9 +137,6 @@ class BisimRelation:
 
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
-
-    def related(self, x: str) -> frozenset[str]:
-        return frozenset(b for a, b in self.pairs if a == x)
 
 
 def largest_bisimulation(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]]:

@@ -13,10 +13,6 @@ class MalformedFsmError(InvalidInputError):
     """A machine definition breaks a structural rule."""
 
 
-class TraceError(CritnetError):
-    """A word fed to an observer is not a trace of the observed machine."""
-
-
 class DesyncError(CritnetError):
     """A monitoring session received an event no run of the plant allows."""
 

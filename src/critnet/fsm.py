@@ -4,6 +4,11 @@ A machine is a tuple (states, initial, alphabet, transitions, critical).
 Transitions are nondeterministic: each (state, label) pair maps to a set of
 successors, with absent pairs meaning the empty set. Machines are immutable
 after construction and every operation here is a pure function.
+
+The public constructor, and so the network parser, checks every structural
+rule. Machines this package builds itself (composed products) skip those
+checks through ``Fsm._trusted``. The label "eps" is reserved for the empty
+word, so no machine may use it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .errors import InvalidInputError, MalformedFsmError
 # A word is a finite sequence of labels; the empty tuple is the empty word.
 Word = tuple[str, ...]
 
-# Reserved in textual word representations for the empty word; never a label.
+# Reserved for the empty word; never a label.
 EPSILON_TOKEN = "eps"
 
 _EMPTY: frozenset[str] = frozenset()
@@ -39,10 +44,7 @@ class Fsm:
         transitions: Iterable[tuple[str, str, str]],
         critical: Iterable[str] = (),
     ):
-        self.states = frozenset(states)
-        self.initial = frozenset(initial)
-        self.alphabet = frozenset(alphabet)
-        self.critical = frozenset(critical)
+        self._assign(states, initial, alphabet, {}, critical)
 
         if not self.states:
             raise MalformedFsmError("machine needs at least one state")
@@ -73,7 +75,7 @@ class Fsm:
             if label not in self.alphabet:
                 raise MalformedFsmError(f"transition label {label!r} not in alphabet")
             delta.setdefault(src, {}).setdefault(label, set()).add(dst)
-        self._delta: dict[str, dict[str, frozenset[str]]] = {
+        self._delta = {
             src: {label: frozenset(dsts) for label, dsts in by_label.items()}
             for src, by_label in delta.items()
         }
@@ -85,6 +87,34 @@ class Fsm:
                 "initial states must be all critical or all non-critical"
             )
 
+    @classmethod
+    def _trusted(
+        cls,
+        states: Iterable[str],
+        initial: Iterable[str],
+        alphabet: Iterable[str],
+        delta: dict[str, dict[str, frozenset[str]]],
+        critical: Iterable[str],
+    ) -> Fsm:
+        """A machine this package built itself, taken without re-validation.
+
+        The builder guarantees what ``__init__`` checks: nonempty state
+        names, a nonempty initial set on one side of the critical set,
+        critical states among the states, and ``delta`` holding a row
+        ``{label: nonempty frozenset of targets}`` per source that moves,
+        with every endpoint a state and every label in ``alphabet``.
+        ``delta`` is kept, not copied.
+        """
+        m = object.__new__(cls)
+        m._assign(states, initial, alphabet, delta, critical)
+        return m
+
+    def _assign(self, states, initial, alphabet, delta, critical) -> None:
+        self.states = frozenset(states)
+        self.initial = frozenset(initial)
+        self.alphabet = frozenset(alphabet)
+        self.critical = frozenset(critical)
+        self._delta: dict[str, dict[str, frozenset[str]]] = delta
         # Built on first use; see _identity and int_moves.
         self._key = None
         self._ints = None
@@ -105,23 +135,12 @@ class Fsm:
                 for dst in sorted(by_label[label]):
                     yield src, label, dst
 
-    @property
-    def deterministic(self) -> bool:
-        """True when there is one initial state and no branching anywhere."""
-        if len(self.initial) != 1:
-            return False
-        return all(
-            len(dsts) <= 1
-            for by_label in self._delta.values()
-            for dsts in by_label.values()
-        )
-
     def int_moves(self) -> tuple[tuple[str, ...], tuple, tuple]:
         """The machine over int state ids, built on first use and then kept.
 
         Returns the states in id order; per id, its moves as (label, target
-        ids) pairs in label order; and per id, whether the state is critical
-        and whether it is initial.
+        ids) pairs in label order, target ids ascending; and per id, whether
+        the state is critical and whether it is initial.
         """
         if self._ints is None:
             states = tuple(self.states)
@@ -129,7 +148,7 @@ class Fsm:
             moves = []
             for x in states:
                 out = self.moves(x)
-                row = [(label, tuple([index[y] for y in out[label]])) for label in sorted(out)]
+                row = [(a, tuple(sorted([index[y] for y in out[a]]))) for a in sorted(out)]
                 moves.append(tuple(row))
             flags = tuple((x in self.critical, x in self.initial) for x in states)
             self._ints = (states, tuple(moves), flags)
@@ -169,65 +188,15 @@ def step(m: Fsm, from_states: Iterable[str], label: str) -> frozenset[str]:
     return frozenset(out)
 
 
-def extended_delta(m: Fsm, from_states: Iterable[str], word: Word) -> frozenset[str]:
-    """States reachable from ``from_states`` along ``word``.
+def in_language(m: Fsm, word: Word) -> bool:
+    """Whether some initial state can execute the whole word.
 
-    The empty word reaches exactly the given states; each label then maps a
-    set through the union of its members' successor sets. Unknown states or
-    labels are rejected rather than treated as dead ends.
+    Every label must belong to the alphabet, even past the point where the
+    word has already left the language.
     """
-    current = frozenset(from_states)
-    if not current <= m.states:
-        raise InvalidInputError(f"states {sorted(current - m.states)} not in machine")
+    current = m.initial
     for label in word:
         if label not in m.alphabet:
             raise InvalidInputError(f"label {label!r} not in alphabet")
         current = step(m, current, label)
-    return current
-
-
-def in_language(m: Fsm, word: Word) -> bool:
-    """Whether some initial state can execute the whole word."""
-    for label in word:
-        if label not in m.alphabet:
-            raise InvalidInputError(f"label {label!r} not in alphabet")
-    return bool(extended_delta(m, m.initial, word))
-
-
-def project_word(word: Word, sublabels: Iterable[str]) -> Word:
-    """Erase the labels outside ``sublabels``, keeping the order of the rest."""
-    keep = frozenset(sublabels)
-    return tuple(label for label in word if label in keep)
-
-
-def reachable_states(m: Fsm) -> frozenset[str]:
-    """States reachable from the initial set (the initial states included)."""
-    seen = set(m.initial)
-    frontier = list(m.initial)
-    while frontier:
-        next_frontier: list[str] = []
-        for x in frontier:
-            for dsts in m.moves(x).values():
-                for y in dsts:
-                    if y not in seen:
-                        seen.add(y)
-                        next_frontier.append(y)
-        frontier = next_frontier
-    return frozenset(seen)
-
-
-def accessible(m: Fsm) -> Fsm:
-    """Restrict a machine to its reachable part.
-
-    The alphabet is kept as declared even if some labels become unused.
-    """
-    keep = reachable_states(m)
-    if keep == m.states:
-        return m
-    return Fsm(
-        keep,
-        m.initial,
-        m.alphabet,
-        (t for t in m.transitions() if t[0] in keep),
-        m.critical & keep,
-    )
+    return bool(current)

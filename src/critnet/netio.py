@@ -8,18 +8,17 @@ mirror the layout with `observer` sections, estimate tokens like "{p,q}",
 and a `flag` directive listing the states that raise the output.
 
 Serialization sorts everything, so equal objects always produce identical
-bytes. In word-level text the reserved token "eps" stands for the empty
-word; it is not a label.
+bytes. The token "eps" is reserved for the empty word and is never a label,
+so a document that declares it fails as a malformed machine.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 
 from .compose import Network
 from .errors import FormatError, MalformedFsmError
-from .fsm import EPSILON_TOKEN, Fsm, Word
+from .fsm import Fsm
 from .observer import ObserverFsm, state_sort_key, state_text
 
 _FORBIDDEN = set('#"{}') | set(" \t\r\n")
@@ -52,20 +51,6 @@ def _check_state(token: str, line: int | None = None) -> str:
     if "," in bare:
         raise FormatError(f"state {token!r} has a comma outside parentheses", line)
     return token
-
-
-def parse_word(text: str) -> Word:
-    """Parse a space-separated word; "eps" (alone) is the empty word."""
-    tokens = text.split()
-    if tokens == [EPSILON_TOKEN]:
-        return ()
-    if EPSILON_TOKEN in tokens:
-        raise FormatError(f"{EPSILON_TOKEN!r} denotes the empty word, not a label")
-    return tuple(tokens)
-
-
-def format_word(word: Word) -> str:
-    return " ".join(word) if word else EPSILON_TOKEN
 
 
 def _logical_lines(text: str):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from operator import getitem
 
 from .compose import Network, check_budget, explore, owners_by_label
-from .errors import InvalidInputError, MalformedFsmError, TraceError
-from .fsm import Fsm, Word, step
+from .errors import InvalidInputError, MalformedFsmError
+from .fsm import Fsm, step
 
 # An estimate is a nonempty frozenset of plant states. Composed banks use
 # tuples of estimates, one per member, as their states.
@@ -320,24 +320,6 @@ def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:
         if obs.output(z) == 1 and not z <= crit:
             return Verdict(False, z)
     return Verdict(True)
-
-
-def observer_run(obs: ObserverFsm, word: Word) -> list[tuple[ObserverState, int]]:
-    """Estimate/output trajectory along a word, the initial estimate included."""
-    for label in word:
-        if label not in obs.alphabet:
-            raise InvalidInputError(f"label {label!r} not in observer alphabet")
-    z = obs.initial
-    out = [(z, obs.output(z))]
-    for i, label in enumerate(word):
-        z = obs.succ_state(z, label)
-        if z is None:
-            raise TraceError(
-                f"word is not a trace of the observed machine "
-                f"(no move on {label!r} at position {i})"
-            )
-        out.append((z, obs.output(z)))
-    return out
 
 
 @dataclass(frozen=True)

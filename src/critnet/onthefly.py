@@ -17,11 +17,10 @@ from operator import getitem
 from .compose import Network, explore, owners_by_label
 from .observer import EstimateTable, ObserverFsm, Verdict
 
-# One estimate per member, in member order.
-AggregateState = tuple[frozenset[str], ...]
 
-
-def straddle_test(parts: AggregateState, criticals: list[frozenset[str]]) -> bool:
+def straddle_test(
+    parts: tuple[frozenset[str], ...], criticals: list[frozenset[str]]
+) -> bool:
     """Whether a combined estimate mixes critical and non-critical states.
 
     The combined estimate is the cartesian product of the parts, where a

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .compose import Network
 from .equivalence import EquivalenceClasses, quotient_network
 from .observer import (
-    DecentralizedObserver,
     ObserverFsm,
     Verdict,
     build_decentralized,

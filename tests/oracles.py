@@ -21,6 +21,23 @@ def naive_step(m: Fsm, states: frozenset[str], label: str) -> frozenset[str]:
     return frozenset(out)
 
 
+def extended_delta(m: Fsm, states, word: tuple[str, ...]) -> frozenset[str]:
+    """States reachable from ``states`` along ``word``, one naive_step per label."""
+    current = frozenset(states)
+    for label in word:
+        current = naive_step(m, current, label)
+    return current
+
+
+def project_word(word: tuple[str, ...], sublabels) -> tuple[str, ...]:
+    """Erase the labels outside ``sublabels``, keeping the order of the rest."""
+    return tuple(label for label in word if label in sublabels)
+
+
+def network_alphabet(net: Network) -> frozenset[str]:
+    return frozenset().union(*(m.alphabet for _, m in net.members))
+
+
 def semantic_observable(m: Fsm) -> tuple[bool, frozenset[str] | None]:
     """Decide observability by walking words directly.
 
@@ -296,6 +313,16 @@ def naive_bank_product(bank: DecentralizedObserver) -> ObserverFsm:
     return ObserverFsm(order, init, labels, trans, outputs)
 
 
+def observer_run(obs: ObserverFsm, word: tuple[str, ...]) -> list[tuple[object, int]]:
+    """(state, output) pairs along a trace of the observer, the initial state first."""
+    run = [(obs.initial, obs.output(obs.initial))]
+    for label in word:
+        z = obs.succ_state(run[-1][0], label)
+        assert z is not None, f"{word} is not a trace of the observer"
+        run.append((z, obs.output(z)))
+    return run
+
+
 def observer_language(obs: ObserverFsm, max_len: int) -> set[tuple[str, ...]]:
     """All words up to max_len with a run through the observer."""
     words = {()}
@@ -315,7 +342,7 @@ def observer_language(obs: ObserverFsm, max_len: int) -> set[tuple[str, ...]]:
 
 def network_traces(net: Network, max_len: int, cap: int = 2000) -> list[tuple[str, ...]]:
     """Traces of the composed network by direct joint walking, capped."""
-    labels = sorted(net.alphabet())
+    labels = sorted(network_alphabet(net))
     start = tuple(frozenset(m.initial) for _, m in net.members)
     traces: list[tuple[str, ...]] = [()]
     frontier = [((), start)]

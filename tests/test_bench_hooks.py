@@ -4,7 +4,9 @@
 that `critnet.cli` and `critnet.pipeline` call through, and the method
 `MonitorSession.feed`. A target the library no longer has is only warned
 about, and the traced metrics then read 0, so a refactor could silently
-blank them. These tests read the benchmark's files and never change them.
+blank them. The benchmark also takes its reference verdicts for random
+networks from `tests/oracles.py`, so a change there is checked against the
+library here. These tests read the benchmark's files and never change them.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import critnet.cli
 import critnet.monitor
 import critnet.pipeline
-from critnet import Network
+from critnet import Network, parse_network, run_algorithm1
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,3 +123,40 @@ def test_traced_monitor_records_one_span_per_event(tmp_path, capsys):
     feeds = [span for span in tracer.spans if span[0] == "monitor.feed"]
     assert len(feeds) == len(events)
     assert critnet.monitor.MonitorSession.feed is original
+
+
+def _bench_module(monkeypatch, name: str):
+    """Load bench/<name>.py under its own name, registered until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_oracle_agrees_with_algorithm_1(monkeypatch):
+    # workloads.py imports its sibling `model`, and `Oracle` puts tests/ on
+    # the path; both are undone after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _bench_module(monkeypatch, "model")
+    workloads = _bench_module(monkeypatch, "workloads")
+    toy = workloads.SIZES["mixed"]["toy"]
+    spec = workloads.build_mixed(1, **toy)
+    oracle = workloads.Oracle(ROOT)
+    verdicts = []
+    for name, text in sorted(spec.files.items()):
+        if not name.endswith(".net"):
+            continue
+        net = parse_network(text)
+        members = [
+            workloads.Machine(
+                member, tuple(m.states), tuple(m.initial), tuple(m.alphabet),
+                m.critical, tuple(m.transitions()),
+            )
+            for member, m in net.members
+        ]
+        verdict = oracle.observable(members)
+        assert verdict == run_algorithm1(net).verdict.observable, name
+        verdicts.append(verdict)
+    assert len(verdicts) == toy["networks"]
+    assert True in verdicts and False in verdicts

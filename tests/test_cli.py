@@ -124,6 +124,14 @@ class TestBudget:
         assert main(["check", net_file, "--budget", "0"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_preserve_honours_env_budget(self, capsys, monkeypatch):
+        # preserve has no --budget flag, but composes under the same cap.
+        monkeypatch.setenv("CRITNET_BUDGET", "5")
+        line = str(REPO_ROOT / "demos" / "data" / "line.net")
+        for command in ("compose", "preserve"):
+            assert main([command, line]) == 2
+            assert "error: product exceeded 5 states" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_reduces_duplicates(self, duplicated_file, capsys, net_ab):

@@ -10,25 +10,22 @@ from critnet import (
     BudgetExceededError,
     Fsm,
     InvalidInputError,
+    MalformedFsmError,
     Network,
-    compose2,
     compose_many,
     compose_network,
-    extended_delta,
     in_language,
     product_state_name,
-    project_word,
     tuple_parts,
 )
 from conftest import make_fsm_a, make_fsm_b
 from genutil import random_fsm, random_network
-from oracles import naive_compose
+from oracles import extended_delta, naive_compose, project_word
 
 
 class TestNetwork:
     def test_members_accessors(self, net_ab):
         assert net_ab.names == ("A", "B")
-        assert net_ab.alphabet() == frozenset({"a", "b"})
         assert net_ab.get("A") == make_fsm_a()
         with pytest.raises(KeyError):
             net_ab.get("missing")
@@ -72,14 +69,14 @@ class TestTupleParts:
 
 class TestComposeFixtures:
     def test_compose_ab_states(self, fsm_a, fsm_b):
-        c = compose2(fsm_a, fsm_b)
+        c = compose_many([fsm_a, fsm_b])
         assert c.states == frozenset({"(p,r)", "(p,s)", "(p,t)", "(q,s)", "(q,t)"})
         assert c.initial == frozenset({"(p,r)"})
         assert c.alphabet == frozenset({"a", "b"})
         assert c.critical == frozenset({"(p,t)", "(q,s)", "(q,t)"})
 
     def test_compose_ab_transitions(self, fsm_a, fsm_b):
-        c = compose2(fsm_a, fsm_b)
+        c = compose_many([fsm_a, fsm_b])
         assert list(c.transitions()) == [
             ("(p,r)", "a", "(q,s)"),
             ("(p,r)", "a", "(q,t)"),
@@ -90,7 +87,7 @@ class TestComposeFixtures:
     def test_shared_label_blocks(self, fsm_a, fsm_b):
         # After "a b" machine B can no longer move on "a", so "a b a" blocks
         # in the product even though A alone could run it.
-        c = compose2(fsm_a, fsm_b)
+        c = compose_many([fsm_a, fsm_b])
         assert in_language(c, ("a", "b"))
         assert not in_language(c, ("a", "b", "a"))
         assert in_language(make_fsm_a(), ("a", "b", "a"))
@@ -98,7 +95,7 @@ class TestComposeFixtures:
     def test_private_labels_interleave(self):
         m1 = Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "y")])
         m2 = Fsm(["u", "v"], ["u"], ["b"], [("u", "b", "v")])
-        c = compose2(m1, m2)
+        c = compose_many([m1, m2])
         assert in_language(c, ("a", "b"))
         assert in_language(c, ("b", "a"))
         assert c.states == frozenset({"(x,u)", "(x,v)", "(y,u)", "(y,v)"})
@@ -116,12 +113,12 @@ class TestComposeFixtures:
         # blocked after m1 stops; unreachable products must not appear.
         m1 = Fsm(["x"], ["x"], ["a"], [])
         m2 = Fsm(["u", "v"], ["u"], ["a"], [("u", "a", "v")])
-        c = compose2(m1, m2)
+        c = compose_many([m1, m2])
         assert c.states == frozenset({"(x,u)"})
         assert list(c.transitions()) == []
 
     def test_critical_when_any_part_critical(self, fsm_a, fsm_b):
-        c = compose2(fsm_a, fsm_b)
+        c = compose_many([fsm_a, fsm_b])
         for name in c.states:
             parts = tuple_parts(name)
             expected = parts[0] in make_fsm_a().critical or parts[1] in make_fsm_b().critical
@@ -168,7 +165,7 @@ class TestBudget:
 class TestAlgebraicProperties:
     def test_trace_projection_containment(self, fsm_a, fsm_b):
         # Every trace of the product projects to a trace of each member.
-        c = compose2(fsm_a, fsm_b)
+        c = compose_many([fsm_a, fsm_b])
         words = [("a",), ("a", "b")]
         for w in words:
             assert in_language(c, w)
@@ -189,8 +186,8 @@ class TestRandomizedAgainstOracle:
         rng = random.Random(202)
         for _ in range(20):
             ms = [random_fsm(rng, max_states=3) for _ in range(3)]
-            left = compose2(compose2(ms[0], ms[1]), ms[2])
-            right = compose2(ms[0], compose2(ms[1], ms[2]))
+            left = compose_many([compose_many([ms[0], ms[1]]), ms[2]])
+            right = compose_many([ms[0], compose_many([ms[1], ms[2]])])
             flat = compose_many(ms)
             assert left == flat
             assert right == flat
@@ -200,8 +197,8 @@ class TestRandomizedAgainstOracle:
         for _ in range(15):
             m1 = random_fsm(rng, max_states=3)
             m2 = random_fsm(rng, max_states=3)
-            c12 = compose2(m1, m2)
-            c21 = compose2(m2, m1)
+            c12 = compose_many([m1, m2])
+            c21 = compose_many([m2, m1])
             swap = {}
             for name in c12.states:
                 x1, *rest = tuple_parts(name)
@@ -232,6 +229,39 @@ class TestRandomizedAgainstOracle:
                 for name in est:
                     x1, x2 = tuple_parts(name)
                     assert x1 in e1 and x2 in e2
+
+
+class TestTrustedConstruction:
+    """Products skip the public constructor's checks; they must still pass them."""
+
+    def test_products_pass_the_public_constructor(self):
+        rng = random.Random(1301)
+        members = {2: 0, 3: 0, 4: 0}
+        for _ in range(120):
+            net = random_network(rng, max_members=4, max_states=4)
+            machines = list(net.machines)
+            if len(machines) < 2:
+                continue
+            members[len(machines)] += 1
+            composed = compose_many(machines)
+            # Already composed machines, composed again with each other.
+            nested = compose_many([compose_many(machines[:2]), composed])
+            for c in (composed, nested):
+                again = Fsm(c.states, c.initial, c.alphabet, c.transitions(), c.critical)
+                assert again == c
+                assert again.int_moves() == c.int_moves()
+        assert sum(members.values()) >= 80 and min(members.values()) >= 20
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=MalformedFsmError,
+        reason="(x,y) with z and x with (y,z) both flatten to (x,y,z); "
+        "product names cannot yet tell them apart",
+    )
+    def test_parenthesized_member_states_keep_distinct_names(self):
+        m1 = Fsm(["(x,y)", "x"], ["(x,y)", "x"], [], [])
+        m2 = Fsm(["z", "(y,z)"], ["z", "(y,z)"], [], [])
+        assert len(compose_many([m1, m2]).states) == 4
 
 
 def _short_words(m, rng, count=10, max_len=4):

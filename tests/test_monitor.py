@@ -15,12 +15,11 @@ from critnet import (
     build_decentralized,
     build_observer,
     compose_network,
-    observer_run,
     run_algorithm3,
     start_session,
 )
 from genutil import random_network, with_duplicates
-from oracles import naive_monitor, network_traces
+from oracles import naive_monitor, network_alphabet, network_traces, observer_run
 
 
 def fz(*names):
@@ -185,7 +184,7 @@ class TestFlagMeaning:
 
 def _agree_with_reference(locals_, net, rng):
     """Every trace and one impossible event per trace match the naive replay."""
-    labels = sorted(net.alphabet())
+    labels = sorted(network_alphabet(net))
     desyncs = 0
     for word in network_traces(net, max_len=5, cap=60):
         session = start_session(locals_)

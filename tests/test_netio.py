@@ -1,4 +1,4 @@
-"""Text formats: network documents, observer documents, words, DOT export."""
+"""Text formats: network documents, observer documents, DOT export."""
 
 from __future__ import annotations
 
@@ -15,10 +15,8 @@ from critnet import (
     build_observer,
     compose_network,
     export_dot,
-    format_word,
     parse_network,
     parse_observers,
-    parse_word,
     serialize_network,
     serialize_observer,
 )
@@ -45,22 +43,12 @@ fsm B
 
 
 class TestWords:
-    def test_parse_word(self):
-        assert parse_word("a b a") == ("a", "b", "a")
-        assert parse_word("eps") == ()
-        assert parse_word("  a   b ") == ("a", "b")
+    """"eps" is reserved for the empty word, so no document may use it as a label."""
 
     def test_eps_not_a_label(self):
-        with pytest.raises(FormatError):
-            parse_word("a eps b")
-
-    def test_format_word(self):
-        assert format_word(("a", "b")) == "a b"
-        assert format_word(()) == "eps"
-
-    def test_round_trip(self):
-        for w in [(), ("a",), ("a", "b", "a")]:
-            assert parse_word(format_word(w)) == w
+        doc = "fsm A\n  states p\n  initial p\n  alphabet a eps\n"
+        with pytest.raises(FormatError, match="fsm 'A': label 'eps' is reserved"):
+            parse_network(doc)
 
 
 class TestParseNetwork:

