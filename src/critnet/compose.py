@@ -6,11 +6,15 @@ otherwise it blocks. A product state is critical as soon as one component is.
 
 ``explore`` is the one breadth-first kernel behind every synchronous product
 in the package: the plant here, the observer bank and the on-the-fly
-aggregates elsewhere. ``compose_many`` walks tuples of member states and
-names each once at the end as "(x1,x2,...,xN)". Re-composing a composed
-machine flattens again, so association order changes neither state names
-nor structure. Member state names are assumed free of top-level commas
-inside parentheses except as produced by composition.
+aggregates elsewhere. ``compose_many`` walks tuples of member state ids
+(``Fsm.int_moves``) and names each product state once, at the end, as
+"(x1,x2,...,xN)". A member's states are flattened into that name only when
+all of them split (``tuple_parts``) into the same number of parts, which
+every product does; otherwise they stay whole, so "(x,y)" next to "x" keeps
+distinct names. Re-composing a composed machine, in memory or read back
+from a file, thus flattens again, and association order changes neither
+state names nor structure. Member state names are assumed free of commas
+outside brackets and of unbalanced brackets.
 """
 
 from __future__ import annotations
@@ -55,6 +59,30 @@ class Network:
         raise KeyError(name)
 
 
+def split_commas(text: str, opening: str, closing: str) -> list[str] | None:
+    """``text`` split at the commas outside brackets, or None when unbalanced.
+
+    Any character of ``opening`` opens a bracket and any of ``closing``
+    closes one; all kinds count towards one depth.
+    """
+    parts: list[str] = []
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch in opening:
+            depth += 1
+        elif ch in closing:
+            depth -= 1
+            if depth < 0:
+                return None
+        elif ch == "," and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    if depth:
+        return None
+    parts.append(text[start:])
+    return parts
+
+
 def tuple_parts(name: str) -> tuple[str, ...]:
     """Split a product-encoded state name into its components.
 
@@ -64,30 +92,18 @@ def tuple_parts(name: str) -> tuple[str, ...]:
     """
     if len(name) < 2 or not (name.startswith("(") and name.endswith(")")):
         return (name,)
-    inner = name[1:-1]
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-            if depth < 0:
-                return (name,)
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    if depth != 0:
-        return (name,)
-    parts.append(inner[start:])
-    if len(parts) < 2 or not all(parts):
+    parts = split_commas(name[1:-1], "({", ")}")
+    if parts is None or len(parts) < 2 or not all(parts):
         return (name,)
     return tuple(parts)
 
 
 def product_state_name(member_states: Sequence[str]) -> str:
-    """Canonical flattened name for a tuple of member states."""
+    """Canonical flattened name for a tuple of member states.
+
+    ``compose_many`` names a product state so when each member's states
+    split alike.
+    """
     flat: list[str] = []
     for state in member_states:
         flat.extend(tuple_parts(state))
@@ -174,51 +190,52 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
         return machines[0]
 
     owners = owners_by_label(machines)
-    moves: dict[tuple[str, ...], dict[str, list[tuple[str, ...]]]] = {}
+    states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
+    moves: dict[tuple[int, ...], dict[str, list[tuple[int, ...]]]] = {}
 
-    def expand(parts: tuple[str, ...]):
-        unmoved = [(x,) for x in parts]
-        row = moves[parts] = {}
+    def expand(ids: tuple[int, ...]):
+        rows = list(map(getitem, rows_of, ids))
+        unmoved = [(i,) for i in ids]
+        row = moves[ids] = {}
         for label, members in owners:
             choices = unmoved.copy()
             for i in members:
-                image = machines[i].succ(parts[i], label)
-                if not image:
+                image = rows[i].get(label)
+                if image is None:
                     break
-                choices[i] = sorted(image)
+                choices[i] = image
             else:
                 row[label] = targets = []
                 for successor in product(*choices):
                     yield successor
                     targets.append(successor)
 
-    initial = sorted(product(*(sorted(m.initial) for m in machines)))
-    states, _, _ = explore(initial, expand, max_states, "product exceeded {} states")
+    initial = list(product(*([i for i, (_, init) in enumerate(f) if init] for f in flags_of)))
+    reached, _, _ = explore(initial, expand, max_states, "product exceeded {} states")
 
-    # Each member state is split into its components once, however many
-    # product states it appears in.
-    flat = [{x: tuple_parts(x) for x in m.states} for m in machines]
-    names: dict[tuple[str, ...], str] = {}
+    # Each member state is split into its parts once, however many product
+    # states it appears in; see the module docstring for when it splits.
+    flat = []
+    for states in states_of:
+        parts = list(map(tuple_parts, states))
+        flat.append(parts if len(set(map(len, parts))) == 1 else [(x,) for x in states])
+    names: dict[tuple[int, ...], str] = {}
     used: set[str] = set()
-    for parts in states:
-        name = "(" + ",".join(chain.from_iterable(map(getitem, flat, parts))) + ")"
+    for ids in reached:
+        name = "(" + ",".join(chain.from_iterable(map(getitem, flat, ids))) + ")"
         if name in used:
             raise MalformedFsmError(f"product name collision at {name!r}")
         used.add(name)
-        names[parts] = name
-    critical = {
-        names[parts]
-        for parts in states
-        if any(x in m.critical for x, m in zip(parts, machines))
-    }
+        names[ids] = name
+    critical = [names[ids] for ids in reached if any(f[i][0] for f, i in zip(flags_of, ids))]
     delta = {
-        names[parts]: {label: frozenset(map(names.__getitem__, t)) for label, t in row.items()}
-        for parts, row in moves.items()
+        names[ids]: {label: frozenset(map(names.__getitem__, t)) for label, t in row.items()}
+        for ids, row in moves.items()
         if row
     }
     return Fsm._trusted(
         names.values(),
-        (names[parts] for parts in initial),
+        (names[ids] for ids in initial),
         {label for label, _ in owners},
         delta,
         critical,

@@ -115,7 +115,7 @@ def _refinement_classes(machines: Sequence[Fsm]) -> list[dict[str, int]]:
     cls, count = _first_seen_ids([f for _, _, flags in encoded for f in flags])
     while True:
         signatures = [
-            (c, tuple([(label, frozenset([cls[k + y] for y in ys])) for label, ys in out]))
+            (c, tuple([(a, frozenset([cls[k + y] for y in ys])) for a, ys in out.items()]))
             for (_, moves, _), k in zip(encoded, offsets)
             for c, out in zip(cls[k : k + len(moves)], moves)
         ]

@@ -138,20 +138,19 @@ class Fsm:
     def int_moves(self) -> tuple[tuple[str, ...], tuple, tuple]:
         """The machine over int state ids, built on first use and then kept.
 
-        Returns the states in id order; per id, its moves as (label, target
-        ids) pairs in label order, target ids ascending; and per id, whether
-        the state is critical and whether it is initial.
+        Returns the states in id order; per id, its moves as a row
+        ``{label: target ids}`` in label order, target ids ascending; and
+        per id, whether the state is critical and whether it is initial.
         """
         if self._ints is None:
             states = tuple(self.states)
             index = {x: i for i, x in enumerate(states)}
-            moves = []
-            for x in states:
-                out = self.moves(x)
-                row = [(a, tuple(sorted([index[y] for y in out[a]]))) for a in sorted(out)]
-                moves.append(tuple(row))
+            moves = tuple(
+                {a: tuple(sorted([index[y] for y in out[a]])) for a in sorted(out)}
+                for out in map(self.moves, states)
+            )
             flags = tuple((x in self.critical, x in self.initial) for x in states)
-            self._ints = (states, tuple(moves), flags)
+            self._ints = (states, moves, flags)
         return self._ints
 
     def _identity(self) -> tuple:

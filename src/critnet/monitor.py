@@ -10,10 +10,11 @@ A session compiles its locals once, when it starts. Locals with equal
 observers own the same labels and move in lockstep, so they share one
 cursor, as bisimilar members lifted from one class representative do; full
 equality is only tested between observers with the same initial state,
-alphabet and size. Each cursor steps over its observer's cached int table
-(``ObserverFsm.int_rows``): per label, one row mapping a state id to the
-next id (None when there is no move), and one output per id. An event steps
-each distinct owner once and fans the flags out to every local.
+alphabet and size. Each cursor steps over its observer's int table
+(``ObserverFsm.rows`` and ``flags``), compiled at start into one row per
+label mapping a state position to the next (None when there is no move).
+An event steps each distinct owner once and fans the flags out to every
+local.
 
 Sessions are the one mutable thing in this package and expect a single
 writer. Their memory is fixed at start: the tables are sized by the
@@ -81,19 +82,18 @@ class MonitorSession:
                 same.append(c)
             cursors.append(c)
         self._cursors = tuple(cursors)
-        # Per cursor: its observer's states and outputs by state id, the
-        # current state id, and the current output.
-        initials, rows_of, outputs_by_id = zip(*(obs.int_rows() for obs in observers))
-        self._outputs_by_id = outputs_by_id
+        # Per cursor: its observer's states and outputs by position, the
+        # current position, and the current output.
+        self._outputs_by_id = [obs.flags for obs in observers]
         self._estimates = [obs.states for obs in observers]
-        self._current = list(initials)
+        self._current = [obs.start for obs in observers]
         self._out = [out[i] for out, i in zip(self._outputs_by_id, self._current)]
-        # Per label: the cursors that step, their rows, and the record's
-        # moved flags.
+        # Per label: the cursors that step, their rows by position, and the
+        # record's moved flags.
         self._labels = {
             label: (
                 owners,
-                tuple(rows_of[c][label] for c in owners),
+                tuple(tuple(row.get(label) for row in observers[c].rows) for c in owners),
                 tuple(c in owners for c in self._cursors),
             )
             for label, owners in owners_by_label(observers)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .compose import Network
+from .compose import Network, split_commas
 from .errors import FormatError, MalformedFsmError
 from .fsm import Fsm
 from .observer import ObserverFsm, state_sort_key, state_text
@@ -153,23 +153,9 @@ def serialize_network(network: Network) -> str:
 def _split_estimate(token: str, line: int | None) -> frozenset[str]:
     if len(token) < 2 or not (token.startswith("{") and token.endswith("}")):
         raise FormatError(f"estimate {token!r} must look like {{p,q}}", line)
-    inner = token[1:-1]
-    parts: list[str] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormatError(f"unbalanced parentheses in {token!r}", line)
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    if depth != 0:
+    parts = split_commas(token[1:-1], "(", ")")
+    if parts is None:
         raise FormatError(f"unbalanced parentheses in {token!r}", line)
-    parts.append(inner[start:])
     if not all(parts):
         raise FormatError(f"estimate {token!r} has an empty component", line)
     for part in parts:

@@ -9,13 +9,13 @@ A decentralized observer keeps one local observer per network member and
 combines their flags with OR; composing the bank yields a machine isomorphic
 to the observer of the composed network.
 
-Every observer also reads as an int table (``ObserverFsm.int_rows``), built
-on first use and kept: state ids by position, one row per label mapping an
-id to the next id, and outputs by id. Bank composition and monitor sessions
-both step over these rows. Observers this package builds itself (local
-observers, composed banks, projected on-the-fly locals) skip the public
-constructor's checks; the public constructor, and so the observer parser,
-keeps every one.
+An observer is stored as one int table over state positions: per position
+a row ``{label: next position}`` and an output flag. The estimate tables
+the builders explore already have that layout, so local observers, composed
+banks and projected on-the-fly locals take it over as it is and skip the
+public constructor's checks; the public constructor, and so the observer
+parser, keeps every one. Bank composition, monitor sessions and the cost
+ledger all step over the rows.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ def state_sort_key(z: ObserverState):
     return tuple(state_sort_key(part) for part in z)
 
 
-_NO_MOVES: Mapping[str, ObserverState] = {}
-
-
 def _nonempty(z: ObserverState) -> bool:
     if isinstance(z, frozenset):
         return bool(z)
@@ -65,18 +62,14 @@ class ObserverFsm:
 
     States are kept in discovery order so that "first violating state" means
     the same thing on every run. Equality is structural and order-free.
+
+    It is one int table over positions in ``states``: ``rows[i]`` maps the
+    labels state ``i`` moves on to the next position, ``flags[i]`` is its
+    output, and ``start`` is the initial state's position. Lookups by state
+    go through one state -> position index.
     """
 
-    __slots__ = (
-        "states",
-        "initial",
-        "alphabet",
-        "outputs",
-        "_moves",
-        "_state_set",
-        "_key",
-        "_ints",
-    )
+    __slots__ = ("states", "initial", "alphabet", "rows", "flags", "start", "_index", "_key")
 
     def __init__(
         self,
@@ -86,112 +79,98 @@ class ObserverFsm:
         transitions: Mapping[tuple[ObserverState, str], ObserverState],
         outputs: Mapping[ObserverState, int],
     ):
-        moves: dict[ObserverState, dict[str, ObserverState]] = {}
-        for (src, label), dst in transitions.items():
-            moves.setdefault(src, {})[label] = dst
-        self._assign(states, initial, alphabet, moves, outputs)
-
-        if len(self._state_set) != len(self.states):
+        states = tuple(states)
+        index = {z: i for i, z in enumerate(states)}
+        if len(index) != len(states):
             raise MalformedFsmError("duplicate observer states")
-        if initial not in self._state_set:
+        if initial not in index:
             raise MalformedFsmError("initial estimate missing from state set")
-        for z in self.states:
+        for z in states:
             if not _nonempty(z):
                 raise MalformedFsmError("the empty estimate cannot be an observer state")
-            if self.outputs.get(z) not in (0, 1):
+            if outputs.get(z) not in (0, 1):
                 raise MalformedFsmError(f"state {state_text(z)} needs a 0/1 output")
-        if len(self.outputs) != len(self.states):
+        if len(outputs) != len(states):
             raise MalformedFsmError("outputs given for unknown states")
+        alphabet = frozenset(alphabet)
+        rows: list[dict[str, int]] = [{} for _ in states]
         for (src, label), dst in transitions.items():
-            if src not in self._state_set or dst not in self._state_set:
+            if src not in index or dst not in index:
                 raise MalformedFsmError("transition endpoint is not an observer state")
-            if label not in self.alphabet:
+            if label not in alphabet:
                 raise MalformedFsmError(f"transition label {label!r} not in alphabet")
+            rows[index[src]][label] = index[dst]
 
-        reached, _, _ = explore((initial,), lambda z: self.moves(z).values())
-        if len(reached) != len(self.states):
-            unreachable = sorted(state_text(z) for z in self._state_set - set(reached))
+        reached, _, _ = explore((index[initial],), lambda i: rows[i].values())
+        if len(reached) != len(states):
+            seen = set(reached)
+            unreachable = sorted(state_text(z) for i, z in enumerate(states) if i not in seen)
             raise MalformedFsmError(f"unreachable observer states: {unreachable}")
+        self._assign(states, alphabet, rows, [outputs[z] for z in states], index[initial])
 
     @classmethod
     def _trusted(
         cls,
         states: Sequence[ObserverState],
-        initial: ObserverState,
         alphabet: Iterable[str],
-        moves: dict[ObserverState, dict[str, ObserverState]],
-        outputs: Mapping[ObserverState, int],
+        rows: Sequence[dict[str, int]],
+        flags: Sequence[int],
     ) -> ObserverFsm:
         """An observer this package built itself, taken without re-validation.
 
         The builder guarantees what ``__init__`` checks: distinct nonempty
-        states, every one reachable from ``initial`` in ``moves`` (a row
-        ``{label: target}`` per source, labels in ``alphabet``), and a 0/1
-        output for each. ``moves`` is kept, not copied.
+        states with the initial one first, every position reachable from 0
+        in ``rows`` (a row ``{label: position}`` per position, labels in
+        ``alphabet``), and a 0/1 flag per position. ``rows`` and ``flags``
+        are kept, not copied.
         """
         obs = object.__new__(cls)
-        obs._assign(states, initial, alphabet, moves, outputs)
+        obs._assign(states, alphabet, rows, flags, 0)
         return obs
 
-    def _assign(self, states, initial, alphabet, moves, outputs) -> None:
+    def _assign(self, states, alphabet, rows, flags, start) -> None:
         self.states = tuple(states)
-        self._state_set = frozenset(self.states)
-        self.initial = initial
+        self.initial = self.states[start]
         self.alphabet = frozenset(alphabet)
-        self.outputs = dict(outputs)
-        self._moves = moves
-        # Built on first use; see _identity and int_rows.
+        self.rows = rows
+        self.flags = flags
+        self.start = start
+        self._index = {z: i for i, z in enumerate(self.states)}
+        # Built on first use; see _identity.
         self._key = None
-        self._ints = None
+
+    @property
+    def outputs(self) -> dict[ObserverState, int]:
+        return dict(zip(self.states, self.flags))
 
     def succ_state(self, z: ObserverState, label: str) -> ObserverState | None:
         """Unique successor estimate, or None when the word leaves the language."""
-        return self._moves.get(z, _NO_MOVES).get(label)
+        j = self.rows[self._index[z]].get(label)
+        return None if j is None else self.states[j]
 
     def moves(self, z: ObserverState) -> Mapping[str, ObserverState]:
-        return self._moves.get(z, _NO_MOVES)
+        return {label: self.states[j] for label, j in self.rows[self._index[z]].items()}
 
     def output(self, z: ObserverState) -> int:
-        return self.outputs[z]
+        return self.flags[self._index[z]]
 
     def transitions(self) -> list[tuple[ObserverState, str, ObserverState]]:
         """Transition triples in canonical (source, label) order."""
         return sorted(self._triples(), key=lambda t: (state_sort_key(t[0]), t[1]))
 
     def _triples(self):
-        for src, row in self._moves.items():
-            for label, dst in row.items():
-                yield src, label, dst
-
-    def int_rows(self) -> tuple[int, dict[str, tuple], tuple[int, ...]]:
-        """The observer over int state ids, built on first use and then kept.
-
-        A state's id is its position in ``states``. Returns the initial
-        state's id; per label, a row mapping a state id to the next id, or
-        to None when the label cannot move; and the outputs by id.
-        """
-        if self._ints is None:
-            index = {z: i for i, z in enumerate(self.states)}
-            rows = {label: [None] * len(index) for label in self.alphabet}
-            for z, row in self._moves.items():
-                i = index[z]
-                for label, dst in row.items():
-                    rows[label][i] = index[dst]
-            self._ints = (
-                index[self.initial],
-                {label: tuple(row) for label, row in rows.items()},
-                tuple(self.outputs[z] for z in self.states),
-            )
-        return self._ints
+        states = self.states
+        for z, row in zip(states, self.rows):
+            for label, j in row.items():
+                yield z, label, states[j]
 
     def _identity(self) -> tuple:
         if self._key is None:
             self._key = (
-                self._state_set,
                 self.initial,
                 self.alphabet,
-                frozenset(((src, label), dst) for src, label, dst in self._triples()),
-                frozenset(self.outputs.items()),
+                frozenset(zip(self.states, self.flags)),
+                frozenset(self._triples()),
             )
         return self._key
 
@@ -289,18 +268,15 @@ class EstimateTable:
 def build_observer(m: Fsm, max_states: int | None = None) -> ObserverFsm:
     """Subset construction seeded at the full initial-state estimate.
 
-    Expands every row of a fresh estimate table breadth first, so ids come
-    out in discovery order.
+    Expands every row of a fresh estimate table breadth first. The kernel
+    stores ids in the order the table interns them, so the table's ids are
+    already the observer's state positions.
     """
     table = EstimateTable(m)
-    ids, _, _ = explore(
-        (0,), lambda i: table.row(i).values(), max_states, "observer exceeded {} states"
+    explore((0,), lambda i: table.row(i).values(), max_states, "observer exceeded {} states")
+    return ObserverFsm._trusted(
+        table.estimates, m.alphabet, table.rows, [1 if t else 0 for t in table.touches]
     )
-    est = table.estimates
-    moves = {est[i]: {label: est[j] for label, j in table.rows[i].items()} for i in ids}
-    outputs = {est[i]: 1 if table.touches[i] else 0 for i in ids}
-    states = [est[i] for i in ids]
-    return ObserverFsm._trusted(states, est[0], m.alphabet, moves, outputs)
 
 
 def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:
@@ -311,13 +287,13 @@ def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:
     discovery order, so the witness is reproducible.
     """
     crit = frozenset(critical)
-    for z in obs.states:
+    for z, flag in zip(obs.states, obs.flags):
         if not isinstance(z, frozenset):
             raise InvalidInputError(
                 "check_observable needs estimate states; composed banks are "
                 "checked through the pipeline"
             )
-        if obs.output(z) == 1 and not z <= crit:
+        if flag == 1 and not z <= crit:
             return Verdict(False, z)
     return Verdict(True)
 
@@ -361,27 +337,26 @@ def compose_decentralized(
     States are aggregates: one estimate per member. A shared label moves
     every local owning it, and blocks when any of them has no move. With a
     single local the bank composes to that local itself, within the same
-    budget. The walk runs over tuples of the locals' int state ids, which
-    become estimate tuples once, at the end.
+    budget. The walk runs over tuples of the locals' state positions and
+    emits the bank's rows by aggregate position; aggregates become estimate
+    tuples once, at the end.
     """
     if len(d.locals) == 1:
         only = d.locals[0][1]
         check_budget(len(only.states), max_states, "composed bank exceeded {} states")
         return only
     observers = d.observers
-    z0, rows_of, outputs_by_id = zip(*(obs.int_rows() for obs in observers))
+    rows_of = [obs.rows for obs in observers]
     owners = owners_by_label(observers)
-    by_label = [
-        (label, [(i, rows_of[i][label]) for i in members]) for label, members in owners
-    ]
     moves: dict[tuple[int, ...], dict[str, tuple[int, ...]]] = {}
 
     def expand(agg: tuple[int, ...]):
+        rows = list(map(getitem, rows_of, agg))
         row = moves[agg] = {}
-        for label, owned in by_label:
+        for label, members in owners:
             parts = list(agg)
-            for i, ids in owned:
-                nxt = ids[agg[i]]
+            for i in members:
+                nxt = rows[i].get(label)
                 if nxt is None:
                     break
                 parts[i] = nxt
@@ -390,18 +365,16 @@ def compose_decentralized(
                 yield successor
                 row[label] = successor
 
+    z0 = tuple(obs.start for obs in observers)
     aggs, _, _ = explore((z0,), expand, max_states, "composed bank exceeded {} states")
-    states_by_id = [obs.states for obs in observers]
-    name = {agg: tuple(map(getitem, states_by_id, agg)) for agg in aggs}
+    position = {agg: p for p, agg in enumerate(aggs)}
+    states_of = [obs.states for obs in observers]
+    flags_of = [obs.flags for obs in observers]
     return ObserverFsm._trusted(
-        name.values(),
-        name[z0],
+        [tuple(map(getitem, states_of, agg)) for agg in aggs],
         {label for label, _ in owners},
-        {
-            name[agg]: {label: name[dst] for label, dst in row.items()}
-            for agg, row in moves.items()
-        },
-        {name[agg]: 1 if any(map(getitem, outputs_by_id, agg)) else 0 for agg in aggs},
+        [{label: position[dst] for label, dst in moves[agg].items()} for agg in aggs],
+        [1 if any(map(getitem, flags_of, agg)) else 0 for agg in aggs],
     )
 
 

@@ -147,13 +147,12 @@ def run_onthefly(
 
 
 def _finalize_local(table: EstimateTable, kept: dict[int, None]) -> ObserverFsm:
-    """Full local observer restricted to the states the composition visits."""
-    est = table.estimates
-    moves = {
-        est[z]: {label: est[dst] for label, dst in table.row(z).items() if dst in kept}
-        for z in kept
-    }
-    outputs = {est[z]: 1 if table.touches[z] else 0 for z in kept}
-    return ObserverFsm._trusted(
-        [est[z] for z in kept], est[0], table.machine.alphabet, moves, outputs
-    )
+    """Full local observer restricted to the states the composition visits.
+
+    Kept ids become positions in the order first reached, id 0 first.
+    """
+    position = {z: p for p, z in enumerate(kept)}
+    rows = [{a: position[d] for a, d in table.row(z).items() if d in position} for z in kept]
+    flags = [1 if table.touches[z] else 0 for z in kept]
+    states = [table.estimates[z] for z in kept]
+    return ObserverFsm._trusted(states, table.machine.alphabet, rows, flags)

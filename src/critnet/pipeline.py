@@ -60,11 +60,11 @@ def _estimate_size(z) -> int:
 
 def _observer_units(obs: ObserverFsm) -> tuple[int, int, int]:
     """(transition units, output units, transition count) for one machine."""
-    size = {z: _estimate_size(z) for z in obs.states}
+    size = [_estimate_size(z) for z in obs.states]
     s1 = count = 0
-    for z in obs.states:
-        for dst in obs.moves(z).values():
-            s1 += size[z] + size[dst] + 1
+    for here, row in zip(size, obs.rows):
+        for dst in row.values():
+            s1 += here + size[dst] + 1
             count += 1
     return s1, len(obs.states), count
 

@@ -10,12 +10,13 @@ from critnet import (
     BudgetExceededError,
     Fsm,
     InvalidInputError,
-    MalformedFsmError,
     Network,
     compose_many,
     compose_network,
     in_language,
+    parse_network,
     product_state_name,
+    serialize_network,
     tuple_parts,
 )
 from conftest import make_fsm_a, make_fsm_b
@@ -252,16 +253,27 @@ class TestTrustedConstruction:
                 assert again.int_moves() == c.int_moves()
         assert sum(members.values()) >= 80 and min(members.values()) >= 20
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=MalformedFsmError,
-        reason="(x,y) with z and x with (y,z) both flatten to (x,y,z); "
-        "product names cannot yet tell them apart",
-    )
     def test_parenthesized_member_states_keep_distinct_names(self):
         m1 = Fsm(["(x,y)", "x"], ["(x,y)", "x"], [], [])
         m2 = Fsm(["z", "(y,z)"], ["z", "(y,z)"], [], [])
-        assert len(compose_many([m1, m2]).states) == 4
+        assert compose_many([m1, m2]).states == {
+            "((x,y),z)", "((x,y),(y,z))", "(x,z)", "(x,(y,z))",
+        }
+
+    def test_products_read_back_from_a_file_compose_alike(self):
+        rng = random.Random(1302)
+        checked = 0
+        for _ in range(40):
+            net = random_network(rng, max_members=3, max_states=3)
+            if len(net.members) < 2:
+                continue
+            third = random_fsm(rng, max_states=3)
+            composed = compose_network(net)
+            (_, read), = parse_network(serialize_network(Network((("c", composed),)))).members
+            assert compose_many([read, third]) == compose_many([composed, third])
+            assert compose_many([third, read]) == compose_many([third, composed])
+            checked += 1
+        assert checked >= 20
 
 
 def _short_words(m, rng, count=10, max_len=4):

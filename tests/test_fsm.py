@@ -121,11 +121,12 @@ class TestConstruction:
         assert m.int_moves()[1] is moves
         index = {x: i for i, x in enumerate(states)}
         assert sorted(states) == ["x", "y", "z"]
-        assert moves[index["x"]] == (
-            ("a", tuple(sorted(index[y] for y in m.succ("x", "a")))),
-            ("b", (index["y"],)),
-        )
-        assert moves[index["y"]] == () and moves[index["z"]] == (("b", (index["x"],)),)
+        assert moves[index["x"]] == {
+            "a": tuple(sorted(index[y] for y in m.succ("x", "a"))),
+            "b": (index["y"],),
+        }
+        assert list(moves[index["x"]]) == ["a", "b"]
+        assert moves[index["y"]] == {} and moves[index["z"]] == {"b": (index["x"],)}
         assert [flags[index[x]] for x in "xyz"] == [(False, True), (False, False), (True, False)]
 
 

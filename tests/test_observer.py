@@ -8,6 +8,7 @@ import pytest
 
 from critnet import (
     BudgetExceededError,
+    DecentralizedObserver,
     Fsm,
     InvalidInputError,
     MalformedFsmError,
@@ -21,6 +22,7 @@ from critnet import (
     iso_check,
     run_onthefly,
     sampled_runs_agree,
+    start_session,
     state_text,
     validate_critical_observer,
 )
@@ -29,7 +31,9 @@ from genutil import observable_fsm, random_fsm, random_network
 from oracles import (
     estimates_by_word,
     naive_bank_product,
+    naive_monitor,
     naive_subset_order,
+    network_traces,
     observer_run,
     semantic_observable,
 )
@@ -150,14 +154,14 @@ class TestObserverFsmValidation:
         o2 = ObserverFsm([z1, z2], z1, ["a"], dict(reversed(list(trans.items()))), {z2: 1, z1: 0})
         assert o1 == o2 and hash(o1) == hash(o2)
 
-    def test_int_rows_built_on_first_use(self):
+    def test_public_constructor_builds_the_int_table(self):
         z1, z2, z3 = self._z("x"), self._z("y"), self._z("z")
         trans = {(z2, "a"): z1, (z1, "b"): z3, (z3, "a"): z2}
         obs = ObserverFsm([z2, z1, z3], z1, ["a", "b"], trans, {z1: 0, z2: 1, z3: 0})
-        assert obs._ints is None
-        table = obs.int_rows()
-        assert obs.int_rows() is table
-        assert table == (1, {"a": (1, None, 0), "b": (None, 2, None)}, (1, 0, 0))
+        assert obs.start == 1 and obs.initial == z1
+        assert list(obs.rows) == [{"a": 1}, {"b": 2}, {"a": 0}]
+        assert list(obs.flags) == [1, 0, 0]
+        assert obs.moves(z3) == {"a": z2} and obs.succ_state(z3, "b") is None
 
     def test_hash_key_built_on_first_use(self, fsm_a):
         o1, o2 = build_observer(fsm_a), build_observer(fsm_a)
@@ -320,7 +324,9 @@ class TestTrustedConstruction:
             for kind, obs in built:
                 again = _rebuilt(obs)
                 assert again == obs and again.states == obs.states
-                assert again.int_rows() == obs.int_rows()
+                assert again.start == obs.start == 0
+                assert list(again.rows) == list(obs.rows)
+                assert list(again.flags) == list(obs.flags)
                 kinds[kind] += 1
         assert min(kinds.values()) >= 40
 
@@ -339,6 +345,40 @@ class TestTrustedConstruction:
             assert composed.outputs == naive.outputs
             checked += 1
         assert checked >= 40
+
+
+    def test_initial_state_away_from_position_zero(self):
+        # The public constructor keeps the caller's state order, so the
+        # initial state can sit anywhere; banks and sessions must start there.
+        rng = random.Random(1209)
+        checked = 0
+        for _ in range(60):
+            net = random_network(rng, max_members=3, max_states=4)
+            if len(net.members) < 2:
+                continue
+            bank = DecentralizedObserver(
+                tuple((name, _reversed(obs)) for name, obs in build_decentralized(net).locals)
+            )
+            if all(obs.start == 0 for obs in bank.observers):
+                continue
+            composed, naive = compose_decentralized(bank), naive_bank_product(bank)
+            assert composed.states == naive.states
+            assert composed.initial == naive.initial
+            assert composed.transitions() == naive.transitions()
+            assert composed.outputs == naive.outputs
+            for word in network_traces(net, max_len=5, cap=40):
+                records = start_session(bank).replay(word)
+                want, _, problem = naive_monitor(list(bank.locals), word)
+                assert problem is None
+                assert [(r.index, r.label, r.moved, r.outputs, r.flag) for r in records] == want
+            checked += 1
+        assert checked >= 30
+
+
+def _reversed(obs: ObserverFsm) -> ObserverFsm:
+    """The same observer through the public constructor, states listed backwards."""
+    trans = {(src, label): dst for src, label, dst in obs.transitions()}
+    return ObserverFsm(obs.states[::-1], obs.initial, obs.alphabet, trans, obs.outputs)
 
 
 class TestValidation:
