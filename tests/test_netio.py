@@ -117,6 +117,70 @@ class TestParseNetwork:
             parse_network("fsm M\n  states x\n  initial x\n  trans x a\n")
 
 
+def _parse_error(doc: str) -> FormatError:
+    with pytest.raises(FormatError) as caught:
+        parse_network(doc)
+    return caught.value
+
+
+class TestParseErrorsPinned:
+    """Exact message and line of errors whose tokens recur in the document."""
+
+    def test_repeated_bad_state_fails_at_its_first_line(self):
+        doc = (
+            "fsm M\n  states p\n  initial p\n  alphabet a\n"
+            "  trans p a (q\n  states (q\n  trans (q a p\n"
+        )
+        e = _parse_error(doc)
+        assert e.line == 5
+        assert str(e) == "line 5: unbalanced parentheses in '(q'"
+
+    def test_repeated_bad_state_in_a_later_section(self):
+        doc = (
+            "fsm A\n  states p\n  initial p\n"
+            "fsm B\n  states x,y\n  initial x,y\n"
+        )
+        e = _parse_error(doc)
+        assert e.line == 5
+        assert str(e) == "line 5: state 'x,y' has a comma outside parentheses"
+
+    def test_label_token_still_checked_as_a_state(self):
+        doc = (
+            "fsm M\n  alphabet x,y\n  states p\n  initial p\n"
+            "  trans p x,y p\n  states x,y\n"
+        )
+        e = _parse_error(doc)
+        assert e.line == 6
+        assert str(e) == "line 6: state 'x,y' has a comma outside parentheses"
+
+    def test_state_token_still_checked_as_a_label(self):
+        doc = "fsm M\n  states p\n  initial p\n  alphabet {p}\n"
+        e = _parse_error(doc)
+        assert e.line == 4
+        assert str(e) == "line 4: label '{p}' contains forbidden ['{', '}']"
+
+    def test_duplicate_transition_names_its_second_line(self):
+        doc = (
+            "fsm A\n  states x\n  initial x\n  alphabet a\n  trans x a x\n"
+            "fsm B\n  states x\n  initial x\n  alphabet a\n  trans x a x\n"
+            "  states y\n  trans x a x\n"
+        )
+        e = _parse_error(doc)
+        assert e.line == 12
+        assert str(e) == "line 12: duplicate transition x a x"
+
+    def test_transitions_before_states_parse(self):
+        early = "fsm M\n  trans x a y\n  trans y a x\n  alphabet a\n  states x y\n  initial x\n"
+        late = "fsm M\n  states x y\n  initial x\n  alphabet a\n  trans x a y\n  trans y a x\n"
+        assert parse_network(early) == parse_network(late)
+
+    def test_transitions_before_states_fail_at_the_section(self):
+        doc = "fsm A\n  states p\n  initial p\nfsm M\n  trans x a z\n  alphabet a\n  states x\n  initial x\n"
+        e = _parse_error(doc)
+        assert e.line == 4
+        assert str(e) == "line 4: fsm 'M': transition target 'z' not in state set"
+
+
 class TestSerializeNetwork:
     def test_fixture_bytes(self, net_ab):
         assert serialize_network(net_ab) == NET_AB_DOC.replace(
