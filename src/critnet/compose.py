@@ -7,8 +7,10 @@ otherwise it blocks. A product state is critical as soon as one component is.
 ``explore`` is the one breadth-first kernel behind every synchronous product
 in the package: the plant here, the observer bank and the on-the-fly
 aggregates elsewhere. ``compose_many`` walks tuples of member state ids
-(``Fsm.int_moves``) and names each product state once, at the end, as
-"(x1,x2,...,xN)". A member's states are flattened into that name only when
+(``Fsm.int_moves``) and hands the product over as an int table of the same
+layout, its states numbered in discovery order. It names each product state
+once, at the end, as "(x1,x2,...,xN)". A member's states are flattened into
+that name only when
 all of them split (``tuple_parts``) into the same number of parts, which
 every product does; otherwise they stay whole, so "(x,y)" next to "x" keeps
 distinct names. Re-composing a composed machine, in memory or read back
@@ -180,8 +182,9 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
 
     With a single machine this is the identity. ``max_states`` bounds the
     number of product states explored before giving up, and a single
-    machine's own states. The product is valid by construction, so it
-    skips the public constructor's checks.
+    machine's own states. The product is valid by construction, so its
+    table goes to ``Fsm._trusted`` by position, without the public
+    constructor's checks.
     """
     if not machines:
         raise InvalidInputError("nothing to compose")
@@ -191,12 +194,13 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
 
     owners = owners_by_label(machines)
     states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
-    moves: dict[tuple[int, ...], dict[str, list[tuple[int, ...]]]] = {}
+    moves: list[dict[str, list[tuple[int, ...]]]] = []
 
     def expand(ids: tuple[int, ...]):
         rows = list(map(getitem, rows_of, ids))
         unmoved = [(i,) for i in ids]
-        row = moves[ids] = {}
+        row: dict[str, list[tuple[int, ...]]] = {}
+        moves.append(row)
         for label, members in owners:
             choices = unmoved.copy()
             for i in members:
@@ -219,27 +223,21 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     for states in states_of:
         parts = list(map(tuple_parts, states))
         flat.append(parts if len(set(map(len, parts))) == 1 else [(x,) for x in states])
-    names: dict[tuple[int, ...], str] = {}
-    used: set[str] = set()
-    for ids in reached:
-        name = "(" + ",".join(chain.from_iterable(map(getitem, flat, ids))) + ")"
-        if name in used:
-            raise MalformedFsmError(f"product name collision at {name!r}")
-        used.add(name)
-        names[ids] = name
-    critical = [names[ids] for ids in reached if any(f[i][0] for f, i in zip(flags_of, ids))]
-    delta = {
-        names[ids]: {label: frozenset(map(names.__getitem__, t)) for label, t in row.items()}
-        for ids, row in moves.items()
-        if row
-    }
-    return Fsm._trusted(
-        names.values(),
-        (names[ids] for ids in initial),
-        {label for label, _ in owners},
-        delta,
-        critical,
-    )
+    names = ["(" + ",".join(chain.from_iterable(map(getitem, flat, ids))) + ")" for ids in reached]
+    if len(set(names)) != len(names):
+        seen: set[str] = set()
+        clash = next(x for x in names if x in seen or seen.add(x))
+        raise MalformedFsmError(f"product name collision at {clash!r}")
+    position = {ids: p for p, ids in enumerate(reached)}
+    rows = [
+        {label: tuple(sorted(map(position.__getitem__, t))) for label, t in row.items()}
+        for row in moves
+    ]
+    flags = [
+        (any(f[i][0] for f, i in zip(flags_of, ids)), p < len(initial))
+        for p, ids in enumerate(reached)
+    ]
+    return Fsm._trusted(names, {label for label, _ in owners}, rows, flags)
 
 
 def compose_network(network: Network, max_states: int | None = None) -> Fsm:

@@ -102,22 +102,27 @@ def _refinement_classes(machines: Sequence[Fsm]) -> list[dict[str, int]]:
     instead, in O(m log n)). Blocks start from the (critical, initial)
     signature; each round splits a block by the classes its states reach
     under every label, until no block splits. Class ids are numbered in
-    order of first occurrence, so no round sorts anything but labels.
+    order of first occurrence, so no round sorts anything.
     Two states share a class exactly when some bisimulation relates them,
     within one machine or across two. Returns one state -> class map per
-    machine; class ids are shared across the maps. Each machine's int
-    encoding (``Fsm.int_moves``) is built once and kept, so repeated calls
-    over the same machines only refine.
+    machine; class ids are shared across the maps. Every machine already
+    holds its int table (``Fsm.int_moves``), so a call only shifts target
+    ids into the union and refines.
     """
     encoded = [m.int_moves() for m in machines]
     # State y of a machine has the id k + y in the union, k its offset.
     offsets = list(accumulate([len(states) for states, _, _ in encoded], initial=0))
+    moves = [
+        [(a, [k + y for y in ys]) for a, ys in out.items()]
+        for (_, rows, _), k in zip(encoded, offsets)
+        for out in rows
+    ]
     cls, count = _first_seen_ids([f for _, _, flags in encoded for f in flags])
     while True:
+        get = cls.__getitem__
         signatures = [
-            (c, tuple([(a, frozenset([cls[k + y] for y in ys])) for a, ys in out.items()]))
-            for (_, moves, _), k in zip(encoded, offsets)
-            for c, out in zip(cls[k : k + len(moves)], moves)
+            (c, tuple([(a, frozenset(map(get, ys))) for a, ys in out]))
+            for c, out in zip(cls, moves)
         ]
         new_cls, new_count = _first_seen_ids(signatures)
         if new_count == count:

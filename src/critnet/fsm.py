@@ -5,15 +5,23 @@ Transitions are nondeterministic: each (state, label) pair maps to a set of
 successors, with absent pairs meaning the empty set. Machines are immutable
 after construction and every operation here is a pure function.
 
-The public constructor, and so the network parser, checks every structural
-rule. Machines this package builds itself (composed products) skip those
-checks through ``Fsm._trusted``. The label "eps" is reserved for the empty
-word, so no machine may use it.
+A machine is stored as one int table over state ids (``Fsm.int_moves``):
+per id a row ``{label: target ids}`` and a (critical, initial) flag pair.
+State names are looked up through one name -> id index, and appear again
+only when a caller asks for states, successors or transitions by name.
+Machines built through the public constructor, and so by the network
+parser, number their states in sorted-name order; composed products number
+theirs in discovery order.
+
+The public constructor checks every structural rule. Machines this package
+builds itself (composed products) hand over their table through
+``Fsm._trusted`` and skip those checks. The label "eps" is reserved for the
+empty word, so no machine may use it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInputError, MalformedFsmError
 
@@ -25,6 +33,9 @@ EPSILON_TOKEN = "eps"
 
 _EMPTY: frozenset[str] = frozenset()
 
+# One state's moves: label -> target ids, labels sorted, ids ascending.
+Row = dict[str, tuple[int, ...]]
+
 
 class Fsm:
     """Finite state machine with a designated set of critical states.
@@ -34,7 +45,7 @@ class Fsm:
     non-critical, otherwise no observer could ever classify the empty trace.
     """
 
-    __slots__ = ("states", "initial", "alphabet", "critical", "_delta", "_key", "_ints")
+    __slots__ = ("states", "initial", "alphabet", "critical", "_table", "_index", "_key")
 
     def __init__(
         self,
@@ -44,123 +55,136 @@ class Fsm:
         transitions: Iterable[tuple[str, str, str]],
         critical: Iterable[str] = (),
     ):
-        self._assign(states, initial, alphabet, {}, critical)
-
-        if not self.states:
+        states, initial = frozenset(states), frozenset(initial)
+        alphabet, critical = frozenset(alphabet), frozenset(critical)
+        if not states:
             raise MalformedFsmError("machine needs at least one state")
-        if any(not s for s in self.states):
+        if any(not s for s in states):
             raise MalformedFsmError("state names must be nonempty")
-        if not self.initial:
+        if not initial:
             raise MalformedFsmError("machine needs at least one initial state")
-        if not self.initial <= self.states:
+        if not initial <= states:
             raise MalformedFsmError(
-                f"initial states {sorted(self.initial - self.states)} not in state set"
+                f"initial states {sorted(initial - states)} not in state set"
             )
-        if not self.critical <= self.states:
+        if not critical <= states:
             raise MalformedFsmError(
-                f"critical states {sorted(self.critical - self.states)} not in state set"
+                f"critical states {sorted(critical - states)} not in state set"
             )
-        for label in self.alphabet:
+        for label in alphabet:
             if not label:
                 raise MalformedFsmError("empty string is not a valid label")
             if label == EPSILON_TOKEN:
                 raise MalformedFsmError(f"label {EPSILON_TOKEN!r} is reserved for the empty word")
 
-        delta: dict[str, dict[str, set[str]]] = {}
+        names = sorted(states)
+        index = {x: i for i, x in enumerate(names)}
+        moves: dict[tuple[int, str, int], None] = {}
         for src, label, dst in transitions:
-            if src not in self.states:
+            i, j = index.get(src), index.get(dst)
+            if i is None:
                 raise MalformedFsmError(f"transition source {src!r} not in state set")
-            if dst not in self.states:
+            if j is None:
                 raise MalformedFsmError(f"transition target {dst!r} not in state set")
-            if label not in self.alphabet:
+            if label not in alphabet:
                 raise MalformedFsmError(f"transition label {label!r} not in alphabet")
-            delta.setdefault(src, {}).setdefault(label, set()).add(dst)
-        self._delta = {
-            src: {label: frozenset(dsts) for label, dsts in by_label.items()}
-            for src, by_label in delta.items()
-        }
+            moves[i, label, j] = None
 
         # Initial homogeneity: a mixed initial set already straddles the
         # critical boundary before any event happens.
-        if self.initial & self.critical and not self.initial <= self.critical:
+        if initial & critical and not initial <= critical:
             raise MalformedFsmError(
                 "initial states must be all critical or all non-critical"
             )
+        # Ids follow sorted names, so sorted moves fill each row in label
+        # order with ascending targets.
+        rows: list[Row] = [{} for _ in names]
+        for i, label, j in sorted(moves):
+            row = rows[i]
+            row[label] = row.get(label, ()) + (j,)
+        flags = [(x in critical, x in initial) for x in names]
+        self._assign((tuple(names), tuple(rows), tuple(flags)), index, initial, alphabet, critical)
 
     @classmethod
     def _trusted(
         cls,
-        states: Iterable[str],
-        initial: Iterable[str],
+        names: Sequence[str],
         alphabet: Iterable[str],
-        delta: dict[str, dict[str, frozenset[str]]],
-        critical: Iterable[str],
+        rows: Sequence[Row],
+        flags: Sequence[tuple[bool, bool]],
     ) -> Fsm:
         """A machine this package built itself, taken without re-validation.
 
-        The builder guarantees what ``__init__`` checks: nonempty state
-        names, a nonempty initial set on one side of the critical set,
-        critical states among the states, and ``delta`` holding a row
-        ``{label: nonempty frozenset of targets}`` per source that moves,
-        with every endpoint a state and every label in ``alphabet``.
-        ``delta`` is kept, not copied.
+        The builder guarantees what ``__init__`` checks: distinct nonempty
+        state names, at least one initial id, all initial ids on one side of
+        the critical set, and per id a row ``{label: target ids}`` with
+        labels sorted and in ``alphabet``, target ids ascending and in
+        range.
         """
         m = object.__new__(cls)
-        m._assign(states, initial, alphabet, delta, critical)
+        m._assign(
+            (tuple(names), tuple(rows), tuple(flags)),
+            {x: i for i, x in enumerate(names)},
+            frozenset([x for x, (_, init) in zip(names, flags) if init]),
+            frozenset(alphabet),
+            frozenset([x for x, (crit, _) in zip(names, flags) if crit]),
+        )
         return m
 
-    def _assign(self, states, initial, alphabet, delta, critical) -> None:
-        self.states = frozenset(states)
-        self.initial = frozenset(initial)
-        self.alphabet = frozenset(alphabet)
-        self.critical = frozenset(critical)
-        self._delta: dict[str, dict[str, frozenset[str]]] = delta
-        # Built on first use; see _identity and int_moves.
+    def _assign(self, table, index, initial, alphabet, critical) -> None:
+        self._table = table
+        self._index = index
+        self.states = frozenset(index)
+        self.initial = initial
+        self.alphabet = alphabet
+        self.critical = critical
+        # Built on first use; see _identity.
         self._key = None
-        self._ints = None
+
+    def int_moves(self) -> tuple[tuple[str, ...], tuple[Row, ...], tuple[tuple[bool, bool], ...]]:
+        """The machine's table: state names in id order, then per id its row
+        ``{label: target ids}`` and its (critical, initial) flags."""
+        return self._table
 
     def succ(self, state: str, label: str) -> frozenset[str]:
         """Successor set of one state under one label (empty if none)."""
-        return self._delta.get(state, {}).get(label, _EMPTY)
+        i = self._index.get(state)
+        if i is None:
+            return _EMPTY
+        names, rows, _ = self._table
+        return frozenset([names[j] for j in rows[i].get(label, ())])
 
     def moves(self, state: str) -> Mapping[str, frozenset[str]]:
-        """All outgoing transitions of a state, keyed by label."""
-        return self._delta.get(state, {})
+        """All outgoing transitions of a state, keyed by label in sorted order."""
+        i = self._index.get(state)
+        if i is None:
+            return {}
+        names, rows, _ = self._table
+        return {a: frozenset([names[j] for j in ys]) for a, ys in rows[i].items()}
 
     def transitions(self) -> Iterator[tuple[str, str, str]]:
         """Iterate transition triples (src, label, dst) in canonical order."""
-        for src in sorted(self._delta):
-            by_label = self._delta[src]
-            for label in sorted(by_label):
-                for dst in sorted(by_label[label]):
+        names, rows, _ = self._table
+        for i in sorted(range(len(names)), key=names.__getitem__):
+            src = names[i]
+            for label, ys in rows[i].items():
+                for dst in sorted([names[j] for j in ys]):
                     yield src, label, dst
-
-    def int_moves(self) -> tuple[tuple[str, ...], tuple, tuple]:
-        """The machine over int state ids, built on first use and then kept.
-
-        Returns the states in id order; per id, its moves as a row
-        ``{label: target ids}`` in label order, target ids ascending; and
-        per id, whether the state is critical and whether it is initial.
-        """
-        if self._ints is None:
-            states = tuple(self.states)
-            index = {x: i for i, x in enumerate(states)}
-            moves = tuple(
-                {a: tuple(sorted([index[y] for y in out[a]])) for a in sorted(out)}
-                for out in map(self.moves, states)
-            )
-            flags = tuple((x in self.critical, x in self.initial) for x in states)
-            self._ints = (states, moves, flags)
-        return self._ints
 
     def _identity(self) -> tuple:
         if self._key is None:
+            names, rows, _ = self._table
             self._key = (
                 self.states,
                 self.initial,
                 self.alphabet,
                 self.critical,
-                frozenset(self.transitions()),
+                frozenset(
+                    (src, label, names[j])
+                    for src, row in zip(names, rows)
+                    for label, ys in row.items()
+                    for j in ys
+                ),
             )
         return self._key
 

@@ -7,6 +7,11 @@ Repeating a directive accumulates. `#` starts a comment. Observer documents
 mirror the layout with `observer` sections, estimate tokens like "{p,q}",
 and a `flag` directive listing the states that raise the output.
 
+The network parser checks each distinct state token and each distinct
+label once per document, at its first occurrence, and builds every machine
+through the public ``Fsm`` constructor. The serializer writes each machine
+from its int table in sorted-name order and checks every token it writes.
+
 Serialization sorts everything, so equal objects always produce identical
 bytes. The token "eps" is reserved for the empty word and is never a label,
 so a document that declares it fails as a malformed machine.
@@ -28,8 +33,8 @@ _INNERMOST_GROUP = re.compile(r"\([^()]*\)")
 def _check_token(token: str, what: str, line: int | None = None) -> str:
     if not token:
         raise FormatError(f"empty {what}", line)
-    bad = sorted(set(token) & _FORBIDDEN)
-    if bad:
+    if not _FORBIDDEN.isdisjoint(token):
+        bad = sorted(set(token) & _FORBIDDEN)
         raise FormatError(f"{what} {token!r} contains forbidden {bad}", line)
     return token
 
@@ -55,10 +60,9 @@ def _check_state(token: str, line: int | None = None) -> str:
 
 def _logical_lines(text: str):
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield number, line.split()
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield number, tokens
 
 
 class _FsmSection:
@@ -69,44 +73,65 @@ class _FsmSection:
         self.initial: list[str] = []
         self.alphabet: list[str] = []
         self.critical: list[str] = []
-        self.trans: list[tuple[str, str, str]] = []
-        self.seen_trans: set[tuple[str, str, str]] = set()
+        # Kept in document order; a dict so that repeats are found.
+        self.trans: dict[tuple[str, str, str], None] = {}
 
 
 def parse_network(text: str) -> Network:
-    """Parse a network document into named machines."""
+    """Parse a network document into named machines.
+
+    Each distinct state token and each distinct label is checked once per
+    document, at its first occurrence, so an error names the first line
+    that holds the bad token. States and labels are remembered apart: a
+    label such as "x,y" is not a valid state.
+    """
     sections: list[_FsmSection] = []
     names: set[str] = set()
     current: _FsmSection | None = None
+    good_states: set[str] = set()
+    good_labels: set[str] = set()
+
+    def check_states(tokens: list[str], line: int) -> list[str]:
+        for token in tokens:
+            if token not in good_states:
+                good_states.add(_check_state(token, line))
+        return tokens
+
+    def check_labels(tokens: list[str], line: int) -> list[str]:
+        for token in tokens:
+            if token not in good_labels:
+                good_labels.add(_check_token(token, "label", line))
+        return tokens
+
     for number, tokens in _logical_lines(text):
-        directive, args = tokens[0], tokens[1:]
-        if directive == "fsm":
-            if len(args) != 1:
+        directive = tokens[0]
+        if directive == "trans" and current is not None:
+            if len(tokens) != 4:
+                raise FormatError("trans takes source, label, target", number)
+            _, src, label, dst = tokens
+            if not (src in good_states and label in good_labels and dst in good_states):
+                check_states([src], number)
+                check_labels([label], number)
+                check_states([dst], number)
+            triple = (src, label, dst)
+            if triple in current.trans:
+                raise FormatError(f"duplicate transition {src} {label} {dst}", number)
+            current.trans[triple] = None
+        elif directive == "fsm":
+            if len(tokens) != 2:
                 raise FormatError("fsm takes exactly one name", number)
-            name = _check_token(args[0], "member name", number)
+            name = _check_token(tokens[1], "member name", number)
             if name in names:
                 raise FormatError(f"duplicate member name {name!r}", number)
             names.add(name)
             current = _FsmSection(name, number)
             sections.append(current)
-            continue
-        if current is None:
+        elif current is None:
             raise FormatError(f"{directive!r} before any fsm section", number)
-        if directive == "alphabet":
-            current.alphabet.extend(_check_token(a, "label", number) for a in args)
+        elif directive == "alphabet":
+            current.alphabet.extend(check_labels(tokens[1:], number))
         elif directive in ("states", "initial", "critical"):
-            getattr(current, directive).extend(_check_state(a, number) for a in args)
-        elif directive == "trans":
-            if len(args) != 3:
-                raise FormatError("trans takes source, label, target", number)
-            src = _check_state(args[0], number)
-            label = _check_token(args[1], "label", number)
-            dst = _check_state(args[2], number)
-            triple = (src, label, dst)
-            if triple in current.seen_trans:
-                raise FormatError(f"duplicate transition {' '.join(triple)}", number)
-            current.seen_trans.add(triple)
-            current.trans.append(triple)
+            getattr(current, directive).extend(check_states(tokens[1:], number))
         else:
             raise FormatError(f"unknown directive {directive!r}", number)
     if not sections:
@@ -129,23 +154,40 @@ def parse_network(text: str) -> Network:
 
 
 def serialize_network(network: Network) -> str:
-    """Canonical text for a network; equal networks give equal bytes."""
+    """Canonical text for a network; equal networks give equal bytes.
+
+    Each member is written from its int table, states in sorted-name order.
+    Every token is checked, each distinct one once per document.
+    """
+    good_states: set[str] = set()
+    good_labels: set[str] = set()
     chunks = []
     for name, m in network.members:
         _check_token(name, "member name")
-        for state in m.states:
-            _check_state(state)
-        for label in m.alphabet:
-            _check_token(label, "label")
-        lines = [f"fsm {name}"]
-        lines.append("  states " + " ".join(sorted(m.states)))
-        lines.append("  initial " + " ".join(sorted(m.initial)))
-        if m.alphabet:
-            lines.append("  alphabet " + " ".join(sorted(m.alphabet)))
+        names, rows, flags = m.int_moves()
+        order = sorted(range(len(names)), key=names.__getitem__)
+        states = [names[i] for i in order]
+        labels = sorted(m.alphabet)
+        for state in states:
+            if state not in good_states:
+                good_states.add(_check_state(state))
+        for label in labels:
+            if label not in good_labels:
+                good_labels.add(_check_token(label, "label"))
+        lines = [f"fsm {name}", "  states " + " ".join(states)]
+        lines.append("  initial " + " ".join([names[i] for i in order if flags[i][1]]))
+        if labels:
+            lines.append("  alphabet " + " ".join(labels))
         if m.critical:
-            lines.append("  critical " + " ".join(sorted(m.critical)))
-        for src, label, dst in m.transitions():
-            lines.append(f"  trans {src} {label} {dst}")
+            lines.append("  critical " + " ".join([names[i] for i in order if flags[i][0]]))
+        for i in order:
+            src = names[i]
+            for label, ys in rows[i].items():
+                if len(ys) == 1:
+                    lines.append(f"  trans {src} {label} {names[ys[0]]}")
+                else:
+                    head = f"  trans {src} {label} "
+                    lines.extend([head + dst for dst in sorted([names[j] for j in ys])])
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
 

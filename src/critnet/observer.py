@@ -27,7 +27,7 @@ from operator import getitem
 
 from .compose import Network, check_budget, explore, owners_by_label
 from .errors import InvalidInputError, MalformedFsmError
-from .fsm import Fsm, step
+from .fsm import Fsm
 
 # An estimate is a nonempty frozenset of plant states. Composed banks use
 # tuples of estimates, one per member, as their states.
@@ -212,9 +212,11 @@ class EstimateTable:
     Estimates get ids in discovery order, starting with the initial estimate
     at id 0. Per id the table keeps the estimate, its cached sort key, whether
     it touches the critical set and whether it lies inside it, and a
-    successor row ``{label: id}`` computed by ``step`` the first time the id
-    is expanded and never again. Only the estimates some exploration reaches
-    are ever expanded.
+    successor row ``{label: id}`` computed the first time the id is expanded
+    and never again. Estimates are interned and stepped as sets of the
+    machine's state ids (``Fsm.int_moves``); each gets its names once, when
+    first interned. Only the estimates some exploration reaches are ever
+    expanded.
     """
 
     __slots__ = (
@@ -225,6 +227,7 @@ class EstimateTable:
         "touches",
         "contained",
         "rows",
+        "_members",
         "_ids",
     )
 
@@ -236,18 +239,23 @@ class EstimateTable:
         self.touches: list[bool] = []
         self.contained: list[bool] = []
         self.rows: list[dict[str, int] | None] = []
-        self._ids: dict[frozenset[str], int] = {}
-        self._intern(frozenset(m.initial))
+        self._members: list[frozenset[int]] = []
+        self._ids: dict[frozenset[int], int] = {}
+        _, _, flags = m.int_moves()
+        self._intern(frozenset([x for x, (_, init) in enumerate(flags) if init]))
 
-    def _intern(self, z: frozenset[str]) -> int:
-        i = self._ids.get(z)
+    def _intern(self, members: frozenset[int]) -> int:
+        i = self._ids.get(members)
         if i is None:
-            i = self._ids[z] = len(self.estimates)
-            critical = self.machine.critical
+            i = self._ids[members] = len(self.estimates)
+            names, _, flags = self.machine.int_moves()
+            z = frozenset([names[x] for x in members])
+            critical = [flags[x][0] for x in members]
             self.estimates.append(z)
             self.keys.append(state_sort_key(z))
-            self.touches.append(not z.isdisjoint(critical))
-            self.contained.append(z <= critical)
+            self.touches.append(any(critical))
+            self.contained.append(all(critical))
+            self._members.append(members)
             self.rows.append(None)
         return i
 
@@ -255,12 +263,12 @@ class EstimateTable:
         """Successor ids of estimate ``i`` by label, in sorted label order."""
         row = self.rows[i]
         if row is None:
-            m, z = self.machine, self.estimates[i]
-            row = {}
-            for label in self.labels:
-                image = step(m, z, label)
-                if image:
-                    row[label] = self._intern(image)
+            moves = self.machine.int_moves()[1]
+            images: dict[str, set[int]] = {}
+            for x in self._members[i]:
+                for label, ys in moves[x].items():
+                    images.setdefault(label, set()).update(ys)
+            row = {a: self._intern(frozenset(images[a])) for a in self.labels if a in images}
             self.rows[i] = row
         return row
 

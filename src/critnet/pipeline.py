@@ -16,6 +16,7 @@ so a first-step straddle yields a time ledger of zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
 from .compose import Network
 from .equivalence import EquivalenceClasses, quotient_network
@@ -55,26 +56,19 @@ def _parts(z) -> tuple:
 
 
 def _estimate_size(z) -> int:
-    return sum(len(part) for part in _parts(z))
-
-
-def _observer_units(obs: ObserverFsm) -> tuple[int, int, int]:
-    """(transition units, output units, transition count) for one machine."""
-    size = [_estimate_size(z) for z in obs.states]
-    s1 = count = 0
-    for here, row in zip(size, obs.rows):
-        for dst in row.values():
-            s1 += here + size[dst] + 1
-            count += 1
-    return s1, len(obs.states), count
+    return sum(map(len, _parts(z)))
 
 
 def ledger_for_observers(observers: list[ObserverFsm]) -> CostLedger:
-    s1 = s2 = time = 0
+    space = time = 0
     for obs in observers:
-        a, b, t = _observer_units(obs)
-        s1, s2, time = s1 + a, s2 + b, time + t
-    return CostLedger(space=s1 + s2, time=time)
+        size = list(map(_estimate_size, obs.states))
+        for here, row in zip(size, obs.rows):
+            targets = row.values()
+            space += len(targets) * (here + 1) + sum(map(size.__getitem__, targets))
+            time += len(targets)
+        space += len(size)
+    return CostLedger(space=space, time=time)
 
 
 def ledger_for_outcome(outcome: OnTheFlyOutcome) -> CostLedger:
@@ -116,14 +110,29 @@ def run_algorithm1(
     """Baseline: build all local observers, compose them, scan the product.
 
     The ledger charges every stored artifact: each full local observer and,
-    for multi-member networks, the composed bank as well.
+    for multi-member networks, the composed bank as well. The scan gives
+    what ``check_aggregate_observer`` gives: a bank state's flag says that
+    some part touches its member's critical set, and each local's
+    containment is computed once per estimate, not once per bank state.
     """
     bank = build_decentralized(network, max_states)
     composed = compose_decentralized(bank, max_states)
-    criticals = [m.critical for m in network.machines]
-    verdict = check_aggregate_observer(composed, criticals)
-    stored = list(bank.observers)
-    if len(bank.locals) > 1:
+    observers = bank.observers
+    # A one-member bank is that member's local observer, over bare estimates.
+    aggregates = composed.states if len(observers) > 1 else [(z,) for z in composed.states]
+    contained = [
+        {z: z <= m.critical for z in obs.states} for obs, m in zip(observers, network.machines)
+    ]
+    verdict = next(
+        (
+            Verdict(False, z)
+            for z, parts, flag in zip(composed.states, aggregates, composed.flags)
+            if flag and not any(map(getitem, contained, parts))
+        ),
+        Verdict(True),
+    )
+    stored = list(observers)
+    if len(observers) > 1:
         stored.append(composed)
     return PipelineReport(
         algorithm="1",

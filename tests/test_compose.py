@@ -250,8 +250,29 @@ class TestTrustedConstruction:
             for c in (composed, nested):
                 again = Fsm(c.states, c.initial, c.alphabet, c.transitions(), c.critical)
                 assert again == c
-                assert again.int_moves() == c.int_moves()
+                _assert_well_formed_table(c)
+                assert _renumbered(c, again.int_moves()[0]) == again.int_moves()
         assert sum(members.values()) >= 80 and min(members.values()) >= 20
+
+    def test_products_number_states_in_discovery_order(self):
+        rng = random.Random(1303)
+        checked = 0
+        for _ in range(60):
+            net = random_network(rng, max_members=3, max_states=4)
+            if len(net.members) < 2:
+                continue
+            names, rows, flags = compose_network(net).int_moves()
+            initial = [i for i, (_, init) in enumerate(flags) if init]
+            assert initial == list(range(len(initial)))
+            # Breadth first from the initial ids, rows in label order and
+            # targets ascending, rediscovers every id in order.
+            order = list(initial)
+            for i in order:
+                for ys in rows[i].values():
+                    order.extend(j for j in ys if j not in order)
+            assert order == list(range(len(names)))
+            checked += 1
+        assert checked >= 30
 
     def test_parenthesized_member_states_keep_distinct_names(self):
         m1 = Fsm(["(x,y)", "x"], ["(x,y)", "x"], [], [])
@@ -274,6 +295,27 @@ class TestTrustedConstruction:
             assert compose_many([third, read]) == compose_many([third, composed])
             checked += 1
         assert checked >= 20
+
+
+def _assert_well_formed_table(m):
+    names, rows, flags = m.int_moves()
+    assert len(names) == len(set(names)) == len(rows) == len(flags)
+    for row in rows:
+        assert list(row) == sorted(row) and set(row) <= m.alphabet
+        for ys in row.values():
+            assert ys and list(ys) == sorted(set(ys)) and 0 <= ys[0] and ys[-1] < len(names)
+
+
+def _renumbered(m, names):
+    """``m``'s table with its states numbered in the order of ``names``."""
+    old_names, old_rows, old_flags = m.int_moves()
+    new_id = {x: i for i, x in enumerate(names)}
+    old_id = {x: i for i, x in enumerate(old_names)}
+    rows = tuple(
+        {a: tuple(sorted(new_id[old_names[j]] for j in ys)) for a, ys in old_rows[old_id[x]].items()}
+        for x in names
+    )
+    return tuple(names), rows, tuple(old_flags[old_id[x]] for x in names)
 
 
 def _short_words(m, rng, count=10, max_len=4):

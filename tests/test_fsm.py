@@ -6,7 +6,11 @@ and ``project_word`` from ``tests/oracles.py``, are pinned here as well.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,19 @@ from critnet import (
 )
 from genutil import random_fsm
 from oracles import estimates_by_word, extended_delta, naive_step, project_word
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Prints every table a network yields: members, product, refinement classes.
+_TABLES_SCRIPT = """
+import sys
+from critnet import compose_network, parse_network
+from critnet.equivalence import _refinement_classes
+net = parse_network(open(sys.argv[1]).read())
+print([m.int_moves() for m in net.machines])
+print(compose_network(net).int_moves())
+print(_refinement_classes(net.machines))
+"""
 
 
 class TestConstruction:
@@ -116,7 +133,7 @@ class TestConstruction:
             [("x", "b", "y"), ("x", "a", "y"), ("x", "a", "z"), ("z", "b", "x")],
             critical=["z"],
         )
-        assert m._ints is None
+        assert m._table is not None and m.int_moves() is m.int_moves()
         states, moves, flags = m.int_moves()
         assert m.int_moves()[1] is moves
         index = {x: i for i, x in enumerate(states)}
@@ -128,6 +145,30 @@ class TestConstruction:
         assert list(moves[index["x"]]) == ["a", "b"]
         assert moves[index["y"]] == {} and moves[index["z"]] == {"b": (index["x"],)}
         assert [flags[index[x]] for x in "xyz"] == [(False, True), (False, False), (True, False)]
+
+
+class TestStateIds:
+    def test_constructor_numbers_states_in_sorted_name_order(self):
+        m = Fsm(["z", "x", "y"], ["y"], ["b", "a"], [("z", "b", "x"), ("z", "a", "y"), ("z", "a", "x")])
+        names, rows, flags = m.int_moves()
+        assert names == ("x", "y", "z")
+        assert rows == ({}, {}, {"a": (0, 1), "b": (0,)})
+        assert flags == ((False, False), (False, True), (False, False))
+
+    def test_tables_do_not_depend_on_the_hash_seed(self):
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+            done = subprocess.run(
+                [sys.executable, "-c", _TABLES_SCRIPT, str(ROOT / "demos" / "data" / "line.net")],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
 
 
 class TestStepping:

@@ -181,6 +181,20 @@ class TestParseErrorsPinned:
         assert str(e) == "line 4: fsm 'M': transition target 'z' not in state set"
 
 
+class TestParsedTables:
+    def test_parsed_table_equals_the_constructors(self):
+        rng = random.Random(703)
+        for _ in range(40):
+            net = random_network(rng, max_members=3, max_states=5)
+            for m in parse_network(serialize_network(net)).machines:
+                states, trans = sorted(m.states), list(m.transitions())
+                rng.shuffle(states)
+                rng.shuffle(trans)
+                again = Fsm(states, m.initial, m.alphabet, trans, m.critical)
+                assert again.int_moves() == m.int_moves()
+                assert list(m.int_moves()[0]) == sorted(m.states)
+
+
 class TestSerializeNetwork:
     def test_fixture_bytes(self, net_ab):
         assert serialize_network(net_ab) == NET_AB_DOC.replace(

@@ -138,6 +138,23 @@ class TestAggregateScan:
             assert via_scan.observable == direct.observable
             assert via_scan.witness == direct.witness
 
+    def test_baseline_agrees_with_the_scan_and_ledger_over_estimates(self):
+        # run_algorithm1 reads flags, containment and sizes by position; the
+        # public functions over the composed bank's estimates are the reference.
+        rng = random.Random(605)
+        refuted = 0
+        for _ in range(80):
+            net = random_network(rng, max_members=3, max_states=4)
+            bank = build_decentralized(net)
+            composed = compose_decentralized(bank)
+            report = run_algorithm1(net)
+            want = check_aggregate_observer(composed, [m.critical for m in net.machines])
+            assert report.verdict == want
+            stored = [*bank.observers, composed] if len(net.members) > 1 else bank.observers
+            assert report.ledger == ledger_for_observers(list(stored))
+            refuted += not want.observable
+        assert refuted >= 10
+
     def test_ledger_for_observers_is_additive(self, fsm_a):
         obs = build_observer(fsm_a)
         one = ledger_for_observers([obs])
