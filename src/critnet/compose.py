@@ -10,13 +10,12 @@ aggregates elsewhere. ``compose_many`` walks tuples of member state ids
 (``Fsm.int_moves``) and hands the product over as an int table of the same
 layout, its states numbered in discovery order. It names each product state
 once, at the end, as "(x1,x2,...,xN)". A member's states are flattened into
-that name only when
-all of them split (``tuple_parts``) into the same number of parts, which
-every product does; otherwise they stay whole, so "(x,y)" next to "x" keeps
-distinct names. Re-composing a composed machine, in memory or read back
-from a file, thus flattens again, and association order changes neither
-state names nor structure. Member state names are assumed free of commas
-outside brackets and of unbalanced brackets.
+that name only when all of them split (``tuple_parts``) into the same
+number of parts, which every product does; otherwise they stay whole, so
+"(x,y)" next to "x" keeps distinct names. Re-composing a composed machine,
+in memory or read back from a file, thus flattens again, and association
+order changes neither state names nor structure. Member state names are
+assumed free of commas outside brackets and of unbalanced brackets.
 """
 
 from __future__ import annotations
@@ -194,6 +193,8 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
 
     owners = owners_by_label(machines)
     states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
+    # The kernel expands states in the order it stores them, so moves[p]
+    # is the row of product state p.
     moves: list[dict[str, list[tuple[int, ...]]]] = []
 
     def expand(ids: tuple[int, ...]):

@@ -142,8 +142,12 @@ class Fsm:
         self._key = None
 
     def int_moves(self) -> tuple[tuple[str, ...], tuple[Row, ...], tuple[tuple[bool, bool], ...]]:
-        """The machine's table: state names in id order, then per id its row
-        ``{label: target ids}`` and its (critical, initial) flags."""
+        """The machine's table, built at construction and kept.
+
+        Returns the state names in id order; per id, its row
+        ``{label: target ids}``; and per id, whether the state is critical
+        and whether it is initial.
+        """
         return self._table
 
     def succ(self, state: str, label: str) -> frozenset[str]:

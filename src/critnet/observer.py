@@ -268,7 +268,13 @@ class EstimateTable:
             for x in self._members[i]:
                 for label, ys in moves[x].items():
                     images.setdefault(label, set()).update(ys)
-            row = {a: self._intern(frozenset(images[a])) for a in self.labels if a in images}
+            # A loop, not a comprehension: a comprehension would make ``self``
+            # a closure cell, which every call pays for, cached or not.
+            row = {}
+            for label in self.labels:
+                image = images.get(label)
+                if image:
+                    row[label] = self._intern(frozenset(image))
             self.rows[i] = row
         return row
 
