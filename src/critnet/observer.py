@@ -402,20 +402,23 @@ def validate_critical_observer(obs: ObserverFsm, m: Fsm) -> bool:
     if obs.alphabet != m.alphabet:
         raise InvalidInputError("observer and machine must share an alphabet")
 
-    def wrong(pair: tuple[str, ObserverState | None]) -> bool:
-        # No observer state: the plant can move but the observer cannot
-        # follow the run.
-        x, z = pair
-        return z is None or obs.output(z) != (1 if x in m.critical else 0)
+    _, moves, plant_flags = m.int_moves()
 
-    def expand(pair: tuple[str, ObserverState]):
-        x, z = pair
-        for label, dsts in m.moves(x).items():
-            z2 = obs.succ_state(z, label)
-            for x2 in dsts:
-                yield x2, z2
+    # Pairs hold a plant state id and an observer position, or None when
+    # the plant can move but the observer cannot follow the run.
+    def wrong(pair: tuple[int, int | None]) -> bool:
+        x, p = pair
+        return p is None or obs.flags[p] != plant_flags[x][0]
 
-    init = [(x, obs.initial) for x in m.initial]
+    def expand(pair: tuple[int, int]):
+        x, p = pair
+        row = obs.rows[p]
+        for label, ys in moves[x].items():
+            p2 = row.get(label)
+            for y in ys:
+                yield y, p2
+
+    init = [(x, obs.start) for x, (_, initial) in enumerate(plant_flags) if initial]
     if any(map(wrong, init)):
         return False
     _, bad, _ = explore(init, expand, stop=wrong)
@@ -435,23 +438,27 @@ def sampled_runs_agree(
     """
     if obs.alphabet != m.alphabet:
         raise InvalidInputError("observer and machine must share an alphabet")
+    names, moves, plant_flags = m.int_moves()
+    initial = sorted((names[x], x) for x, (_, init) in enumerate(plant_flags) if init)
     for _ in range(runs):
-        x = rng.choice(sorted(m.initial))
-        z = obs.initial
-        if obs.output(z) != (1 if x in m.critical else 0):
+        _, x = rng.choice(initial)
+        p = obs.start
+        if obs.flags[p] != plant_flags[x][0]:
             return False
         for _ in range(max_len):
+            # Labels sorted, then targets by name, so a seed draws the same
+            # runs whatever order the plant numbers its states in.
             enabled = [
-                (label, dst)
-                for label in sorted(m.moves(x))
-                for dst in sorted(m.succ(x, label))
+                (label, y)
+                for label, ys in moves[x].items()
+                for y in sorted(ys, key=names.__getitem__)
             ]
             if not enabled:
                 break
             label, x = rng.choice(enabled)
-            z = obs.succ_state(z, label)
-            if z is None:
+            p = obs.rows[p].get(label)
+            if p is None:
                 return False
-            if obs.output(z) != (1 if x in m.critical else 0):
+            if obs.flags[p] != plant_flags[x][0]:
                 return False
     return True
