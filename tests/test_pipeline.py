@@ -139,8 +139,9 @@ class TestAggregateScan:
             assert via_scan.witness == direct.witness
 
     def test_baseline_agrees_with_the_scan_and_ledger_over_estimates(self):
-        # run_algorithm1 reads flags, containment and sizes by position; the
-        # public functions over the composed bank's estimates are the reference.
+        # run_algorithm1 scans by the bank's flags and each local's
+        # containment per estimate; the straddle scan over the composed
+        # bank's estimates is the reference.
         rng = random.Random(605)
         refuted = 0
         for _ in range(80):
