@@ -60,7 +60,6 @@ from .pipeline import (
     DEFAULT_STATE_BUDGET,
     CostLedger,
     PipelineReport,
-    check_aggregate_observer,
     ledger_for_observers,
     ledger_for_outcome,
     run_algorithm1,

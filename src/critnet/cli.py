@@ -36,7 +36,11 @@ from .pipeline import (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        message = f"{path}: not valid UTF-8 at byte {e.start} ({e.reason})"
+        raise InvalidInputError(message) from None
 
 
 def _resolve_budget(args) -> int:
@@ -133,28 +137,46 @@ def _cmd_compose(args) -> int:
     return 0
 
 
+def _events(stream):
+    """The labels of an event stream, one per line, skipping blanks and comments."""
+    for raw in stream:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if len(line.split()) != 1:
+            raise InvalidInputError(f"one event per line, got {line!r}")
+        yield line
+
+
 def _cmd_monitor(args) -> int:
     locals_: list = []
     for path in args.observers:
         locals_.extend(parse_observers(_read(path)))
     session = start_session(locals_)
-    stream = sys.stdin if args.events == "-" else open(args.events, encoding="utf-8")
+    if args.events != "-":
+        name, stream = args.events, open(args.events, "rb")
+    else:
+        name, stream = "<stdin>", getattr(sys.stdin, "buffer", None)
+    # Each line is decoded on its own, as UTF-8 whatever the locale, so an
+    # undecodable line ends the stream after the events before it. A text
+    # stream standing in for stdin is read as it is. Stdin may be live, so
+    # each of its records is flushed before the next event is awaited.
+    lines = sys.stdin if stream is None else map(bytes.decode, stream)
+    live = args.events == "-"
+    write, flush = sys.stdout.write, sys.stdout.flush
     try:
-        for raw in stream:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if len(line.split()) != 1:
-                print(f"error: one event per line, got {line!r}", file=sys.stderr)
-                return 2
-            try:
-                record = session.feed(line)
-            except DesyncError as e:
-                print(f"desync: {e}", file=sys.stderr)
-                return 1
-            print(record.line())
+        for line in session.lines(_events(lines)):
+            write(line + "\n")
+            if live:
+                flush()
+    except DesyncError as e:
+        print(f"desync: {e}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as e:
+        message = f"{name}: not valid UTF-8 after {session.steps} events ({e.reason})"
+        raise InvalidInputError(message) from None
     finally:
-        if stream is not sys.stdin:
+        if args.events != "-":
             stream.close()
     return 0
 

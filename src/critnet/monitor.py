@@ -3,8 +3,8 @@
 A session holds one local observer per member. Each incoming event moves
 every local whose alphabet contains it and leaves the others untouched, so
 each local sees exactly the projection of the stream onto its alphabet. The
-session flag is the OR of the local flags, recomputed once per event, after
-all affected locals have stepped.
+session flag is the OR of the local flags after all affected locals have
+stepped.
 
 A session compiles its locals once, when it starts. Locals with equal
 observers own the same labels and move in lockstep, so they share one
@@ -13,42 +13,47 @@ equality is only tested between observers with the same initial state,
 alphabet and size. Each cursor steps over its observer's int table
 (``ObserverFsm.rows`` and ``flags``), compiled at start into one row per
 label mapping a state position to the next (None when there is no move).
-An event steps each distinct owner once and fans the flags out to every
-local.
+
+Every event goes through one step, ``feed``, which commits only if every
+owner can move. The local flags live in a buffer of ``'0'``/``'1'`` bytes,
+next to a count of raised cursors; both change only where a cursor's output
+flips, so an event costs its owners plus one decode, however many locals
+there are. ``lines`` yields each record's text as its event is applied.
 
 Sessions are the one mutable thing in this package and expect a single
 writer. Their memory is fixed at start: the tables are sized by the
 distinct observers, and no record is kept per event, only the current
-states and two counters. An event no run of the plant allows poisons the
-session: the step is not applied and every later feed fails fast.
+states, the bit buffer and three counters. An event no run of the plant
+allows poisons the session: the step is not applied and every later feed
+fails fast.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 from .compose import owners_by_label
 from .errors import DesyncError, InvalidInputError
 from .fsm import Word
 from .observer import DecentralizedObserver, ObserverFsm
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
-
-@dataclass(frozen=True)
-class StepRecord:
-    """What one event did: who moved, the local flags, the combined flag."""
+class StepRecord(NamedTuple):
+    """What one event did: who moved, each local's flag as '0'/'1', the OR."""
 
     index: int
     label: str
     moved: tuple[bool, ...]
-    outputs: tuple[int, ...]
+    bits: str
     flag: int
 
+    @property
+    def outputs(self) -> tuple[int, ...]:
+        return tuple(map(int, self.bits))
+
     def line(self) -> str:
-        bits = bytes(self.outputs).translate(_BITS).decode("ascii")
-        return f"{self.index} {self.label} {bits} {self.flag}"
+        return f"{self.index} {self.label} {self.bits} {self.flag}"
 
 
 class MonitorSession:
@@ -82,23 +87,29 @@ class MonitorSession:
                 same.append(c)
             cursors.append(c)
         self._cursors = tuple(cursors)
-        # Per cursor: its observer's states and outputs by position, the
-        # current position, and the current output.
-        self._outputs_by_id = [obs.flags for obs in observers]
+        # Per cursor: its observer's states and flags by position, the
+        # current position and output, and the locals it fans out to. The
+        # locals' outputs are kept as '0'/'1' bytes, with a count of the
+        # cursors that are raised; both change only when an output flips.
+        flags = [obs.flags for obs in observers]
+        rows = [obs.rows for obs in observers]
         self._estimates = [obs.states for obs in observers]
         self._current = [obs.start for obs in observers]
-        self._out = [out[i] for out, i in zip(self._outputs_by_id, self._current)]
-        # Per label: the cursors that step, their rows by position, and the
-        # record's moved flags.
+        self._out = [f[i] for f, i in zip(flags, self._current)]
+        self._fanout = [[] for _ in observers]
+        for i, c in enumerate(cursors):
+            self._fanout[c].append(i)
+        self._bits = bytearray(48 + self._out[c] for c in cursors)
+        self._raised = sum(self._out)
+        # Per label: each owning cursor with its row by position and its
+        # flags, and the record's moved flags.
         self._labels = {
             label: (
-                owners,
-                tuple(tuple(row.get(label) for row in observers[c].rows) for c in owners),
-                tuple(c in owners for c in self._cursors),
+                tuple((c, tuple(row.get(label) for row in rows[c]), flags[c]) for c in owners),
+                tuple(c in owners for c in cursors),
             )
             for label, owners in owners_by_label(observers)
         }
-        self._last_flag = self.flag
         self.poisoned = False
         self.steps = 0
         self.raises = 0
@@ -117,10 +128,10 @@ class MonitorSession:
 
     @property
     def flag(self) -> int:
-        return 1 if 1 in self._out else 0
+        return 1 if self._raised else 0
 
     def feed(self, label: str) -> StepRecord:
-        """Apply one event atomically and count the step.
+        """Apply one event atomically, count the step, and return its record.
 
         The label must belong to at least one local's alphabet. If some
         local that owns the label has no move, no local steps at all, the
@@ -132,32 +143,38 @@ class MonitorSession:
         entry = self._labels.get(label)
         if entry is None:
             raise InvalidInputError(f"label {label!r} is in no local's alphabet")
-        owners, rows, moved = entry
+        moves, moved = entry
         current = self._current
-        targets = list(map(tuple.__getitem__, rows, map(current.__getitem__, owners)))
-        if None in targets:
-            self.poisoned = True
-            stuck = self._cursors.index(owners[targets.index(None)])
-            raise DesyncError(
-                f"local {self._locals[stuck][0]!r} has no move on {label!r}: "
-                f"the stream is not a trace of the composed plant"
-            )
-        out, outputs_by_id = self._out, self._outputs_by_id
-        for c, nxt in zip(owners, targets):
-            current[c] = nxt
-            out[c] = outputs_by_id[c][nxt]
-        self.steps += 1
-        flag = 1 if 1 in out else 0
-        if flag > self._last_flag:
-            self.raises += 1
-        self._last_flag = flag
-        return StepRecord(
-            index=self.steps,
-            label=label,
-            moved=moved,
-            outputs=tuple(map(out.__getitem__, self._cursors)),
-            flag=flag,
-        )
+        for c, row, _ in moves:
+            if row[current[c]] is None:
+                self.poisoned = True
+                raise DesyncError(
+                    f"local {self._locals[self._cursors.index(c)][0]!r} has no move on "
+                    f"{label!r}: the stream is not a trace of the composed plant"
+                )
+        raised = before = self._raised
+        out, bits = self._out, self._bits
+        for c, row, flags in moves:
+            nxt = current[c] = row[current[c]]
+            if flags[nxt] != out[c]:
+                out[c] = o = flags[nxt]
+                raised += 1 if o else -1
+                for i in self._fanout[c]:
+                    bits[i] = 48 + o
+        if raised != before:
+            self._raised = raised
+            if not before:
+                self.raises += 1
+        self.steps = steps = self.steps + 1
+        # tuple.__new__ skips the Python-level __new__ of the named tuple.
+        return tuple.__new__(StepRecord, (steps, label, moved, bits.decode(), 1 if raised else 0))
+
+    def lines(self, labels: Iterable[str]) -> Iterator[str]:
+        """Feed each label as it is drawn and yield its record's line; the next
+        label is drawn only once the line is taken. The first error propagates."""
+        feed = self.feed
+        for label in labels:
+            yield feed(label).line()
 
     def replay(self, word: Word | Iterable[str]) -> list[StepRecord]:
         """Feed a whole word; the first desync propagates."""

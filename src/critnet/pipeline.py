@@ -26,7 +26,7 @@ from .observer import (
     build_decentralized,
     compose_decentralized,
 )
-from .onthefly import OnTheFlyOutcome, run_onthefly, straddle_test
+from .onthefly import OnTheFlyOutcome, run_onthefly
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
@@ -89,31 +89,15 @@ def ledger_for_outcome(outcome: OnTheFlyOutcome) -> CostLedger:
     return CostLedger(space=s1 + s2, time=time)
 
 
-def check_aggregate_observer(
-    composed: ObserverFsm, criticals: list[frozenset[str]]
-) -> Verdict:
-    """Scan a composed bank for a flagged aggregate not wholly critical.
-
-    Works on aggregate states without expanding their product: an aggregate
-    is flagged-but-escaping exactly when its parts straddle. States go in
-    discovery order, so the witness is reproducible.
-    """
-    for z in composed.states:
-        if straddle_test(_parts(z), criticals):
-            return Verdict(False, z)
-    return Verdict(True)
-
-
 def run_algorithm1(
     network: Network, max_states: int | None = DEFAULT_STATE_BUDGET
 ) -> PipelineReport:
     """Baseline: build all local observers, compose them, scan the product.
 
     The ledger charges every stored artifact: each full local observer and,
-    for multi-member networks, the composed bank as well. The scan gives
-    what ``check_aggregate_observer`` gives: a bank state's flag says that
-    some part touches its member's critical set, and each local's
-    containment is computed once per estimate, not once per bank state.
+    for multi-member networks, the composed bank as well. A bank state
+    straddles when its flag is set (some part touches its member's critical
+    set) and no part is contained; containment is computed once per estimate.
     """
     bank = build_decentralized(network, max_states)
     composed = compose_decentralized(bank, max_states)

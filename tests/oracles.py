@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from critnet import DecentralizedObserver, Fsm, Network, ObserverFsm, build_observer
+from critnet import DecentralizedObserver, Fsm, Network, ObserverFsm, Verdict, build_observer
 
 
 def naive_step(m: Fsm, states: frozenset[str], label: str) -> frozenset[str]:
@@ -141,6 +141,21 @@ def straddle_by_enumeration(
     for combo in itertools.product(*parts):
         verdicts.append(any(x in criticals[i] for i, x in enumerate(combo)))
     return any(verdicts) and not all(verdicts)
+
+
+def check_aggregate_observer(
+    composed: ObserverFsm, criticals: list[frozenset[str]]
+) -> Verdict:
+    """Scan a composed bank for a flagged aggregate not wholly critical.
+
+    A one-member bank has bare estimates as states. States go in discovery
+    order, so the witness is the first straddling aggregate the bank reached.
+    """
+    for z in composed.states:
+        parts = z if isinstance(z, tuple) else (z,)
+        if straddle_by_enumeration(parts, tuple(criticals)):
+            return Verdict(False, z)
+    return Verdict(True)
 
 
 def _pair_respects(

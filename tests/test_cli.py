@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import select
 import shutil
 import subprocess
 import sys
@@ -217,6 +218,26 @@ class TestMonitor:
         out = capsys.readouterr().out
         assert out == "1 a 11 1\n2 b 01 1\n"
 
+    def test_stdin_records_reach_a_pipe_before_the_stream_ends(self, observer_file):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "critnet.cli", "monitor", observer_file],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            proc.stdin.write(b"a\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready and proc.stdout.readline() == b"1 a 11 1\n"
+        finally:
+            proc.stdin.close()
+            proc.stdout.close()
+            proc.wait(timeout=30)
+        assert proc.returncode == 0
+
     def test_stdin_events(self, observer_file, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("a\nb\n"))
         assert main(["monitor", observer_file]) == 0
@@ -306,6 +327,70 @@ class TestErrors:
         assert main(["check", net_file]) == 1
         assert "verdict: not observable" in capsys.readouterr().out
         assert _build_parser() is parser
+
+
+class TestUndecodableInput:
+    """A file or stream that is not UTF-8 is an input error (exit 2), not a verdict."""
+
+    @staticmethod
+    def _assert_not_utf8(err: str, path: str) -> None:
+        assert err.startswith(f"error: {path}: not valid UTF-8")
+        assert "Traceback" not in err
+
+    @pytest.fixture
+    def observer_file(self, tmp_path, fsm_a):
+        path = tmp_path / "a.obs"
+        path.write_text(serialize_observer("A", build_observer(fsm_a)), encoding="utf-8")
+        return str(path)
+
+    def test_check_network_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.net"
+        path.write_bytes(b"\xff\n")
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self._assert_not_utf8(captured.err, str(path))
+
+    def test_monitor_observer_file(self, observer_file, tmp_path, capsys):
+        bad = tmp_path / "bad.obs"
+        bad.write_bytes(b"observer B\n  \xff\n")
+        events = tmp_path / "events.txt"
+        events.write_text("a\n", encoding="utf-8")
+        assert main(["monitor", observer_file, str(bad), "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self._assert_not_utf8(captured.err, str(bad))
+
+    def test_monitor_event_file(self, observer_file, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_bytes(b"a\nb\n\xff\na\n")
+        assert main(["monitor", observer_file, "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "1 a 1 1\n2 b 0 0\n"
+        self._assert_not_utf8(captured.err, str(events))
+        assert "after 2 events" in captured.err
+
+    def test_monitor_stdin_bytes_whatever_the_locale(self, observer_file, capsys, monkeypatch):
+        # A stdin that would decode anything (latin-1) is still read as UTF-8.
+        raw = io.BytesIO(b"a\n\xff\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="latin-1"))
+        assert main(["monitor", observer_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "1 a 1 1\n"
+        self._assert_not_utf8(captured.err, "<stdin>")
+
+    def test_monitor_stdin_in_a_process(self, observer_file):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "LC_ALL": "C"}
+        done = subprocess.run(
+            [sys.executable, "-m", "critnet.cli", "monitor", observer_file],
+            input=b"a\n\xff\n",
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == b"1 a 1 1\n"
+        self._assert_not_utf8(done.stderr.decode(), "<stdin>")
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

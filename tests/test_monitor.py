@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,10 +19,12 @@ from critnet import (
     build_observer,
     compose_network,
     run_algorithm3,
+    serialize_observer,
     start_session,
 )
+from critnet.cli import main
 from genutil import random_network, with_duplicates
-from oracles import naive_monitor, network_alphabet, network_traces, observer_run
+from oracles import naive_monitor, naive_step, network_alphabet, network_traces, observer_run
 
 
 def fz(*names):
@@ -263,3 +268,177 @@ class TestCursorSharing:
         session.replay(["a", "a"])
         assert session.states == (p, q, p)
         assert session.outputs == (0, 1, 0)
+
+
+def _sampled_trace(net, rng, length):
+    """A random trace of the composed plant, walked member by member."""
+    labels = sorted(network_alphabet(net))
+    estimates = [frozenset(m.initial) for m in net.machines]
+    word = []
+    for _ in range(length):
+        options = []
+        for label in labels:
+            nxt = [
+                naive_step(m, est, label) if label in m.alphabet else est
+                for m, est in zip(net.machines, estimates)
+            ]
+            if all(nxt):
+                options.append((label, nxt))
+        if not options:
+            break
+        label, estimates = rng.choice(options)
+        word.append(label)
+    return tuple(word)
+
+
+def _banks(seed, count):
+    """(network, bank locals, observer file text) for seeded random networks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        net = random_network(rng, max_members=3, max_states=4)
+        locals_ = build_decentralized(net).locals
+        text = "\n".join(serialize_observer(name, obs) for name, obs in locals_)
+        yield rng, net, locals_, text
+
+
+def _monitor(tmp_path, text, events, capsys):
+    observers = tmp_path / "bank.obs"
+    observers.write_text(text, encoding="utf-8")
+    stream = tmp_path / "events.txt"
+    stream.write_text("".join(f"{label}\n" for label in events), encoding="utf-8")
+    code = main(["monitor", str(observers), "--events", str(stream)])
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err
+
+
+class TestStreamingLoop:
+    """``lines`` and the CLI against ``feed`` and ``replay`` on random banks."""
+
+    def test_cli_prints_the_feed_records(self, tmp_path, capsys):
+        streamed = 0
+        for rng, net, locals_, text in _banks(711, 25):
+            for _ in range(3):
+                word = _sampled_trace(net, rng, rng.randint(1, 30))
+                session = start_session(locals_)
+                want = [session.feed(label).line() for label in word]
+                code, out, err = _monitor(tmp_path, text, word, capsys)
+                assert (code, out, err) == (0, want, "")
+                streamed += len(word)
+        assert streamed > 300
+
+    def test_streaming_leaves_the_state_replay_leaves(self):
+        raised = 0
+        for rng, net, locals_, _ in _banks(712, 25):
+            for _ in range(3):
+                word = _sampled_trace(net, rng, rng.randint(0, 30))
+                streamed, replayed = start_session(locals_), start_session(locals_)
+                lines = list(streamed.lines(word))
+                records = replayed.replay(word)
+                assert lines == [r.line() for r in records]
+                for s in (streamed, replayed):
+                    assert not s.poisoned
+                assert (
+                    streamed.steps, streamed.raises, streamed.outputs, streamed.flag, streamed.states
+                ) == (
+                    replayed.steps, replayed.raises, replayed.outputs, replayed.flag, replayed.states
+                )
+                raised += streamed.raises
+        assert raised > 0
+
+    def test_desync_mid_stream(self, tmp_path, capsys):
+        desyncs = 0
+        for rng, net, locals_, text in _banks(713, 40):
+            word = _sampled_trace(net, rng, rng.randint(1, 12))
+            impossible = [
+                label
+                for label in sorted(network_alphabet(net))
+                if naive_monitor(locals_, word + (label,))[2] is not None
+            ]
+            if not impossible:
+                continue
+            bad = rng.choice(impossible)
+            want, _, problem = naive_monitor(locals_, word + (bad,))
+            code, out, err = _monitor(tmp_path, text, word + (bad,) + word, capsys)
+            session = start_session(locals_)
+            assert out == [session.feed(label).line() for label in word]
+            assert code == 1
+            assert err == f"desync: {problem}\n"
+            desyncs += 1
+        assert desyncs >= 10
+
+    def test_unknown_label_mid_stream(self, tmp_path, capsys):
+        for rng, net, locals_, text in _banks(714, 15):
+            word = _sampled_trace(net, rng, rng.randint(1, 12))
+            cut = rng.randint(0, len(word))
+            code, out, err = _monitor(tmp_path, text, word[:cut] + ("zz",) + word[cut:], capsys)
+            session = start_session(locals_)
+            assert out == [session.feed(label).line() for label in word[:cut]]
+            assert code == 2
+            assert err == "error: label 'zz' is in no local's alphabet\n"
+
+
+def _cycle_bank() -> tuple[str, tuple[str, ...]]:
+    """An observer file and a word that brings every local back to its start."""
+    loop = Fsm(["p", "q"], ["p"], ["a", "b"], [("p", "a", "q"), ("q", "b", "p")], ["q"])
+    other = Fsm(["x", "y"], ["x"], ["a", "c"], [("x", "a", "y"), ("y", "c", "x")], ["y"])
+    bank = build_decentralized(Network((("A", loop), ("C", other))))
+    return "\n".join(serialize_observer(n, o) for n, o in bank.locals), ("a", "b", "c")
+
+
+class _Sink:
+    """A stdout that drops what it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestStreamingCli:
+    def test_each_record_is_written_before_the_next_event_is_read(
+        self, tmp_path, monkeypatch
+    ):
+        text, cycle = _cycle_bank()
+        observers = tmp_path / "bank.obs"
+        observers.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        events = list(itertools.islice(itertools.cycle(cycle), 30))
+
+        class Stdin:
+            """Hands out one event per read, after the last one's record is out."""
+
+            read = 0
+
+            def __iter__(self):
+                for label in events:
+                    assert out.getvalue().count("\n") == self.read
+                    self.read += 1
+                    yield f"{label}\n"
+
+        stdin = Stdin()
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdout", out)
+        assert main(["monitor", str(observers)]) == 0
+        assert stdin.read == len(events)
+        assert out.getvalue().count("\n") == len(events)
+
+    def test_memory_does_not_grow_with_the_stream(self, tmp_path, monkeypatch):
+        text, cycle = _cycle_bank()
+        observers = tmp_path / "bank.obs"
+        observers.write_text(text, encoding="utf-8")
+        monkeypatch.setattr("sys.stdout", _Sink())
+
+        def peak(events: int) -> int:
+            lines = (f"{label}\n" for label in itertools.islice(itertools.cycle(cycle), events))
+            monkeypatch.setattr("sys.stdin", lines)
+            tracemalloc.start()
+            try:
+                assert main(["monitor", str(observers)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(300)  # first-use caches
+        short, long = peak(2_000), peak(20_000)
+        assert long <= 1.5 * short, (short, long)

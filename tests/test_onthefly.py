@@ -17,7 +17,12 @@ from critnet import (
     straddle_test,
 )
 from genutil import random_network
-from oracles import naive_first_straddle, project_observer, straddle_by_enumeration
+from oracles import (
+    check_aggregate_observer,
+    naive_first_straddle,
+    project_observer,
+    straddle_by_enumeration,
+)
 
 
 def fz(*names):
@@ -141,8 +146,6 @@ class TestRunOnTheFly:
         assert checked >= 10
 
     def test_verdict_matches_composed_bank_scan(self):
-        from critnet import check_aggregate_observer
-
         rng = random.Random(503)
         for _ in range(40):
             net = random_network(rng, max_members=3, max_states=4)

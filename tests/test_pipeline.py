@@ -12,7 +12,6 @@ from critnet import (
     Network,
     build_decentralized,
     build_observer,
-    check_aggregate_observer,
     check_observable,
     compose_decentralized,
     ledger_for_observers,
@@ -22,6 +21,7 @@ from critnet import (
 )
 from conftest import make_fsm_a
 from genutil import random_fsm, random_network, renamed_copy, with_duplicates
+from oracles import check_aggregate_observer
 
 
 def fz(*names):

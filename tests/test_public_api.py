@@ -18,16 +18,15 @@ PUBLIC = {
     "InvalidInputError", "IsoWitness", "MalformedFsmError", "MonitorSession",
     "Network", "ObserverFsm", "OnTheFlyOutcome", "PipelineReport",
     "PreservationReport", "StepRecord", "Verdict", "Word", "bisim_check",
-    "build_decentralized", "build_observer", "check_aggregate_observer",
-    "check_observable", "compose_decentralized", "compose_many",
-    "compose_network", "export_dot", "in_language", "is_iso_witness",
-    "iso_check", "largest_bisimulation", "ledger_for_observers",
-    "ledger_for_outcome", "parse_network", "parse_observers",
-    "preservation_check", "product_state_name", "quotient_network",
-    "run_algorithm1", "run_algorithm3", "run_onthefly", "run_onthefly_report",
-    "sampled_runs_agree", "serialize_network", "serialize_observer",
-    "start_session", "state_text", "step", "straddle_test", "tuple_parts",
-    "validate_critical_observer",
+    "build_decentralized", "build_observer", "check_observable",
+    "compose_decentralized", "compose_many", "compose_network", "export_dot",
+    "in_language", "is_iso_witness", "iso_check", "largest_bisimulation",
+    "ledger_for_observers", "ledger_for_outcome", "parse_network",
+    "parse_observers", "preservation_check", "product_state_name",
+    "quotient_network", "run_algorithm1", "run_algorithm3", "run_onthefly",
+    "run_onthefly_report", "sampled_runs_agree", "serialize_network",
+    "serialize_observer", "start_session", "state_text", "step",
+    "straddle_test", "tuple_parts", "validate_critical_observer",
 }
 
 
