@@ -153,16 +153,16 @@ def _cmd_monitor(args) -> int:
     for path in args.observers:
         locals_.extend(parse_observers(_read(path)))
     session = start_session(locals_)
-    if args.events != "-":
-        name, stream = args.events, open(args.events, "rb")
-    else:
+    live = args.events == "-"
+    if live:
         name, stream = "<stdin>", getattr(sys.stdin, "buffer", None)
+    else:
+        name, stream = args.events, open(args.events, "rb")
     # Each line is decoded on its own, as UTF-8 whatever the locale, so an
     # undecodable line ends the stream after the events before it. A text
     # stream standing in for stdin is read as it is. Stdin may be live, so
     # each of its records is flushed before the next event is awaited.
     lines = sys.stdin if stream is None else map(bytes.decode, stream)
-    live = args.events == "-"
     write, flush = sys.stdout.write, sys.stdout.flush
     try:
         for line in session.lines(_events(lines)):
@@ -176,7 +176,7 @@ def _cmd_monitor(args) -> int:
         message = f"{name}: not valid UTF-8 after {session.steps} events ({e.reason})"
         raise InvalidInputError(message) from None
     finally:
-        if args.events != "-":
+        if not live:
             stream.close()
     return 0
 

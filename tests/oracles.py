@@ -153,7 +153,7 @@ def check_aggregate_observer(
     """
     for z in composed.states:
         parts = z if isinstance(z, tuple) else (z,)
-        if straddle_by_enumeration(parts, tuple(criticals)):
+        if straddle_by_enumeration(parts, criticals):
             return Verdict(False, z)
     return Verdict(True)
 
