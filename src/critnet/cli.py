@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .compose import Network, compose_network
 from .equivalence import preservation_check, quotient_network
-from .errors import CritnetError, DesyncError, InvalidInputError
+from .errors import CritnetError, DesyncError, FormatError, InvalidInputError
 from .monitor import start_session
 from .netio import (
     export_dot,
@@ -43,6 +43,15 @@ def _read(path: str) -> str:
         raise InvalidInputError(message) from None
 
 
+def _parse(parse, path: str):
+    """``parse`` of the file at ``path``; a format error names the file."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
 def _resolve_budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         budget = args.budget
@@ -60,7 +69,7 @@ def _resolve_budget(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    network = parse_network(_read(args.file))
+    network = _parse(parse_network, args.file)
     budget = _resolve_budget(args)
     if args.algorithm == "1":
         report = run_algorithm1(network, budget)
@@ -97,7 +106,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    network = parse_network(_read(args.file))
+    network = _parse(parse_network, args.file)
     reduced, classes = quotient_network(network)
     print(f"# reduced {len(network.members)} members to {len(reduced.members)}")
     for cls, rep in zip(classes.classes, classes.representatives):
@@ -107,7 +116,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    network = parse_network(_read(args.file))
+    network = _parse(parse_network, args.file)
     report = run_algorithm3(network, _resolve_budget(args))
     if not report.verdict.observable:
         print(
@@ -131,7 +140,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    network = parse_network(_read(args.file))
+    network = _parse(parse_network, args.file)
     composed = compose_network(network, _resolve_budget(args))
     print(serialize_network(Network((("composed", composed),))), end="")
     return 0
@@ -151,7 +160,7 @@ def _events(stream):
 def _cmd_monitor(args) -> int:
     locals_: list = []
     for path in args.observers:
-        locals_.extend(parse_observers(_read(path)))
+        locals_.extend(_parse(parse_observers, path))
     session = start_session(locals_)
     live = args.events == "-"
     if live:
@@ -182,14 +191,14 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    network = parse_network(_read(args.file))
+    network = _parse(parse_network, args.file)
     for name, m in network.members:
         print(export_dot(m, name), end="")
     return 0
 
 
 def _cmd_preserve(args) -> int:
-    network = parse_network(_read(args.file))
+    network = _parse(parse_network, args.file)
     budget = _resolve_budget(args)
     report = preservation_check(
         network, runs=args.runs, max_len=args.length, seed=args.seed, max_states=budget

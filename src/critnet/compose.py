@@ -113,11 +113,14 @@ def product_state_name(member_states: Sequence[str]) -> str:
 
 def owners_by_label(members: Iterable) -> list[tuple[str, tuple[int, ...]]]:
     """Sorted (label, indices of the members owning it); members have ``alphabet``."""
-    alphabets = [m.alphabet for m in members]
-    return [
-        (label, tuple(i for i, a in enumerate(alphabets) if label in a))
-        for label in sorted(set().union(*alphabets))
-    ]
+    owners: dict[str, tuple[int, ...]] = {}
+    for i, m in enumerate(members):
+        for label in m.alphabet:
+            if label in owners:
+                owners[label] += (i,)
+            else:
+                owners[label] = (i,)
+    return sorted(owners.items())
 
 
 def check_budget(count: int, max_states: int | None, budget_message: str) -> None:
@@ -158,7 +161,7 @@ def explore(
     while frontier:
         if on_generation is not None:
             on_generation(generation, len(frontier), len(seen))
-        if key is not None:
+        if key is not None and len(frontier) > 1:
             frontier.sort(key=key)
         next_frontier = []
         push = next_frontier.append

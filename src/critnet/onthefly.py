@@ -6,13 +6,21 @@ aggregate whose combined estimate straddles the critical boundary settles
 the question immediately: not observable, stop. If exploration drains the
 frontier instead, the recorded pieces already span the projected local
 observers and the network is observable.
+
+An aggregate is one int: the count of members whose estimate lies inside
+their critical set, above it the count of those whose estimate touches it,
+then one field per member, member 0 highest, n bits wide for n states, which
+holds any estimate id. Each label memoizes, by its owners' fields, the delta
+a move adds to fields and counts, or None when it is blocked, so a move is
+one AND, one lookup and one add. A label every member owns steps each member
+through its own memo instead, as its memo key would be the whole aggregate.
+The moves a memo first yields are logged and decoded after the walk.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import getitem
 
 from .compose import Network, explore, owners_by_label
 from .observer import EstimateTable, ObserverFsm, Verdict
@@ -71,77 +79,122 @@ def run_onthefly(
     ``on_generation`` callback receives (generation index, frontier size,
     aggregates seen so far) at the start of each generation.
 
-    Each member's estimates live in its own lazily built ``EstimateTable``,
-    so aggregates are tuples of int ids and every member step is computed
-    once per estimate. Estimates reappear only in the outcome.
+    Each member's estimates live in its own lazily built ``EstimateTable``;
+    an aggregate packs their ids into one int (see the module docstring)
+    and sorts by the estimates' cached keys. A member's witnessed
+    transitions are its part of the logged moves, in order, and its
+    witnessed states their targets after id 0; the move into the witness is
+    never logged. Estimates reappear only in the outcome.
     """
     machines = network.machines
-    tables = [EstimateTable(m) for m in machines]
-    keys = [t.keys for t in tables]
-    touches = [t.touches for t in tables]
-    contained = [t.contained for t in tables]
-    owners = owners_by_label(machines)
-    rec_states: list[dict[int, None]] = [{0: None} for _ in machines]
-    rec_trans: list[dict[tuple[int, str], int]] = [{} for _ in machines]
+    n = len(machines)
+    width = n.bit_length()
+    inside = (1 << width) - 1
+    # Per member (built from the last, so member 0 gets the highest field):
+    # its table, field mask and shift, and the recorded moves
+    # {(id, label): id} and kept ids, both in first-recorded order.
+    fields, shift, initial = [], 2 * width, 0
+    for m in reversed(machines):
+        t = EstimateTable(m)
+        fields.append((t, ((1 << len(m.states)) - 1) << shift, shift, {}, {0: None}))
+        shift += len(m.states)
+        initial += (t.touches[0] << width) + t.contained[0]
+    fields.reverse()
 
-    def expand(agg: tuple[int, ...]):
-        rows = list(map(EstimateTable.row, tables, agg))
-        for label, members in owners:
-            parts = list(agg)
-            for i in members:
-                image = rows[i].get(label)
-                if image is None:
+    def step(agg: int, label: str, owners) -> int | None:
+        delta = 0
+        for t, mask, shift, _, _ in owners:
+            z = (agg & mask) >> shift
+            y = (t.rows[z] or t.row(z)).get(label)
+            if y is None:
+                return None
+            delta += ((y - z) << shift) + ((t.touches[y] - t.touches[z]) << width)
+            delta += t.contained[y] - t.contained[z]
+        return delta
+
+    moves = []
+    for label, members in owners_by_label(machines):
+        mask, owners = 0, ()
+        for i in members:
+            mask += fields[i][1]
+            owners += (fields[i],)
+        if n == 1 or len(members) < n:
+            moves.append((label, mask, {}, owners))
+        else:
+            moves.append((label, None, [(f[1], {}, (f,)) for f in owners], owners))
+    log = []
+
+    def expand(agg: int):
+        for label, mask, memo, owners in moves:
+            if mask is not None:
+                delta = memo.get(agg & mask, step)
+                if delta is step:
+                    delta = memo[agg & mask] = step(agg, label, owners)
+                    if delta is not None:
+                        yield agg + delta
+                        log.append((agg, agg + delta, owners, label))
+                elif delta is not None:
+                    yield agg + delta
+                continue
+            # A part is memoized once a move using it is resumed, so a miss
+            # marks a first recording even after the label was blocked.
+            delta, fresh = 0, []
+            for mask, own, one in memo:
+                part = own.get(agg & mask, step)
+                if part is step:
+                    part = step(agg, label, one)
+                    fresh.append((own, agg & mask, part))
+                if part is None:
+                    own[agg & mask] = None
                     break
-                parts[i] = image
+                delta += part
             else:
-                successor = tuple(parts)
-                yield successor
-                for i in members:
-                    rec_states[i][successor[i]] = None
-                    rec_trans[i][(agg[i], label)] = successor[i]
+                yield agg + delta
+                if fresh:
+                    for own, key, part in fresh:
+                        own[key] = part
+                    log.append((agg, agg + delta, owners, label))
 
-    def straddles(agg: tuple[int, ...]) -> bool:
-        # straddle_test's closed form, over every member's flags.
-        return any(map(getitem, touches, agg)) and not any(
-            map(getitem, contained, agg)
-        )
+    def key(agg: int) -> tuple:
+        keys = []
+        for t, mask, shift, _, _ in fields:
+            keys.append(t.keys[(agg & mask) >> shift])
+        return tuple(keys)
 
     # Every table interns its member's initial estimate as id 0. The initial
     # aggregate is never straddle-tested: construction forces each member's
     # initial states to one side of its critical set, which puts the initial
     # product wholly on one side too.
     seen, witness, generations = explore(
-        ((0,) * len(machines),),
+        (initial,),
         expand,
         max_states,
         "exploration exceeded {} aggregates",
-        key=lambda agg: tuple(map(getitem, keys, agg)),
-        stop=straddles,
+        key=key,
+        stop=lambda agg: agg & inside << width and not agg & inside,
         on_generation=on_generation,
     )
+    for src, dst, owners, label in log:
+        for _, mask, shift, recorded, kept in owners:
+            kept.setdefault((dst & mask) >> shift)
+            recorded.setdefault(((src & mask) >> shift, label), (dst & mask) >> shift)
     if witness is None:
         verdict = Verdict(True)
         locals_ = tuple(
-            (name, _finalize_local(t, kept))
-            for name, t, kept in zip(network.names, tables, rec_states)
+            (name, _finalize_local(f[0], f[4])) for name, f in zip(network.names, fields)
         )
     else:
-        verdict = Verdict(False, tuple(t.estimates[z] for t, z in zip(tables, witness)))
+        verdict = Verdict(False, tuple(t.estimates[(witness & m) >> s] for t, m, s, _, _ in fields))
         locals_ = None
     return OnTheFlyOutcome(
         verdict=verdict,
         locals=locals_,
         aggregates_seen=len(seen),
         generations=generations,
-        witnessed_states=tuple(
-            tuple(t.estimates[z] for z in d) for t, d in zip(tables, rec_states)
-        ),
+        witnessed_states=tuple(tuple(t.estimates[z] for z in kept) for t, _, _, _, kept in fields),
         witnessed_transitions=tuple(
-            tuple(
-                (t.estimates[src], label, t.estimates[dst])
-                for (src, label), dst in d.items()
-            )
-            for t, d in zip(tables, rec_trans)
+            tuple((t.estimates[src], label, t.estimates[dst]) for (src, label), dst in d.items())
+            for t, _, _, d, _ in fields
         ),
     )
 

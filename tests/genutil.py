@@ -21,8 +21,9 @@ def random_fsm(
     density: float = 0.55,
     critical_bias: float = 0.35,
     multi_initial: bool = True,
+    min_states: int = 1,
 ) -> Fsm:
-    n = rng.randint(1, max_states)
+    n = rng.randint(min_states, max_states)
     states = [f"q{i}" for i in range(n)]
     if alphabet is None:
         alphabet = rng.sample(SHARED_POOL, rng.randint(1, max_labels))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 from critnet import DecentralizedObserver, Fsm, Network, ObserverFsm, Verdict, build_observer
 
@@ -71,30 +72,49 @@ def naive_subset_order(m: Fsm) -> list[frozenset[str]]:
     return order
 
 
-def naive_first_straddle(
-    net: Network,
-) -> tuple[tuple[frozenset[str], ...] | None, list[list[frozenset[str]]]]:
+class NaiveRun(NamedTuple):
+    """What ``naive_first_straddle`` found, in the on-the-fly outcome's terms."""
+
+    witness: tuple[frozenset[str], ...] | None
+    states: list[list[frozenset[str]]]
+    moves: list[list[tuple[frozenset[str], str, frozenset[str]]]]
+    stored: int
+    generations: list[tuple[int, int, int]]
+
+
+def naive_first_straddle(net: Network) -> NaiveRun:
     """Generation-sorted breadth-first search over aggregates.
 
     Within a generation aggregates go in order of their members' estimate
     keys (size, then sorted state names), labels in sorted order. Returns
     the first fresh aggregate whose expanded product straddles the critical
-    boundary (None if there is none) and, per member, the estimates reached
-    through labels it owns, in first-reached order after its initial one.
-    The initial aggregate is never tested.
+    boundary (None if there is none); per member, the estimates reached
+    through labels it owns, in first-reached order after its initial one,
+    and the moves (source, label, target) it took, in first-taken order;
+    the number of aggregates stored; and (generation, frontier size,
+    aggregates stored) at the start of each generation. The initial
+    aggregate is never tested, and the move into the straddling aggregate
+    is not taken.
     """
     machines = [m for _, m in net.members]
     criticals = tuple(m.critical for m in machines)
     labels = sorted(set().union(*(m.alphabet for m in machines)))
     init = tuple(frozenset(m.initial) for m in machines)
     recorded = [[z] for z in init]
+    moves: list[dict[tuple[frozenset[str], str], frozenset[str]]] = [{} for _ in machines]
+    generations: list[tuple[int, int, int]] = []
 
     def key(agg):
         return tuple((len(z), tuple(sorted(z))) for z in agg)
 
+    def result(witness):
+        taken = [[(src, label, dst) for (src, label), dst in d.items()] for d in moves]
+        return NaiveRun(witness, recorded, taken, len(seen), generations)
+
     seen = {init}
     frontier = [init]
     while frontier:
+        generations.append((len(generations), len(frontier), len(seen)))
         nxt = []
         for agg in sorted(frontier, key=key):
             for label in labels:
@@ -106,14 +126,16 @@ def naive_first_straddle(
                     continue
                 if succ not in seen:
                     if straddle_by_enumeration(succ, criticals):
-                        return succ, recorded
+                        return result(succ)
                     seen.add(succ)
                     nxt.append(succ)
                 for i, m in enumerate(machines):
-                    if label in m.alphabet and succ[i] not in recorded[i]:
-                        recorded[i].append(succ[i])
+                    if label in m.alphabet:
+                        moves[i].setdefault((agg[i], label), succ[i])
+                        if succ[i] not in recorded[i]:
+                            recorded[i].append(succ[i])
         frontier = nxt
-    return None, recorded
+    return result(None)
 
 
 def estimates_by_word(m: Fsm, max_len: int) -> dict[tuple[str, ...], frozenset[str]]:

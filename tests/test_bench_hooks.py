@@ -160,3 +160,28 @@ def test_benchmark_oracle_agrees_with_algorithm_1(monkeypatch):
         verdicts.append(verdict)
     assert len(verdicts) == toy["networks"]
     assert True in verdicts and False in verdicts
+
+
+def test_traced_toy_chain_check_visits_every_aggregate(monkeypatch, tmp_path, capsys):
+    # The benchmark rejects a traced `chain` run unless each exploration
+    # visits all 3^k aggregates; k = 3 here.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    _bench_module(monkeypatch, "model")
+    workloads = _bench_module(monkeypatch, "workloads")
+    spec = workloads.build_chain(1, **workloads.SIZES["chain"]["toy"])
+    assert workloads.SIZES["chain"]["toy"]["k"] == 3 and spec.aggregates == 27
+    net = tmp_path / "chain.net"
+    net.write_text(spec.files["chain.net"], encoding="utf-8")
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = tracer.call_job(0, critnet.cli.main, ["check", str(net)])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and "verdict: observable" in capsys.readouterr().out
+    explored = [
+        tracer.counts[i]["aggregates"]
+        for i, span in enumerate(tracer.spans)
+        if span[0] == "onthefly.run_onthefly"
+    ]
+    assert explored == [27]

@@ -312,6 +312,18 @@ class TestErrors:
         assert main(["check", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_format_error_names_its_file(self, tmp_path, capsys, fsm_a):
+        good = tmp_path / "a.obs"
+        good.write_text(serialize_observer("A", build_observer(fsm_a)), encoding="utf-8")
+        bad = tmp_path / "b.dot"
+        bad.write_text('digraph "B" {\n}\n', encoding="utf-8")
+        events = tmp_path / "events.txt"
+        events.write_text("a\n", encoding="utf-8")
+        assert main(["monitor", str(good), str(bad), "--events", str(events)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {bad}: line 1: 'digraph' before any observer section\n"
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 

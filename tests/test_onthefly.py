@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,7 @@ from critnet import (
     run_onthefly,
     straddle_test,
 )
-from genutil import random_network
+from genutil import SHARED_POOL, random_fsm, random_network
 from oracles import (
     check_aggregate_observer,
     naive_first_straddle,
@@ -27,6 +28,18 @@ from oracles import (
 
 def fz(*names):
     return frozenset(names)
+
+
+def _network(rng, members, common, **fsm):
+    """Random members over shared and private labels; with ``common`` all own "a"."""
+    machines = []
+    for i in range(members):
+        pool = SHARED_POOL[1:] if common else SHARED_POOL
+        alphabet = rng.sample(pool, rng.randint(1, 2)) + (["a"] if common else [])
+        if rng.random() < 0.4:
+            alphabet.append(f"p{i}")
+        machines.append((f"M{i + 1}", random_fsm(rng, alphabet=alphabet, **fsm)))
+    return Network(tuple(machines))
 
 
 class TestStraddleTest:
@@ -180,12 +193,69 @@ class TestAgainstNaiveSearch:
         for _ in range(240):
             net = random_network(rng, max_members=4, max_states=5)
             out = run_onthefly(net)
-            witness, recorded = naive_first_straddle(net)
+            witness, recorded = naive_first_straddle(net)[:2]
             assert out.verdict.witness == witness
             assert out.verdict.observable == (witness is None)
             assert [list(states) for states in out.witnessed_states] == recorded
             refuted += witness is not None
         assert refuted >= 30
+
+    def test_outcome_matches_naive_bfs_on_wide_and_shared_networks(self):
+        # Small random networks; networks where every member owns "a"; and
+        # networks of 5-6 members with 11-12 states each, whose packed
+        # aggregates are wider than 64 bits. Members may start in two states.
+        rng = random.Random(507)
+        seen = Counter()
+        for k in range(600):
+            if k % 3 == 0:
+                net = random_network(rng, max_members=4, max_states=5)
+            elif k % 3 == 1:
+                net = _network(rng, rng.randint(2, 4), True, max_states=5)
+            else:
+                common = rng.random() < 0.5
+                net = _network(rng, rng.randint(5, 6), common, max_states=12, min_states=11)
+            try:
+                out = run_onthefly(net, max_states=500)
+            except BudgetExceededError:
+                seen["over budget"] += 1
+                continue
+            naive = naive_first_straddle(net)
+            assert out.verdict.witness == naive.witness
+            assert out.verdict.observable == (naive.witness is None)
+            assert [list(states) for states in out.witnessed_states] == naive.states
+            assert [list(moves) for moves in out.witnessed_transitions] == naive.moves
+            assert out.aggregates_seen == naive.stored
+            seen["refuted" if naive.witness else "observable"] += 1
+            members = net.machines
+            seen["common"] += len(members) > 1 and all("a" in m.alphabet for m in members)
+            seen["two initial"] += any(len(m.initial) == 2 for m in members)
+            width = 2 * len(members).bit_length() + sum(len(m.states) for m in members)
+            seen["over 64 bits"] += width > 64 and naive.stored > 1
+        assert seen["over budget"] <= 40
+        assert seen["refuted"] + seen["observable"] >= 500
+        assert seen["refuted"] >= 100 and seen["observable"] >= 300
+        assert seen["common"] >= 250 and seen["two initial"] >= 300
+        assert seen["over 64 bits"] >= 50
+
+    def test_generations_and_budget_point_match_naive_bfs(self):
+        rng = random.Random(508)
+        checked = 0
+        for _ in range(200):
+            net = random_network(rng, max_members=4, max_states=5)
+            naive = naive_first_straddle(net)
+            calls = []
+            run_onthefly(net, naive.stored, lambda *call: calls.append(call))
+            assert calls == naive.generations
+            if naive.stored < 2:
+                continue
+            checked += 1
+            calls.clear()
+            budget = naive.stored - 1
+            message = f"^exploration exceeded {budget} aggregates$"
+            with pytest.raises(BudgetExceededError, match=message):
+                run_onthefly(net, budget, lambda *call: calls.append(call))
+            assert calls == [g for g in naive.generations if g[2] < naive.stored]
+        assert checked >= 100
 
     def test_budget_counts_every_stored_aggregate(self):
         rng = random.Random(506)
