@@ -6,25 +6,25 @@ otherwise it blocks. A product state is critical as soon as one component is.
 
 ``explore`` is the one breadth-first kernel behind every synchronous product
 in the package: the plant here, the observer bank and the on-the-fly
-aggregates elsewhere. ``compose_many`` walks tuples of member state ids
-(``Fsm.int_moves``) and hands the product over as an int table of the same
-layout, its states numbered in discovery order. It names each product state
-once, at the end, as "(x1,x2,...,xN)". A member's states are flattened into
-that name only when all of them split (``tuple_parts``) into the same
-number of parts, which every product does; otherwise they stay whole, so
-"(x,y)" next to "x" keeps distinct names. Re-composing a composed machine,
-in memory or read back from a file, thus flattens again, and association
-order changes neither state names nor structure. Member state names are
-assumed free of commas outside brackets and of unbalanced brackets.
+aggregates elsewhere. ``compose_many`` walks product states packed into
+ints through per-(label, owner) delta tables and hands the product over as
+an int table (``Fsm.int_moves``), its states numbered in discovery order.
+It names each product state once, at the end, as "(x1,x2,...,xN)". A
+member's states are flattened into that name only when all of them split
+(``tuple_parts``) into the same number of parts, which every product does;
+otherwise they stay whole, so "(x,y)" next to "x" keeps distinct names.
+Re-composing a composed machine, in memory or read back from a file, thus
+flattens again, and association order changes neither state names nor
+structure. Member state names are assumed free of commas outside brackets
+and of unbalanced brackets.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from math import inf
-from operator import getitem
 
 from .errors import BudgetExceededError, InvalidInputError, MalformedFsmError
 from .fsm import Fsm
@@ -179,6 +179,16 @@ def explore(
     return list(seen), None, generation
 
 
+def field_layout(widths: Sequence[int], low: int = 0) -> list[tuple[int, int]]:
+    """Per member, (mask, shift) of its ``widths[i]`` bits in a packed int,
+    member 0 highest, all above the lowest ``low`` bits."""
+    layout, shift = [], low + sum(widths)
+    for width in widths:
+        shift -= width
+        layout.append((((1 << width) - 1) << shift, shift))
+    return layout
+
+
 def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     """Accessible part of the synchronous product of the given machines.
 
@@ -187,6 +197,12 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     machine's own states. The product is valid by construction, so its
     table goes to ``Fsm._trusted`` by position, without the public
     constructor's checks.
+
+    A product state is one int with a field of state ids per member
+    (``field_layout``). Each (label, owner) table maps the owner's masked
+    field to None (blocked), the delta of its one move, or a tuple of deltas
+    in ascending target order; nondeterministic owners combine in
+    ``itertools.product`` order, so states are found in member-id order.
     """
     if not machines:
         raise InvalidInputError("nothing to compose")
@@ -196,51 +212,76 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
 
     owners = owners_by_label(machines)
     states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
+    layout = field_layout([(len(states) - 1).bit_length() or 1 for states in states_of])
+    steps = []
+    for label, members in owners:
+        tables = []
+        for i in members:
+            mask, shift = layout[i]
+            table = {}
+            tables.append((mask, table))
+            for z, row in enumerate(rows_of[i]):
+                ys = row.get(label)
+                if ys is None:
+                    table[z << shift] = None
+                elif len(ys) == 1:
+                    table[z << shift] = (ys[0] - z) << shift
+                else:
+                    table[z << shift] = tuple((y - z) << shift for y in ys)
+        steps.append((label, tables))
     # The kernel expands states in the order it stores them, so moves[p]
-    # is the row of product state p.
-    moves: list[dict[str, list[tuple[int, ...]]]] = []
+    # is the row of product state p: per label, its one target or a list.
+    moves: list[dict[str, int | list[int]]] = []
 
-    def expand(ids: tuple[int, ...]):
-        rows = list(map(getitem, rows_of, ids))
-        unmoved = [(i,) for i in ids]
-        row: dict[str, list[tuple[int, ...]]] = {}
-        moves.append(row)
-        for label, members in owners:
-            choices = unmoved.copy()
-            for i in members:
-                image = rows[i].get(label)
-                if image is None:
+    def expand(s: int):
+        moves.append(row := {})
+        for label, tables in steps:
+            delta, split = 0, ()
+            for mask, table in tables:
+                d = table[s & mask]
+                if d is None:
                     break
-                choices[i] = image
+                if d.__class__ is int:
+                    delta += d
+                else:
+                    split += (d,)
             else:
+                if not split:
+                    yield s + delta
+                    row[label] = s + delta
+                    continue
                 row[label] = targets = []
-                for successor in product(*choices):
-                    yield successor
-                    targets.append(successor)
+                for ds in product(*split):
+                    yield (t := s + delta + sum(ds))
+                    targets.append(t)
 
-    initial = list(product(*([i for i, (_, init) in enumerate(f) if init] for f in flags_of)))
+    starts = [[z for z, (_, init) in enumerate(flags) if init] for flags in flags_of]
+    initial = [sum(z << shift for z, (_, shift) in zip(ids, layout)) for ids in product(*starts)]
     reached, _, _ = explore(initial, expand, max_states, "product exceeded {} states")
 
-    # Each member state is split into its parts once, however many product
-    # states it appears in; see the module docstring for when it splits.
-    flat = []
-    for states in states_of:
-        parts = list(map(tuple_parts, states))
-        flat.append(parts if len(set(map(len, parts))) == 1 else [(x,) for x in states])
-    names = ["(" + ",".join(chain.from_iterable(map(getitem, flat, ids))) + ")" for ids in reached]
+    # A member's states are split into their parts once, and only if a name
+    # has a bracket; see the module docstring for when they split.
+    texts, critical = [], []
+    for states, flags, (mask, shift) in zip(states_of, flags_of, layout):
+        parts = list(map(tuple_parts, states)) if "(" in "".join(states) else ()
+        text = list(map(",".join, parts)) if len(set(map(len, parts))) == 1 else states
+        ids = [(s & mask) >> shift for s in reached]
+        texts.append([text[z] for z in ids])
+        critical.append([flags[z][0] for z in ids])
+    names = ["(" + ",".join(x) + ")" for x in zip(*texts)]
     if len(set(names)) != len(names):
         seen: set[str] = set()
         clash = next(x for x in names if x in seen or seen.add(x))
         raise MalformedFsmError(f"product name collision at {clash!r}")
-    position = {ids: p for p, ids in enumerate(reached)}
+    position = dict(zip(reached, range(len(reached))))
     rows = [
-        {label: tuple(sorted(map(position.__getitem__, t))) for label, t in row.items()}
+        {
+            label: (position[t],) if t.__class__ is int else tuple(sorted(map(position.get, t)))
+            for label, t in row.items()
+        }
         for row in moves
     ]
-    flags = [
-        (any(f[i][0] for f, i in zip(flags_of, ids)), p < len(initial))
-        for p, ids in enumerate(reached)
-    ]
+    flags = [(any(c), p < len(initial)) for p, c in enumerate(zip(*critical))]
     return Fsm._trusted(names, {label for label, _ in owners}, rows, flags)
 
 

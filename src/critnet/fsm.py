@@ -21,7 +21,7 @@ empty word, so no machine may use it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, MalformedFsmError
 
@@ -157,14 +157,6 @@ class Fsm:
             return _EMPTY
         names, rows, _ = self._table
         return frozenset([names[j] for j in rows[i].get(label, ())])
-
-    def moves(self, state: str) -> Mapping[str, frozenset[str]]:
-        """All outgoing transitions of a state, keyed by label in sorted order."""
-        i = self._index.get(state)
-        if i is None:
-            return {}
-        names, rows, _ = self._table
-        return {a: frozenset([names[j] for j in ys]) for a, ys in rows[i].items()}
 
     def transitions(self) -> Iterator[tuple[str, str, str]]:
         """Iterate transition triples (src, label, dst) in canonical order."""

@@ -9,12 +9,13 @@ observers and the network is observable.
 
 An aggregate is one int: the count of members whose estimate lies inside
 their critical set, above it the count of those whose estimate touches it,
-then one field per member, member 0 highest, n bits wide for n states, which
-holds any estimate id. Each label memoizes, by its owners' fields, the delta
-a move adds to fields and counts, or None when it is blocked, so a move is
-one AND, one lookup and one add. A label every member owns steps each member
-through its own memo instead, as its memo key would be the whole aggregate.
-The moves a memo first yields are logged and decoded after the walk.
+then one field per member (``compose.field_layout``, member 0 highest), n
+bits wide for n states, which holds any estimate id. Each label memoizes, by
+its owners' fields, the delta a move adds to fields and counts, or None when
+it is blocked, so a move is one AND, one lookup and one add. A label every
+member owns steps each member through its own memo instead, as its memo key
+would be the whole aggregate. The moves a memo first yields are logged and
+decoded after the walk.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .compose import Network, explore, owners_by_label
+from .compose import Network, explore, field_layout, owners_by_label
 from .observer import EstimateTable, ObserverFsm, Verdict
 
 
@@ -90,16 +91,12 @@ def run_onthefly(
     n = len(machines)
     width = n.bit_length()
     inside = (1 << width) - 1
-    # Per member (built from the last, so member 0 gets the highest field):
-    # its table, field mask and shift, and the recorded moves
+    # Per member: its table, field mask and shift, and the recorded moves
     # {(id, label): id} and kept ids, both in first-recorded order.
-    fields, shift, initial = [], 2 * width, 0
-    for m in reversed(machines):
-        t = EstimateTable(m)
-        fields.append((t, ((1 << len(m.states)) - 1) << shift, shift, {}, {0: None}))
-        shift += len(m.states)
-        initial += (t.touches[0] << width) + t.contained[0]
-    fields.reverse()
+    tables = [EstimateTable(m) for m in machines]
+    layout = field_layout([len(m.states) for m in machines], 2 * width)
+    fields = [(t, mask, shift, {}, {0: None}) for t, (mask, shift) in zip(tables, layout)]
+    initial = sum((t.touches[0] << width) + t.contained[0] for t in tables)
 
     def step(agg: int, label: str, owners) -> int | None:
         delta = 0

@@ -100,6 +100,25 @@ def test_traced_baseline_counts_the_composed_bank(capsys):
     assert seconds > 0 and counts["bank_states"] > 0
 
 
+def test_traced_compose_counts_the_printed_product(capsys):
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        code = tracer.call_job(0, critnet.cli.main, ["compose", str(ROOT / "demos/data/line.net")])
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr()
+    assert code == 0 and "not traced" not in out.err
+    (_, printed), = parse_network(out.out).members
+    composed = [
+        tracer.counts[i]
+        for i, span in enumerate(tracer.spans)
+        if span[0] == "compose.compose_network"
+    ]
+    assert len(composed) == 1
+    assert composed[0]["product_states"] == len(printed.states) > 1
+
+
 def test_traced_monitor_records_one_span_per_event(tmp_path, capsys):
     net = str(ROOT / "demos/data/line.net")
     assert critnet.cli.main(["synth", net, "--out", str(tmp_path)]) == 0

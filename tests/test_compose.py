@@ -22,6 +22,7 @@ from critnet import (
 from conftest import make_fsm_a, make_fsm_b
 from genutil import random_fsm, random_network
 from oracles import extended_delta, naive_compose, project_word
+from product_oracle import tuple_product_table
 
 
 class TestNetwork:
@@ -297,6 +298,108 @@ class TestTrustedConstruction:
         assert checked >= 20
 
 
+class TestPackedWalkAgainstReference:
+    """The packed-int walk returns the tuple walk's table, state for state."""
+
+    SHAPES = ("single", "powers", "nondeterministic", "everyone", "two-initial", "nested")
+
+    def test_table_and_budget_match_the_tuple_walk(self):
+        rng = random.Random(1401)
+        pool: dict[int, list[Fsm]] = {}
+        seen = dict.fromkeys((*self.SHAPES, "wide"), 0)
+        branching = wide = 0
+        for k in range(560):
+            shape = "wide" if k % 14 == 13 else self.SHAPES[k % len(self.SHAPES)]
+            machines = _shaped_members(rng, shape, pool)
+            want = tuple_product_table(machines)
+            assert compose_many(machines).int_moves() == tuple(map(tuple, want)), (k, shape)
+            n = len(want[0])
+            with pytest.raises(BudgetExceededError) as expected:
+                tuple_product_table(machines, n - 1)
+            with pytest.raises(BudgetExceededError, match=f"^product exceeded {n - 1} states$"):
+                compose_many(machines, n - 1)
+            assert str(expected.value) == f"product exceeded {n - 1} states"
+            seen[shape] += 1
+            branching += max(_branching_owners(machines, a) for a in "ab") > 1
+            widths = sum((len(m.states) - 1).bit_length() or 1 for m in machines)
+            wide += widths > 64 and n > 1
+        assert sum(seen.values()) >= 500 and min(seen.values()) >= 40
+        assert branching >= 80 and wide >= 30
+
+
+def _branching_owners(machines, label):
+    """How many of ``machines`` have a state with two or more moves on ``label``."""
+    return sum(any(len(row.get(label, ())) > 1 for row in m.int_moves()[1]) for m in machines)
+
+
+def _shaped_member(rng, n, alphabet, initial=1, wide=0.3):
+    """A machine with exactly ``n`` states and ``min(initial, n)`` initial ones.
+
+    Above 64 states only the first 12 move and start, and mostly among
+    themselves, so that products of large members stay small.
+    """
+    states = [f"q{i}" for i in range(n)]
+    active = states[:12]
+    transitions = []
+    for s in active if n > 64 else states:
+        for a in alphabet:
+            if rng.random() < 0.6:
+                width = 2 if rng.random() < wide else 1
+                pick = active if n > 64 and rng.random() < 0.8 else states
+                transitions.extend((s, a, t) for t in rng.sample(pick, min(width, len(pick))))
+    start = rng.sample(active, min(initial, len(active)))
+    start_critical = rng.random() < 0.35
+    critical = [s for s in states if (start_critical if s in start else rng.random() < 0.35)]
+    return Fsm(states, start, alphabet, transitions, critical)
+
+
+def _shaped_members(rng, shape, pool):
+    """Two or more members of one shape: a ``SHAPES`` entry or "wide".
+
+    Members own "a" or "b" or both, and maybe a private label; in
+    "everyone" and "nondeterministic" every member owns "a". "wide" takes
+    5 to 8 members, sized so that the packed fields need more than 64 bits,
+    from ``pool``, which keeps 6 machines per field width.
+    """
+    count = rng.randint(2, 4)
+    sizes = [rng.randint(1, 4) for _ in range(count)]
+    initial, wide = 1, 0.3
+
+    def alphabet(i):
+        shared = rng.choice([["a"], ["b"], ["a", "b"]])
+        if shape in ("everyone", "nondeterministic") and "a" not in shared:
+            shared = ["a", *shared]
+        return shared + [f"p{i}"] * (rng.random() < 0.4)
+
+    if shape == "wide":
+        count = rng.randint(5, 8)
+        bits = -(-65 // count)
+        if bits not in pool:
+            low = 2 ** (bits - 1) + 1
+            pool[bits] = [
+                _shaped_member(rng, rng.randint(low, low + 63), alphabet(i)) for i in range(6)
+            ]
+        return [rng.choice(pool[bits]) for _ in range(count)]
+    if shape == "single":
+        sizes = [rng.choice([1, 1, 2, 3]) for _ in range(count)]
+    elif shape == "powers":
+        count = rng.randint(2, 3)
+        choices = [2, 3, 4, 5, 8, 9] + [16, 17] * (count == 2)
+        sizes = [rng.choice(choices) for _ in range(count)]
+    elif shape == "nondeterministic":
+        sizes, wide = [rng.randint(2, 4) for _ in range(count)], 0.8
+    elif shape == "two-initial":
+        sizes, initial = [rng.randint(2, 4) for _ in range(count)], 2
+    machines = [_shaped_member(rng, n, alphabet(i), initial, wide) for i, n in enumerate(sizes)]
+    if shape == "nested":
+        extra = rng.randint(1, 2)
+        machines = [compose_many(machines[:2]), *machines[2:]]
+        machines += [_shaped_member(rng, rng.randint(1, 3), alphabet(9)) for _ in range(extra)]
+        if len(machines) > 2 and rng.random() < 0.5:
+            machines = [compose_many(machines[:2]), *machines[2:]]
+    return machines
+
+
 def _assert_well_formed_table(m):
     names, rows, flags = m.int_moves()
     assert len(names) == len(set(names)) == len(rows) == len(flags)
@@ -319,12 +422,14 @@ def _renumbered(m, names):
 
 
 def _short_words(m, rng, count=10, max_len=4):
+    names, rows, _ = m.int_moves()
+    index = {x: i for i, x in enumerate(names)}
     words = []
     for _ in range(count):
         w = []
         states = frozenset(m.initial)
         for _ in range(rng.randint(0, max_len)):
-            options = sorted({label for x in states for label in m.moves(x)})
+            options = sorted({label for x in states for label in rows[index[x]]})
             if not options:
                 break
             label = rng.choice(options)
