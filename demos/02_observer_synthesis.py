@@ -14,8 +14,8 @@ cell = Fsm(["r", "s", "t"], ["r"], ["a"], [("r", "a", "s"), ("r", "a", "t")], ["
 for name, m in [("A", line), ("B", cell)]:
     obs = build_observer(m)
     print(f"observer of {name}:")
-    for z in obs.states:
-        mark = "flagged" if obs.output(z) else "quiet"
+    for z, flag in zip(obs.states, obs.flags):
+        mark = "flagged" if flag else "quiet"
         print(f"  state {state_text(z)} ({mark})")
     for src, label, dst in obs.transitions():
         print(f"  {state_text(src)} --{label}--> {state_text(dst)}")

@@ -128,6 +128,10 @@ def _cmd_synth(args) -> int:
     if args.out is None:
         print("\n".join(serialize_observer(n, obs) for n, obs in report.locals), end="")
         return 0
+    # Every name becomes files in --out: check them all before writing any.
+    for name, _ in report.locals:
+        if name in (".", "..") or Path(name).name != name:
+            raise InvalidInputError(f"member {name!r} is not a plain file name for --out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []

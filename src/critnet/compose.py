@@ -8,15 +8,15 @@ otherwise it blocks. A product state is critical as soon as one component is.
 in the package: the plant here, the observer bank and the on-the-fly
 aggregates elsewhere. ``compose_many`` walks product states packed into
 ints through per-(label, owner) delta tables and hands the product over as
-an int table (``Fsm.int_moves``), its states numbered in discovery order.
-It names each product state once, at the end, as "(x1,x2,...,xN)". A
-member's states are flattened into that name only when all of them split
-(``tuple_parts``) into the same number of parts, which every product does;
-otherwise they stay whole, so "(x,y)" next to "x" keeps distinct names.
-Re-composing a composed machine, in memory or read back from a file, thus
-flattens again, and association order changes neither state names nor
-structure. Member state names are assumed free of commas outside brackets
-and of unbalanced brackets.
+an int table (``Fsm.int_moves``). It names each product state once, at the
+end, as "(x1,x2,...,xN)", and numbers the states by those names, as ids
+follow sorted names in every machine. A member's states are flattened into
+that name only when all of them split (``tuple_parts``) into the same
+number of parts, which every product does; otherwise they stay whole, so
+"(x,y)" next to "x" keeps distinct names. Re-composing a composed machine,
+in memory or read back from a file, thus flattens again, and association
+order changes neither state names nor structure. Member state names are
+assumed free of commas outside brackets and of unbalanced brackets.
 """
 
 from __future__ import annotations
@@ -269,20 +269,22 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
         texts.append([text[z] for z in ids])
         critical.append([flags[z][0] for z in ids])
     names = ["(" + ",".join(x) + ")" for x in zip(*texts)]
-    if len(set(names)) != len(names):
-        seen: set[str] = set()
-        clash = next(x for x in names if x in seen or seen.add(x))
-        raise MalformedFsmError(f"product name collision at {clash!r}")
-    position = dict(zip(reached, range(len(reached))))
+    # Ids follow sorted names, and sorting puts any equal names side by side.
+    order = sorted(range(len(names)), key=names.__getitem__)
+    names = [names[p] for p in order]
+    for x, y in zip(names, names[1:]):
+        if x == y:
+            raise MalformedFsmError(f"product name collision at {x!r}")
+    position = {reached[p]: i for i, p in enumerate(order)}
     rows = [
         {
             label: (position[t],) if t.__class__ is int else tuple(sorted(map(position.get, t)))
-            for label, t in row.items()
+            for label, t in moves[p].items()
         }
-        for row in moves
+        for p in order
     ]
     flags = [(any(c), p < len(initial)) for p, c in enumerate(zip(*critical))]
-    return Fsm._trusted(names, {label for label, _ in owners}, rows, flags)
+    return Fsm._trusted(names, {label for label, _ in owners}, rows, [flags[p] for p in order])
 
 
 def compose_network(network: Network, max_states: int | None = None) -> Fsm:

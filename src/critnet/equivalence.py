@@ -43,19 +43,17 @@ def is_iso_witness(o1: ObserverFsm, o2: ObserverFsm, mapping: dict) -> bool:
     with the transitions: a move exists on one side exactly when its image
     exists on the other.
     """
-    if o1.alphabet != o2.alphabet:
-        return False
-    if set(mapping) != set(o1.states):
+    if o1.alphabet != o2.alphabet or set(mapping) != set(o1.states):
         return False
     if set(mapping.values()) != set(o2.states) or len(mapping) != len(o2.states):
         return False
-    if mapping[o1.initial] != o2.initial:
+    index = {z: j for j, z in enumerate(o2.states)}
+    image = [index[mapping[z]] for z in o1.states]
+    if image[o1.start] != o2.start:
         return False
-    for z in o1.states:
-        if o1.output(z) != o2.output(mapping[z]):
-            return False
-        image = {label: mapping[dst] for label, dst in o1.moves(z).items()}
-        if image != o2.moves(mapping[z]):
+    for i, j in enumerate(image):
+        row = {label: image[k] for label, k in o1.rows[i].items()}
+        if o1.flags[i] != o2.flags[j] or row != o2.rows[j]:
             return False
     return True
 
@@ -71,21 +69,21 @@ def iso_check(o1: ObserverFsm, o2: ObserverFsm) -> IsoWitness | None:
     """
     if o1.alphabet != o2.alphabet or len(o1.states) != len(o2.states):
         return None
-    mapping = {o1.initial: o2.initial}
-    frontier = deque([(o1.initial, o2.initial)])
+    image = {o1.start: o2.start}
+    frontier = deque([(o1.start, o2.start)])
     while frontier:
         x, y = frontier.popleft()
-        moves1, moves2 = o1.moves(x), o2.moves(y)
-        if o1.output(x) != o2.output(y) or moves1.keys() != moves2.keys():
+        row1, row2 = o1.rows[x], o2.rows[y]
+        if o1.flags[x] != o2.flags[y] or row1.keys() != row2.keys():
             return None
-        for label, a in moves1.items():
-            b = moves2[label]
-            if a not in mapping:
-                mapping[a] = b
+        for label, a in row1.items():
+            b = row2[label]
+            if a not in image:
+                image[a] = b
                 frontier.append((a, b))
-            elif mapping[a] != b:
+            elif image[a] != b:
                 return None
-    return IsoWitness(mapping)
+    return IsoWitness({o1.states[x]: o2.states[y] for x, y in image.items()})
 
 
 def _first_seen_ids(keys: list) -> tuple[list[int], int]:

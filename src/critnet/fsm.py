@@ -7,11 +7,11 @@ after construction and every operation here is a pure function.
 
 A machine is stored as one int table over state ids (``Fsm.int_moves``):
 per id a row ``{label: target ids}`` and a (critical, initial) flag pair.
-State names are looked up through one name -> id index, and appear again
-only when a caller asks for states, successors or transitions by name.
-Machines built through the public constructor, and so by the network
-parser, number their states in sorted-name order; composed products number
-theirs in discovery order.
+Every machine, parsed or composed, numbers its states in sorted-name order,
+so ascending ids are ascending names and the table alone is canonical:
+equality compares it, writers walk it in id order without sorting, and a
+name is found by bisecting the names. Names appear again only when a
+caller asks for states, successors or transitions.
 
 The public constructor checks every structural rule. Machines this package
 builds itself (composed products) hand over their table through
@@ -21,6 +21,7 @@ empty word, so no machine may use it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError, MalformedFsmError
@@ -45,7 +46,7 @@ class Fsm:
     non-critical, otherwise no observer could ever classify the empty trace.
     """
 
-    __slots__ = ("states", "initial", "alphabet", "critical", "_table", "_index", "_key")
+    __slots__ = ("states", "initial", "alphabet", "critical", "_table")
 
     def __init__(
         self,
@@ -103,7 +104,7 @@ class Fsm:
             row = rows[i]
             row[label] = row.get(label, ()) + (j,)
         flags = [(x in critical, x in initial) for x in names]
-        self._assign((tuple(names), tuple(rows), tuple(flags)), index, initial, alphabet, critical)
+        self._assign(names, rows, flags, initial, alphabet, critical)
 
     @classmethod
     def _trusted(
@@ -115,31 +116,22 @@ class Fsm:
     ) -> Fsm:
         """A machine this package built itself, taken without re-validation.
 
-        The builder guarantees what ``__init__`` checks: distinct nonempty
-        state names, at least one initial id, all initial ids on one side of
-        the critical set, and per id a row ``{label: target ids}`` with
-        labels sorted and in ``alphabet``, target ids ascending and in
-        range.
+        The builder guarantees what ``__init__`` checks, and that ids follow
+        sorted names: distinct nonempty state names in ascending order, at
+        least one initial id, all initial ids on one side of the critical
+        set, and per id a row ``{label: target ids}`` with labels sorted and
+        in ``alphabet``, target ids ascending and in range.
         """
         m = object.__new__(cls)
-        m._assign(
-            (tuple(names), tuple(rows), tuple(flags)),
-            {x: i for i, x in enumerate(names)},
-            frozenset([x for x, (_, init) in zip(names, flags) if init]),
-            frozenset(alphabet),
-            frozenset([x for x, (crit, _) in zip(names, flags) if crit]),
-        )
+        initial = frozenset([x for x, (_, init) in zip(names, flags) if init])
+        critical = frozenset([x for x, (crit, _) in zip(names, flags) if crit])
+        m._assign(names, rows, flags, initial, frozenset(alphabet), critical)
         return m
 
-    def _assign(self, table, index, initial, alphabet, critical) -> None:
-        self._table = table
-        self._index = index
-        self.states = frozenset(index)
-        self.initial = initial
-        self.alphabet = alphabet
-        self.critical = critical
-        # Built on first use; see _identity.
-        self._key = None
+    def _assign(self, names, rows, flags, initial, alphabet, critical) -> None:
+        self._table = (tuple(names), tuple(rows), tuple(flags))
+        self.states = frozenset(names)
+        self.initial, self.alphabet, self.critical = initial, alphabet, critical
 
     def int_moves(self) -> tuple[tuple[str, ...], tuple[Row, ...], tuple[tuple[bool, bool], ...]]:
         """The machine's table, built at construction and kept.
@@ -152,45 +144,29 @@ class Fsm:
 
     def succ(self, state: str, label: str) -> frozenset[str]:
         """Successor set of one state under one label (empty if none)."""
-        i = self._index.get(state)
-        if i is None:
-            return _EMPTY
         names, rows, _ = self._table
+        i = bisect_left(names, state)
+        if i == len(names) or names[i] != state:
+            return _EMPTY
         return frozenset([names[j] for j in rows[i].get(label, ())])
 
     def transitions(self) -> Iterator[tuple[str, str, str]]:
         """Iterate transition triples (src, label, dst) in canonical order."""
         names, rows, _ = self._table
-        for i in sorted(range(len(names)), key=names.__getitem__):
-            src = names[i]
-            for label, ys in rows[i].items():
-                for dst in sorted([names[j] for j in ys]):
-                    yield src, label, dst
-
-    def _identity(self) -> tuple:
-        if self._key is None:
-            names, rows, _ = self._table
-            self._key = (
-                self.states,
-                self.initial,
-                self.alphabet,
-                self.critical,
-                frozenset(
-                    (src, label, names[j])
-                    for src, row in zip(names, rows)
-                    for label, ys in row.items()
-                    for j in ys
-                ),
-            )
-        return self._key
+        for src, row in zip(names, rows):
+            for label, ys in row.items():
+                for j in ys:
+                    yield src, label, names[j]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fsm):
             return NotImplemented
-        return self._identity() == other._identity()
+        return self.alphabet == other.alphabet and self._table == other._table
 
     def __hash__(self) -> int:
-        return hash(self._identity())
+        # Rows are dicts; names and flags are what equal machines share too.
+        names, _, flags = self._table
+        return hash((self.alphabet, names, flags))
 
     def __repr__(self) -> str:
         return (

@@ -9,8 +9,8 @@ and a `flag` directive listing the states that raise the output.
 
 The network parser checks each distinct state token and each distinct
 label once per document, at its first occurrence, and builds every machine
-through the public ``Fsm`` constructor. The serializer writes each machine
-from its int table in sorted-name order and checks every token it writes.
+through the public ``Fsm`` constructor. Ids follow sorted names, so the
+serializer writes each table in id order and checks every token it writes.
 
 Serialization sorts everything, so equal objects always produce identical
 bytes. The token "eps" is reserved for the empty word and is never a label,
@@ -19,15 +19,12 @@ so a document that declares it fails as a malformed machine.
 
 from __future__ import annotations
 
-import re
-
 from .compose import Network, split_commas
 from .errors import FormatError, MalformedFsmError
 from .fsm import Fsm
 from .observer import ObserverFsm, state_sort_key, state_text
 
 _FORBIDDEN = set('#"{}') | set(" \t\r\n")
-_INNERMOST_GROUP = re.compile(r"\([^()]*\)")
 
 
 def _check_token(token: str, what: str, line: int | None = None) -> str:
@@ -44,16 +41,17 @@ def _check_state(token: str, line: int | None = None) -> str:
 
     So besides the characters every token avoids, its parentheses balance
     and it has no comma outside them; product names like "(x,y)" pass.
-    Deleting innermost groups until none is left decides both.
     """
     _check_token(token, "state", line)
-    bare = token
-    while "(" in bare or ")" in bare:
-        outer = _INNERMOST_GROUP.sub("", bare)
-        if outer == bare:
-            raise FormatError(f"unbalanced parentheses in {token!r}", line)
-        bare = outer
-    if "," in bare:
+    # Plain names and flat product names like "(x,y)", nearly all tokens, need no scan.
+    if "(" not in token and ")" not in token and "," not in token:
+        return token
+    if token[0] == "(" and token[-1] == ")" and token.count("(") == 1 == token.count(")"):
+        return token
+    parts = split_commas(token, "(", ")")
+    if parts is None:
+        raise FormatError(f"unbalanced parentheses in {token!r}", line)
+    if len(parts) > 1:
         raise FormatError(f"state {token!r} has a comma outside parentheses", line)
     return token
 
@@ -156,8 +154,8 @@ def parse_network(text: str) -> Network:
 def serialize_network(network: Network) -> str:
     """Canonical text for a network; equal networks give equal bytes.
 
-    Each member is written from its int table, states in sorted-name order.
-    Every token is checked, each distinct one once per document.
+    Each member is written from its int table in id order, which is
+    sorted-name order. Every distinct token is checked once per document.
     """
     good_states: set[str] = set()
     good_labels: set[str] = set()
@@ -165,29 +163,24 @@ def serialize_network(network: Network) -> str:
     for name, m in network.members:
         _check_token(name, "member name")
         names, rows, flags = m.int_moves()
-        order = sorted(range(len(names)), key=names.__getitem__)
-        states = [names[i] for i in order]
         labels = sorted(m.alphabet)
-        for state in states:
+        for state in names:
             if state not in good_states:
                 good_states.add(_check_state(state))
         for label in labels:
             if label not in good_labels:
                 good_labels.add(_check_token(label, "label"))
-        lines = [f"fsm {name}", "  states " + " ".join(states)]
-        lines.append("  initial " + " ".join([names[i] for i in order if flags[i][1]]))
+        lines = [f"fsm {name}", "  states " + " ".join(names)]
+        lines.append("  initial " + " ".join([x for x, (_, i) in zip(names, flags) if i]))
         if labels:
             lines.append("  alphabet " + " ".join(labels))
         if m.critical:
-            lines.append("  critical " + " ".join([names[i] for i in order if flags[i][0]]))
-        for i in order:
-            src = names[i]
-            for label, ys in rows[i].items():
-                if len(ys) == 1:
-                    lines.append(f"  trans {src} {label} {names[ys[0]]}")
-                else:
-                    head = f"  trans {src} {label} "
-                    lines.extend([head + dst for dst in sorted([names[j] for j in ys])])
+            lines.append("  critical " + " ".join([x for x, (c, _) in zip(names, flags) if c]))
+        append = lines.append
+        for src, row in zip(names, rows):
+            for label, ys in row.items():
+                for j in ys:
+                    append(f"  trans {src} {label} {names[j]}")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
 
@@ -319,7 +312,7 @@ def serialize_observer(name: str, obs: ObserverFsm) -> str:
     lines.append("  initial " + state_text(obs.initial))
     if obs.alphabet:
         lines.append("  alphabet " + " ".join(sorted(obs.alphabet)))
-    flagged = [z for z in ordered if obs.output(z) == 1]
+    flagged = sorted([z for z, flag in zip(obs.states, obs.flags) if flag], key=state_sort_key)
     if flagged:
         lines.append("  flag " + " ".join(state_text(z) for z in flagged))
     for src, label, dst in obs.transitions():
@@ -347,7 +340,7 @@ def export_dot(machine: Fsm | ObserverFsm, name: str = "critnet") -> str:
         ordered = sorted(machine.states, key=state_sort_key)
         initials = [machine.initial]
         texts = {z: state_text(z) for z in ordered}
-        doubled = {z for z in ordered if machine.output(z) == 1}
+        doubled = {z for z, flag in zip(machine.states, machine.flags) if flag}
         edges = machine.transitions()
     for i in range(len(initials)):
         lines.append(f'  "__start{i}" [shape=point, label=""];')

@@ -14,8 +14,9 @@ a row ``{label: next position}`` and an output flag. The estimate tables
 the builders explore already have that layout, so local observers, composed
 banks and projected on-the-fly locals take it over as it is and skip the
 public constructor's checks; the public constructor, and so the observer
-parser, keeps every one. Bank composition, monitor sessions and the cost
-ledger all step over the rows.
+parser, keeps every one. Bank composition, monitor sessions, isomorphism
+and the cost ledger step over rows by position and name states only on the
+way out; plant ids follow sorted names, as in every ``Fsm``.
 """
 
 from __future__ import annotations
@@ -65,11 +66,10 @@ class ObserverFsm:
 
     It is one int table over positions in ``states``: ``rows[i]`` maps the
     labels state ``i`` moves on to the next position, ``flags[i]`` is its
-    output, and ``start`` is the initial state's position. Lookups by state
-    go through one state -> position index.
+    output, and ``start`` is the initial state's position.
     """
 
-    __slots__ = ("states", "initial", "alphabet", "rows", "flags", "start", "_index", "_key")
+    __slots__ = ("states", "initial", "alphabet", "rows", "flags", "start", "_key")
 
     def __init__(
         self,
@@ -135,24 +135,8 @@ class ObserverFsm:
         self.rows = rows
         self.flags = flags
         self.start = start
-        self._index = {z: i for i, z in enumerate(self.states)}
         # Built on first use; see _identity.
         self._key = None
-
-    @property
-    def outputs(self) -> dict[ObserverState, int]:
-        return dict(zip(self.states, self.flags))
-
-    def succ_state(self, z: ObserverState, label: str) -> ObserverState | None:
-        """Unique successor estimate, or None when the word leaves the language."""
-        j = self.rows[self._index[z]].get(label)
-        return None if j is None else self.states[j]
-
-    def moves(self, z: ObserverState) -> Mapping[str, ObserverState]:
-        return {label: self.states[j] for label, j in self.rows[self._index[z]].items()}
-
-    def output(self, z: ObserverState) -> int:
-        return self.flags[self._index[z]]
 
     def transitions(self) -> list[tuple[ObserverState, str, ObserverState]]:
         """Transition triples in canonical (source, label) order."""
@@ -438,21 +422,17 @@ def sampled_runs_agree(
     """
     if obs.alphabet != m.alphabet:
         raise InvalidInputError("observer and machine must share an alphabet")
-    names, moves, plant_flags = m.int_moves()
-    initial = sorted((names[x], x) for x, (_, init) in enumerate(plant_flags) if init)
+    _, moves, plant_flags = m.int_moves()
+    # Plant ids follow sorted names, so ascending ids draw the same runs
+    # from a seed as names would.
+    initial = [x for x, (_, init) in enumerate(plant_flags) if init]
     for _ in range(runs):
-        _, x = rng.choice(initial)
+        x = rng.choice(initial)
         p = obs.start
         if obs.flags[p] != plant_flags[x][0]:
             return False
         for _ in range(max_len):
-            # Labels sorted, then targets by name, so a seed draws the same
-            # runs whatever order the plant numbers its states in.
-            enabled = [
-                (label, y)
-                for label, ys in moves[x].items()
-                for y in sorted(ys, key=names.__getitem__)
-            ]
+            enabled = [(label, y) for label, ys in moves[x].items() for y in ys]
             if not enabled:
                 break
             label, x = rng.choice(enabled)

@@ -2,8 +2,9 @@
 
 These are deliberately naive: word enumeration, relation enumeration over
 bitmasks, tuple expansion. They share as little code with the package as
-possible; only the raw transition accessors Fsm.succ and
-ObserverFsm.succ_state and the public constructors are reused.
+possible; only the raw transition accessor Fsm.succ, the public
+constructors and an observer's table (``rows``/``flags`` by position, walked
+through this module's own ``ObserverWalk`` index) are reused.
 """
 
 from __future__ import annotations
@@ -13,6 +14,28 @@ from collections import deque
 from typing import NamedTuple
 
 from critnet import DecentralizedObserver, Fsm, Network, ObserverFsm, Verdict, build_observer
+
+
+class ObserverWalk:
+    """An observer stepped by state, through a state -> position index of its own."""
+
+    def __init__(self, obs: ObserverFsm):
+        self.obs = obs
+        self.position = {z: i for i, z in enumerate(obs.states)}
+
+    def succ(self, z, label: str):
+        """The unique successor of ``z``, or None when the word leaves the language."""
+        j = self.obs.rows[self.position[z]].get(label)
+        return None if j is None else self.obs.states[j]
+
+    def output(self, z) -> int:
+        return self.obs.flags[self.position[z]]
+
+
+def structural_key(m: Fsm) -> tuple:
+    """A machine by name: states, initial, alphabet, critical and named triples."""
+    moves = frozenset((x, a, y) for x in m.states for a in m.alphabet for y in m.succ(x, a))
+    return m.states, m.initial, m.alphabet, m.critical, moves
 
 
 def naive_step(m: Fsm, states: frozenset[str], label: str) -> frozenset[str]:
@@ -261,7 +284,8 @@ def project_observer(
         for (src, label), dst in trans.items()
         if src in seen and dst in seen
     }
-    outputs = {z: full.output(z) for z in keep}
+    walk = ObserverWalk(full)
+    outputs = {z: walk.output(z) for z in keep}
     return ObserverFsm(keep, full.initial, full.alphabet, kept_trans, outputs)
 
 
@@ -325,6 +349,7 @@ def naive_bank_product(bank: DecentralizedObserver) -> ObserverFsm:
     is the OR of the local flags.
     """
     observers = bank.observers
+    walks = [ObserverWalk(obs) for obs in observers]
     labels = sorted(set().union(*(obs.alphabet for obs in observers)))
     init = tuple(obs.initial for obs in observers)
     order, seen, queue, trans = [init], {init}, deque([init]), {}
@@ -334,7 +359,7 @@ def naive_bank_product(bank: DecentralizedObserver) -> ObserverFsm:
             nxt = list(agg)
             for i, obs in enumerate(observers):
                 if label in obs.alphabet:
-                    nxt[i] = obs.succ_state(agg[i], label)
+                    nxt[i] = walks[i].succ(agg[i], label)
             if None in nxt:
                 continue
             target = tuple(nxt)
@@ -344,7 +369,7 @@ def naive_bank_product(bank: DecentralizedObserver) -> ObserverFsm:
                 order.append(target)
                 queue.append(target)
     outputs = {
-        agg: 1 if any(obs.output(z) for obs, z in zip(observers, agg)) else 0
+        agg: 1 if any(walk.output(z) for walk, z in zip(walks, agg)) else 0
         for agg in order
     }
     return ObserverFsm(order, init, labels, trans, outputs)
@@ -352,23 +377,25 @@ def naive_bank_product(bank: DecentralizedObserver) -> ObserverFsm:
 
 def observer_run(obs: ObserverFsm, word: tuple[str, ...]) -> list[tuple[object, int]]:
     """(state, output) pairs along a trace of the observer, the initial state first."""
-    run = [(obs.initial, obs.output(obs.initial))]
+    walk = ObserverWalk(obs)
+    run = [(obs.initial, walk.output(obs.initial))]
     for label in word:
-        z = obs.succ_state(run[-1][0], label)
+        z = walk.succ(run[-1][0], label)
         assert z is not None, f"{word} is not a trace of the observer"
-        run.append((z, obs.output(z)))
+        run.append((z, walk.output(z)))
     return run
 
 
 def observer_language(obs: ObserverFsm, max_len: int) -> set[tuple[str, ...]]:
     """All words up to max_len with a run through the observer."""
+    walk = ObserverWalk(obs)
     words = {()}
     frontier = [((), obs.initial)]
     for _ in range(max_len):
         nxt = []
         for word, z in frontier:
             for label in sorted(obs.alphabet):
-                z2 = obs.succ_state(z, label)
+                z2 = walk.succ(z, label)
                 if z2 is not None:
                     w2 = word + (label,)
                     words.add(w2)
@@ -462,13 +489,14 @@ def naive_monitor(
     replay with every local left where it was before that event.
     """
     states = [obs.initial for _, obs in locals_]
+    walks = [ObserverWalk(obs) for _, obs in locals_]
     records: list[tuple] = []
     for index, label in enumerate(word, start=1):
         moved = tuple(label in obs.alphabet for _, obs in locals_)
         after = list(states)
         for i, (name, obs) in enumerate(locals_):
             if moved[i]:
-                z = obs.succ_state(states[i], label)
+                z = walks[i].succ(states[i], label)
                 if z is None:
                     return records, tuple(states), (
                         f"local {name!r} has no move on {label!r}: "
@@ -476,6 +504,6 @@ def naive_monitor(
                     )
                 after[i] = z
         states = after
-        outputs = tuple(obs.output(z) for (_, obs), z in zip(locals_, states))
+        outputs = tuple(walk.output(z) for walk, z in zip(walks, states))
         records.append((index, label, moved, outputs, 1 if any(outputs) else 0))
     return records, tuple(states), None

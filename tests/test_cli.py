@@ -176,6 +176,19 @@ class TestSynth:
         assert "({p},{s,t})" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("bad", ["../escaped", "a/b", "..", "."])
+    def test_out_refuses_member_names_that_are_not_file_names(self, bad, tmp_path, capsys):
+        net = Network((("A", make_fsm_a()), (bad, renamed_copy(make_fsm_a(), "c_"))))
+        path = tmp_path / "net.txt"
+        path.write_text(serialize_network(net), encoding="utf-8")
+        outdir = tmp_path / "work" / "out"
+        assert main(["synth", str(path), "--out", str(outdir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: member {bad!r} ")
+        assert list(tmp_path.rglob("*")) == [path]
+        # Without --out, names only go into the documents on stdout.
+        assert main(["synth", str(path)]) == 0
+        assert dict(parse_observers(capsys.readouterr().out)).keys() == {"A", bad}
+
     def test_duplicates_share_observers(self, capsys, tmp_path):
         net = Network(
             (("A", make_fsm_a()), ("Acopy", renamed_copy(make_fsm_a(), "c_")))

@@ -21,7 +21,7 @@ from critnet import (
 )
 from conftest import make_fsm_a, make_fsm_b
 from genutil import random_fsm, random_network
-from oracles import extended_delta, naive_compose, project_word
+from oracles import extended_delta, naive_compose, project_word, structural_key
 from product_oracle import tuple_product_table
 
 
@@ -252,26 +252,21 @@ class TestTrustedConstruction:
                 again = Fsm(c.states, c.initial, c.alphabet, c.transitions(), c.critical)
                 assert again == c
                 _assert_well_formed_table(c)
-                assert _renumbered(c, again.int_moves()[0]) == again.int_moves()
+                assert c.int_moves() == again.int_moves()
         assert sum(members.values()) >= 80 and min(members.values()) >= 20
 
-    def test_products_number_states_in_discovery_order(self):
+    def test_products_number_states_by_sorted_name(self):
         rng = random.Random(1303)
         checked = 0
         for _ in range(60):
             net = random_network(rng, max_members=3, max_states=4)
             if len(net.members) < 2:
                 continue
-            names, rows, flags = compose_network(net).int_moves()
-            initial = [i for i, (_, init) in enumerate(flags) if init]
-            assert initial == list(range(len(initial)))
-            # Breadth first from the initial ids, rows in label order and
-            # targets ascending, rediscovers every id in order.
-            order = list(initial)
-            for i in order:
-                for ys in rows[i].values():
-                    order.extend(j for j in ys if j not in order)
-            assert order == list(range(len(names)))
+            c = compose_network(net)
+            names, _, flags = c.int_moves()
+            assert list(names) == sorted(c.states)
+            assert [x for x, (_, init) in zip(names, flags) if init] == sorted(c.initial)
+            assert [x for x, (crit, _) in zip(names, flags) if crit] == sorted(c.critical)
             checked += 1
         assert checked >= 30
 
@@ -298,8 +293,77 @@ class TestTrustedConstruction:
         assert checked >= 20
 
 
+def _read_back(m: Fsm) -> Fsm:
+    """``m`` written as a one-member network and parsed again."""
+    ((_, read),) = parse_network(serialize_network(Network((("m", m),)))).members
+    return read
+
+
+def _handed_back(rng: random.Random):
+    """Per network of 2-4 members, each kind of machine the library returns."""
+    while True:
+        net = random_network(rng, max_members=4, max_states=4)
+        if len(net.members) < 2:
+            continue
+        machines = list(net.machines)
+        product = compose_many(machines)
+        third = random_fsm(rng, max_states=3)
+        nested = compose_many([compose_many(machines[:2]), *machines[2:], third])
+        yield {
+            "parsed": parse_network(serialize_network(net)).machines,
+            "product": [product],
+            "nested": [nested],
+            "read back": [_read_back(product), _read_back(nested)],
+        }, len(machines)
+
+
+class TestOneNumbering:
+    """Every machine, parsed or composed, numbers its states by sorted name."""
+
+    def test_ids_follow_sorted_names(self):
+        kinds = dict.fromkeys(("parsed", "product", "nested", "read back"), 0)
+        sizes = {2: 0, 3: 0, 4: 0}
+        for _, (made, size) in zip(range(120), _handed_back(random.Random(1501))):
+            sizes[size] += 1
+            for kind, machines in made.items():
+                for m in machines:
+                    assert list(m.int_moves()[0]) == sorted(m.states), kind
+                    kinds[kind] += 1
+        assert min(kinds.values()) >= 120 and min(sizes.values()) >= 20
+
+    def test_equality_and_hash_agree_with_structure(self):
+        rng = random.Random(1502)
+        pairs = []
+        previous = None
+        for _, (made, _) in zip(range(100), _handed_back(rng)):
+            (product,), (nested,) = made["product"], made["nested"]
+            read, nested_read = made["read back"]
+            parsed = made["parsed"]
+            # The same names with one more label, or one move fewer.
+            moves = list(product.transitions())
+            states, initial, alphabet = product.states, product.initial, product.alphabet
+            more = Fsm(states, initial, alphabet | {"zz"}, moves, product.critical)
+            fewer = Fsm(states, initial, alphabet, moves[1:], product.critical)
+            pairs += [(product, read), (product, more), (product, fewer), (nested, nested_read)]
+            pairs += [(parsed[0], parsed[1]), (product, nested)]
+            if len(parsed) > 2:
+                # Association order changes neither names nor structure.
+                pairs.append((product, compose_many([compose_many(parsed[:2]), *parsed[2:]])))
+            if previous is not None:
+                pairs.append((product, previous))
+            previous = product
+        equal = 0
+        for a, b in pairs:
+            same = structural_key(a) == structural_key(b)
+            assert (a == b) == (b == a) == same
+            if same:
+                assert hash(a) == hash(b)
+                equal += 1
+        assert len(pairs) >= 500 and 100 <= equal <= len(pairs) - 100
+
+
 class TestPackedWalkAgainstReference:
-    """The packed-int walk returns the tuple walk's table, state for state."""
+    """The packed-int walk returns the tuple walk's table, renumbered by name."""
 
     SHAPES = ("single", "powers", "nondeterministic", "everyone", "two-initial", "nested")
 
@@ -312,7 +376,8 @@ class TestPackedWalkAgainstReference:
             shape = "wide" if k % 14 == 13 else self.SHAPES[k % len(self.SHAPES)]
             machines = _shaped_members(rng, shape, pool)
             want = tuple_product_table(machines)
-            assert compose_many(machines).int_moves() == tuple(map(tuple, want)), (k, shape)
+            by_name = _renumbered(want, sorted(want[0]))
+            assert compose_many(machines).int_moves() == by_name, (k, shape)
             n = len(want[0])
             with pytest.raises(BudgetExceededError) as expected:
                 tuple_product_table(machines, n - 1)
@@ -409,9 +474,9 @@ def _assert_well_formed_table(m):
             assert ys and list(ys) == sorted(set(ys)) and 0 <= ys[0] and ys[-1] < len(names)
 
 
-def _renumbered(m, names):
-    """``m``'s table with its states numbered in the order of ``names``."""
-    old_names, old_rows, old_flags = m.int_moves()
+def _renumbered(table, names):
+    """``table``, laid out as ``Fsm.int_moves``, with states numbered in the order of ``names``."""
+    old_names, old_rows, old_flags = table
     new_id = {x: i for i, x in enumerate(names)}
     old_id = {x: i for i, x in enumerate(old_names)}
     rows = tuple(

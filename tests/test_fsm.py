@@ -48,6 +48,9 @@ class TestConstruction:
         assert fsm_a.critical == frozenset({"q"})
         assert fsm_a.succ("p", "a") == frozenset({"q"})
         assert fsm_a.succ("q", "a") == frozenset()
+        # Names outside the machine, before, between and after its own.
+        for missing in ("a", "pp", "z"):
+            assert fsm_a.succ(missing, "a") == frozenset()
 
     def test_transitions_canonical_order(self, fsm_b):
         assert list(fsm_b.transitions()) == [("r", "a", "s"), ("r", "a", "t")]
@@ -116,14 +119,15 @@ class TestConstruction:
         m2 = Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "y")], critical=["y"])
         assert m1 != m2
 
-    def test_hash_key_built_on_first_use(self):
+    def test_equality_compares_alphabet_and_table(self):
         m1 = Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "y")])
         m2 = Fsm(["y", "x"], ["x"], ["a"], [("x", "a", "y")])
-        assert m1._key is None and m2._key is None
-        assert m1 == m2
-        assert m1._key is not None and m2._key is not None
-        assert hash(m1) == hash(m2)
+        assert m1.int_moves() == m2.int_moves()
+        assert m1 == m2 and hash(m1) == hash(m2)
         assert m1 != Fsm(["x", "y"], ["x"], ["a"], [("x", "a", "x")])
+        # A label without moves leaves the table as it is, not the machine.
+        m3 = Fsm(["x", "y"], ["x"], ["a", "b"], [("x", "a", "y")])
+        assert m3.int_moves() == m1.int_moves() and m3 != m1
 
     def test_int_moves_built_on_first_use(self):
         m = Fsm(

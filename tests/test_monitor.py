@@ -24,7 +24,14 @@ from critnet import (
 )
 from critnet.cli import main
 from genutil import random_network, with_duplicates
-from oracles import naive_monitor, naive_step, network_alphabet, network_traces, observer_run
+from oracles import (
+    ObserverWalk,
+    naive_monitor,
+    naive_step,
+    network_alphabet,
+    network_traces,
+    observer_run,
+)
 
 
 def fz(*names):
@@ -162,13 +169,12 @@ class TestFlagMeaning:
         for _ in range(30):
             net = random_network(rng, max_members=3, max_states=4)
             bank = build_decentralized(net)
+            walks = [ObserverWalk(obs) for obs in bank.observers]
             for word in network_traces(net, max_len=5, cap=40)[1:]:
                 session = start_session(bank)
                 for label in word:
                     record = session.feed(label)
-                    want = tuple(
-                        obs.output(z) for obs, z in zip(bank.observers, session.states)
-                    )
+                    want = tuple(walk.output(z) for walk, z in zip(walks, session.states))
                     assert record.outputs == session.outputs == want
                     assert record.flag == session.flag == (1 if any(want) else 0)
 
@@ -198,7 +204,7 @@ def _agree_with_reference(locals_, net, rng):
         assert problem is None
         assert [(r.index, r.label, r.moved, r.outputs, r.flag) for r in records] == want
         assert session.states == states
-        outputs = tuple(obs.output(z) for (_, obs), z in zip(locals_, states))
+        outputs = tuple(ObserverWalk(obs).output(z) for (_, obs), z in zip(locals_, states))
         assert session.outputs == outputs
         assert session.flag == (1 if any(outputs) else 0)
         assert session.steps == len(word)

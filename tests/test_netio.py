@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -349,8 +350,8 @@ class TestObserverDocuments:
         (name, obs), = parse_observers(doc)
         pq = frozenset({"p", "q"})
         assert obs.states == (frozenset({"p"}), pq)
-        assert obs.outputs == {frozenset({"p"}): 0, pq: 1}
-        assert obs.succ_state(pq, "a") == pq
+        assert obs.flags == [0, 1]
+        assert obs.rows == [{"a": 1}, {"a": 1, "b": 0}]
         assert serialize_observer(name, obs) == doc
         respelled = doc.replace("trans {p,q} b", "trans {q,p} b")
         assert parse_observers(respelled) == ((name, obs),)
@@ -365,7 +366,9 @@ def _two_state_doc(u: str, v: str) -> str:
 
 
 class TestStateTokens:
-    @pytest.mark.parametrize("bad", ["a,b", ",a", "(a", "a)", ")a(", "(a),b", "(a,b))"])
+    @pytest.mark.parametrize(
+        "bad", ["a,b", ",a", "(a", "a)", ")a(", "(a),b", "(a,b))", ")(", "(()", "x,y"]
+    )
     def test_rejected_at_parse(self, bad):
         with pytest.raises(FormatError, match="comma|unbalanced"):
             parse_network(_two_state_doc(bad, "v"))
@@ -378,6 +381,26 @@ class TestStateTokens:
             serialize_network(Network((("M", m),)))
         with pytest.raises(FormatError, match="comma"):
             serialize_observer("M", build_observer(m))
+
+    @pytest.mark.parametrize(
+        "token, problem",
+        [
+            (")(", "unbalanced parentheses in ')('"),
+            ("(()", "unbalanced parentheses in '(()'"),
+            ("a(b,c)d", None),
+            ("(,)", None),
+            ("()", None),
+            ("x,y", "state 'x,y' has a comma outside parentheses"),
+        ],
+    )
+    def test_state_check_messages(self, token, problem):
+        doc = _two_state_doc(token, "v")
+        if problem is None:
+            net = parse_network(doc)
+            assert parse_network(serialize_network(net)) == net
+        else:
+            with pytest.raises(FormatError, match="^line 2: " + re.escape(problem) + "$"):
+                parse_network(doc)
 
     def test_product_names_accepted(self):
         net = parse_network(_two_state_doc("(x,y)", "(x,(y,z))"))

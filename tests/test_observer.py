@@ -55,27 +55,28 @@ class TestBuildObserver:
         zp, zq = frozenset({"p"}), frozenset({"q"})
         assert obs.states == (zp, zq)
         assert obs.initial == zp
-        assert obs.outputs == {zp: 0, zq: 1}
-        assert obs.succ_state(zp, "a") == zq
-        assert obs.succ_state(zq, "b") == zp
-        assert obs.succ_state(zp, "b") is None
+        assert obs.flags == [0, 1]
+        # zp moves to zq on "a" only; zq moves back on "b".
+        assert obs.rows == [{"a": 1}, {"b": 0}]
 
     def test_fixture_b(self, fsm_b):
         obs = build_observer(fsm_b)
         zr, zst = frozenset({"r"}), frozenset({"s", "t"})
         assert obs.states == (zr, zst)
-        assert obs.outputs == {zr: 0, zst: 1}
-        assert obs.succ_state(zst, "a") is None
+        assert obs.flags == [0, 1]
+        assert "a" not in obs.rows[1]
 
     def test_observer_is_deterministic_by_construction(self):
         rng = random.Random(301)
         for _ in range(30):
             m = random_fsm(rng, max_states=5)
             obs = build_observer(m)
-            for z in obs.states:
+            assert len(obs.rows) == len(obs.flags) == len(obs.states)
+            for z, row in zip(obs.states, obs.rows):
                 assert isinstance(z, frozenset) and z
-                for label, dst in obs.moves(z).items():
-                    assert obs.succ_state(z, label) == dst
+                # One next position per label: deterministic.
+                assert set(row) <= obs.alphabet
+                assert all(0 <= j < len(obs.states) for j in row.values())
 
     def test_estimates_match_word_enumeration(self):
         rng = random.Random(302)
@@ -111,7 +112,7 @@ class TestBuildObserver:
     def test_critical_initial_flagged_immediately(self):
         m = Fsm(["x"], ["x"], ["a"], [("x", "a", "x")], critical=["x"])
         obs = build_observer(m)
-        assert obs.output(obs.initial) == 1
+        assert obs.flags[obs.start] == 1
 
 
 class TestObserverFsmValidation:
@@ -161,7 +162,6 @@ class TestObserverFsmValidation:
         assert obs.start == 1 and obs.initial == z1
         assert list(obs.rows) == [{"a": 1}, {"b": 2}, {"a": 0}]
         assert list(obs.flags) == [1, 0, 0]
-        assert obs.moves(z3) == {"a": z2} and obs.succ_state(z3, "b") is None
 
     def test_hash_key_built_on_first_use(self, fsm_a):
         o1, o2 = build_observer(fsm_a), build_observer(fsm_a)
@@ -247,11 +247,11 @@ class TestDecentralized:
         z1 = (frozenset({"q"}), frozenset({"s", "t"}))
         z2 = (frozenset({"p"}), frozenset({"s", "t"}))
         assert composed.states == (z0, z1, z2)
-        assert composed.outputs == {z0: 0, z1: 1, z2: 1}
-        assert composed.succ_state(z0, "a") == z1
-        assert composed.succ_state(z1, "b") == z2
+        assert composed.flags == [0, 1, 1]
+        assert composed.rows[0]["a"] == 1
+        assert composed.rows[1]["b"] == 2
         # B cannot follow another "a", so the shared label blocks.
-        assert composed.succ_state(z2, "a") is None
+        assert "a" not in composed.rows[2]
 
     def test_composed_bank_isomorphic_to_monolithic_observer(self, net_ab):
         composed = compose_decentralized(build_decentralized(net_ab))
@@ -303,7 +303,8 @@ class TestDecentralized:
 def _rebuilt(obs: ObserverFsm) -> ObserverFsm:
     """The same observer through the public, validating constructor."""
     trans = {(src, label): dst for src, label, dst in obs.transitions()}
-    return ObserverFsm(obs.states, obs.initial, obs.alphabet, trans, obs.outputs)
+    outputs = dict(zip(obs.states, obs.flags))
+    return ObserverFsm(obs.states, obs.initial, obs.alphabet, trans, outputs)
 
 
 class TestTrustedConstruction:
@@ -342,7 +343,7 @@ class TestTrustedConstruction:
             assert composed.states == naive.states
             assert composed.initial == naive.initial
             assert composed.transitions() == naive.transitions()
-            assert composed.outputs == naive.outputs
+            assert list(composed.flags) == list(naive.flags)
             checked += 1
         assert checked >= 40
 
@@ -365,7 +366,7 @@ class TestTrustedConstruction:
             assert composed.states == naive.states
             assert composed.initial == naive.initial
             assert composed.transitions() == naive.transitions()
-            assert composed.outputs == naive.outputs
+            assert list(composed.flags) == list(naive.flags)
             for word in network_traces(net, max_len=5, cap=40):
                 records = start_session(bank).replay(word)
                 want, _, problem = naive_monitor(list(bank.locals), word)
@@ -378,7 +379,8 @@ class TestTrustedConstruction:
 def _reversed(obs: ObserverFsm) -> ObserverFsm:
     """The same observer through the public constructor, states listed backwards."""
     trans = {(src, label): dst for src, label, dst in obs.transitions()}
-    return ObserverFsm(obs.states[::-1], obs.initial, obs.alphabet, trans, obs.outputs)
+    outputs = dict(zip(obs.states, obs.flags))
+    return ObserverFsm(obs.states[::-1], obs.initial, obs.alphabet, trans, outputs)
 
 
 class TestValidation:
