@@ -7,10 +7,13 @@ Repeating a directive accumulates. `#` starts a comment. Observer documents
 mirror the layout with `observer` sections, estimate tokens like "{p,q}",
 and a `flag` directive listing the states that raise the output.
 
-The network parser checks each distinct state token and each distinct
-label once per document, at its first occurrence, and builds every machine
-through the public ``Fsm`` constructor. Ids follow sorted names, so the
-serializer writes each table in id order and checks every token it writes.
+Both formats go through one section reader and one section writer. The
+reader checks each distinct state token and each distinct label once per
+document, at its first occurrence, and each parser builds its machines
+through the public constructor. The writers render one canonical view of
+a machine (state texts in canonical order, moves by position, and which
+positions are initial and which critical or flagged), which DOT export
+renders too, and check every state and label they write once per document.
 
 Serialization sorts everything, so equal objects always produce identical
 bytes. The token "eps" is reserved for the empty word and is never a label,
@@ -19,19 +22,24 @@ so a document that declares it fails as a malformed machine.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable, Iterable
+
 from .compose import Network, split_commas
 from .errors import FormatError, MalformedFsmError
 from .fsm import Fsm
 from .observer import ObserverFsm, state_sort_key, state_text
 
-_FORBIDDEN = set('#"{}') | set(" \t\r\n")
+# `\s` matches exactly the characters for which str.isspace() holds, which
+# are the ones the reader splits lines and tokens on.
+_FORBIDDEN = re.compile(r'[#"{}\s]')
 
 
 def _check_token(token: str, what: str, line: int | None = None) -> str:
     if not token:
         raise FormatError(f"empty {what}", line)
-    if not _FORBIDDEN.isdisjoint(token):
-        bad = sorted(set(token) & _FORBIDDEN)
+    if _FORBIDDEN.search(token):
+        bad = sorted(set(_FORBIDDEN.findall(token)))
         raise FormatError(f"{what} {token!r} contains forbidden {bad}", line)
     return token
 
@@ -56,135 +64,6 @@ def _check_state(token: str, line: int | None = None) -> str:
     return token
 
 
-def _logical_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if tokens and not tokens[0].startswith("#"):
-            yield number, tokens
-
-
-class _FsmSection:
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        self.states: list[str] = []
-        self.initial: list[str] = []
-        self.alphabet: list[str] = []
-        self.critical: list[str] = []
-        # Kept in document order; a dict so that repeats are found.
-        self.trans: dict[tuple[str, str, str], None] = {}
-
-
-def parse_network(text: str) -> Network:
-    """Parse a network document into named machines.
-
-    Each distinct state token and each distinct label is checked once per
-    document, at its first occurrence, so an error names the first line
-    that holds the bad token. States and labels are remembered apart: a
-    label such as "x,y" is not a valid state.
-    """
-    sections: list[_FsmSection] = []
-    names: set[str] = set()
-    current: _FsmSection | None = None
-    good_states: set[str] = set()
-    good_labels: set[str] = set()
-
-    def check_states(tokens: list[str], line: int) -> list[str]:
-        for token in tokens:
-            if token not in good_states:
-                good_states.add(_check_state(token, line))
-        return tokens
-
-    def check_labels(tokens: list[str], line: int) -> list[str]:
-        for token in tokens:
-            if token not in good_labels:
-                good_labels.add(_check_token(token, "label", line))
-        return tokens
-
-    for number, tokens in _logical_lines(text):
-        directive = tokens[0]
-        if directive == "trans" and current is not None:
-            if len(tokens) != 4:
-                raise FormatError("trans takes source, label, target", number)
-            _, src, label, dst = tokens
-            if not (src in good_states and label in good_labels and dst in good_states):
-                check_states([src], number)
-                check_labels([label], number)
-                check_states([dst], number)
-            triple = (src, label, dst)
-            if triple in current.trans:
-                raise FormatError(f"duplicate transition {src} {label} {dst}", number)
-            current.trans[triple] = None
-        elif directive == "fsm":
-            if len(tokens) != 2:
-                raise FormatError("fsm takes exactly one name", number)
-            name = _check_token(tokens[1], "member name", number)
-            if name in names:
-                raise FormatError(f"duplicate member name {name!r}", number)
-            names.add(name)
-            current = _FsmSection(name, number)
-            sections.append(current)
-        elif current is None:
-            raise FormatError(f"{directive!r} before any fsm section", number)
-        elif directive == "alphabet":
-            current.alphabet.extend(check_labels(tokens[1:], number))
-        elif directive in ("states", "initial", "critical"):
-            getattr(current, directive).extend(check_states(tokens[1:], number))
-        else:
-            raise FormatError(f"unknown directive {directive!r}", number)
-    if not sections:
-        raise FormatError("document contains no fsm sections")
-
-    members = []
-    for section in sections:
-        try:
-            m = Fsm(
-                section.states,
-                section.initial,
-                section.alphabet,
-                section.trans,
-                section.critical,
-            )
-        except MalformedFsmError as e:
-            raise FormatError(f"fsm {section.name!r}: {e}", section.line) from e
-        members.append((section.name, m))
-    return Network(tuple(members))
-
-
-def serialize_network(network: Network) -> str:
-    """Canonical text for a network; equal networks give equal bytes.
-
-    Each member is written from its int table in id order, which is
-    sorted-name order. Every distinct token is checked once per document.
-    """
-    good_states: set[str] = set()
-    good_labels: set[str] = set()
-    chunks = []
-    for name, m in network.members:
-        _check_token(name, "member name")
-        names, rows, flags = m.int_moves()
-        labels = sorted(m.alphabet)
-        for state in names:
-            if state not in good_states:
-                good_states.add(_check_state(state))
-        for label in labels:
-            if label not in good_labels:
-                good_labels.add(_check_token(label, "label"))
-        lines = [f"fsm {name}", "  states " + " ".join(names)]
-        lines.append("  initial " + " ".join([x for x, (_, i) in zip(names, flags) if i]))
-        if labels:
-            lines.append("  alphabet " + " ".join(labels))
-        if m.critical:
-            lines.append("  critical " + " ".join([x for x, (c, _) in zip(names, flags) if c]))
-        append = lines.append
-        for src, row in zip(names, rows):
-            for label, ys in row.items():
-                for j in ys:
-                    append(f"  trans {src} {label} {names[j]}")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
-
-
 def _split_estimate(token: str, line: int | None) -> frozenset[str]:
     if len(token) < 2 or not (token.startswith("{") and token.endswith("}")):
         raise FormatError(f"estimate {token!r} must look like {{p,q}}", line)
@@ -198,126 +77,214 @@ def _split_estimate(token: str, line: int | None) -> frozenset[str]:
     return frozenset(parts)
 
 
-class _ObserverSection:
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        self.states: list[frozenset[str]] = []
-        self.initial: list[frozenset[str]] = []
-        self.alphabet: list[str] = []
-        self.flagged: list[frozenset[str]] = []
-        self.trans: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+def _read_sections(
+    text: str,
+    header: str,
+    noun: str,
+    mark: str,
+    state: Callable[[str, int], object],
+    move_key: Callable[[object, str, object], tuple],
+    duplicate: str,
+) -> list[tuple[str, int, dict[str, list], dict]]:
+    """Split a document in either format into sections, each token checked once.
+
+    A section opens with `<header> <name>`; `noun` says what the name names.
+    Per section it returns the name, the header's line number, the
+    `states`, `initial`, `<mark>` and `alphabet` lists in a dict, and the
+    moves as ``{move_key(src, label, dst): dst}`` in document order.
+    ``state(token, line)`` gives a state token's value or raises; it runs
+    once per distinct token. Labels are checked once each, apart from
+    states, so a label such as "x,y" is not a valid state. A move whose key
+    repeats fails with ``duplicate`` formatted with the line's three tokens.
+    """
+    sections = []
+    names: set[str] = set()
+    lists: dict[str, list] | None = None
+    values: dict[str, object] = {}
+    labels: set[str] = set()
+
+    def value(token: str, line: int):
+        z = values.get(token)
+        if z is None:
+            z = values[token] = state(token, line)
+        return z
+
+    def label(token: str, line: int) -> str:
+        if token not in labels:
+            labels.add(_check_token(token, "label", line))
+        return token
+
+    for number, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        directive = tokens[0]
+        if directive == "trans" and lists is not None:
+            if len(tokens) != 4:
+                raise FormatError("trans takes source, label, target", number)
+            _, a, x, b = tokens
+            src, dst = values.get(a), values.get(b)
+            if src is None or x not in labels or dst is None:
+                src, x, dst = value(a, number), label(x, number), value(b, number)
+            key = move_key(src, x, dst)
+            if key in moves:
+                raise FormatError(duplicate.format(a, x, b), number)
+            moves[key] = dst
+        elif directive == header:
+            if len(tokens) != 2:
+                raise FormatError(f"{header} takes exactly one name", number)
+            name = _check_token(tokens[1], noun, number)
+            if name in names:
+                raise FormatError(f"duplicate {noun} {name!r}", number)
+            names.add(name)
+            lists = {"states": [], "initial": [], mark: [], "alphabet": []}
+            moves: dict = {}
+            sections.append((name, number, lists, moves))
+        elif lists is None:
+            raise FormatError(f"{directive!r} before any {header} section", number)
+        elif directive == "alphabet":
+            lists[directive].extend([label(t, number) for t in tokens[1:]])
+        elif directive in lists:
+            target = lists[directive]
+            for token in tokens[1:]:
+                z = values.get(token)
+                target.append(value(token, number) if z is None else z)
+        else:
+            raise FormatError(f"unknown directive {directive!r}", number)
+    if not sections:
+        raise FormatError(f"document contains no {header} sections")
+    return sections
+
+
+def parse_network(text: str) -> Network:
+    """Parse a network document into named machines.
+
+    Each distinct state token and each distinct label is checked once per
+    document, at its first occurrence, so an error names the first line
+    that holds the bad token.
+    """
+    members = []
+    for name, line, lists, moves in _read_sections(
+        text, "fsm", "member name", "critical", _check_state,
+        lambda src, label, dst: (src, label, dst), "duplicate transition {} {} {}",
+    ):
+        try:
+            m = Fsm(lists["states"], lists["initial"], lists["alphabet"], moves, lists["critical"])
+        except MalformedFsmError as e:
+            raise FormatError(f"fsm {name!r}: {e}", line) from e
+        members.append((name, m))
+    return Network(tuple(members))
 
 
 def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
     """Parse one or more observer sections into (name, observer) pairs.
 
-    Each distinct estimate token is split once per document; a malformed
-    one fails at its first line, before it could be remembered.
+    Each distinct estimate token is split once per document, and each
+    distinct label checked once; a malformed token fails at its first line.
     """
-    sections: list[_ObserverSection] = []
-    names: set[str] = set()
-    current: _ObserverSection | None = None
-    seen: dict[str, frozenset[str]] = {}
-
-    def estimate(token: str, line: int) -> frozenset[str]:
-        z = seen.get(token)
-        if z is None:
-            z = seen[token] = _split_estimate(token, line)
-        return z
-
-    for number, tokens in _logical_lines(text):
-        directive, args = tokens[0], tokens[1:]
-        if directive == "observer":
-            if len(args) != 1:
-                raise FormatError("observer takes exactly one name", number)
-            name = _check_token(args[0], "observer name", number)
-            if name in names:
-                raise FormatError(f"duplicate observer name {name!r}", number)
-            names.add(name)
-            current = _ObserverSection(name, number)
-            sections.append(current)
-            continue
-        if current is None:
-            raise FormatError(f"{directive!r} before any observer section", number)
-        if directive in ("states", "initial", "flag"):
-            estimates = [estimate(a, number) for a in args]
-            target = {"states": current.states, "initial": current.initial, "flag": current.flagged}
-            target[directive].extend(estimates)
-        elif directive == "alphabet":
-            current.alphabet.extend(_check_token(a, "label", number) for a in args)
-        elif directive == "trans":
-            if len(args) != 3:
-                raise FormatError("trans takes source, label, target", number)
-            src = estimate(args[0], number)
-            label = _check_token(args[1], "label", number)
-            dst = estimate(args[2], number)
-            if (src, label) in current.trans:
-                raise FormatError(
-                    f"second transition from {args[0]} on {label!r}: "
-                    "observers are deterministic",
-                    number,
-                )
-            current.trans[(src, label)] = dst
-        else:
-            raise FormatError(f"unknown directive {directive!r}", number)
-    if not sections:
-        raise FormatError("document contains no observer sections")
-
     out = []
-    for section in sections:
-        if len(section.initial) != 1:
-            raise FormatError(
-                f"observer {section.name!r} needs exactly one initial estimate",
-                section.line,
-            )
-        declared = set(section.states)
-        for z in section.flagged:
+    for name, line, lists, moves in _read_sections(
+        text, "observer", "observer name", "flag", _split_estimate,
+        lambda src, label, dst: (src, label),
+        "second transition from {} on {!r}: observers are deterministic",
+    ):
+        states, initial = lists["states"], lists["initial"]
+        if len(initial) != 1:
+            raise FormatError(f"observer {name!r} needs exactly one initial estimate", line)
+        declared = set(states)
+        for z in lists["flag"]:
             if z not in declared:
                 raise FormatError(
-                    f"observer {section.name!r} flags undeclared state {state_text(z)}",
-                    section.line,
+                    f"observer {name!r} flags undeclared state {state_text(z)}", line
                 )
-        flagged = set(section.flagged)
-        outputs = {z: (1 if z in flagged else 0) for z in section.states}
+        flagged = set(lists["flag"])
+        outputs = {z: int(z in flagged) for z in states}
         try:
             obs = ObserverFsm(
-                list(dict.fromkeys(section.states)),
-                section.initial[0],
-                section.alphabet,
-                section.trans,
-                outputs,
+                list(dict.fromkeys(states)), initial[0], lists["alphabet"], moves, outputs
             )
         except MalformedFsmError as e:
-            raise FormatError(f"observer {section.name!r}: {e}", section.line) from e
-        out.append((section.name, obs))
+            raise FormatError(f"observer {name!r}: {e}", line) from e
+        out.append((name, obs))
     return tuple(out)
+
+
+def _view(machine: Fsm | ObserverFsm):
+    """The canonical view of a machine that every writer renders.
+
+    It has the layout of ``Fsm.int_moves``: the state texts in canonical
+    order; per position a row ``{label: target positions}``, labels sorted
+    and positions ascending; and per position whether the state is
+    critical (or flagged) and whether it is initial. A plant's ids are
+    already its canonical positions, so its table is the view as it stands.
+    """
+    if isinstance(machine, Fsm):
+        return machine.int_moves()
+    states = machine.states
+    order = sorted(range(len(states)), key=lambda i: state_sort_key(states[i]))
+    position = {i: p for p, i in enumerate(order)}
+    texts = [state_text(states[i]) for i in order]
+    rows = [{x: (position[j],) for x, j in sorted(machine.rows[i].items())} for i in order]
+    return texts, rows, [(machine.flags[i], i == machine.start) for i in order]
+
+
+def _estimate_parts(obs: ObserverFsm) -> list[str]:
+    """The plant state names an observer's estimates hold, in sorted order."""
+    if not all(isinstance(z, frozenset) for z in obs.states):
+        raise FormatError("only estimate-state observers serialize; composed banks do not")
+    return sorted(frozenset().union(*obs.states))
+
+
+def _write(
+    header: str, noun: str, mark: str, members: Iterable[tuple[str, Fsm | ObserverFsm]]
+) -> str:
+    """A document of one section per (name, machine) in either format.
+
+    Before a section is written, its name, its plant state names and its
+    labels are checked, each distinct state and label once per document.
+    """
+    good_states: set[str] = set()
+    good_labels: set[str] = set()
+    chunks = []
+    for name, machine in members:
+        _check_token(name, noun)
+        texts, rows, flags = _view(machine)
+        # A plant's state texts are its state names.
+        for state in texts if isinstance(machine, Fsm) else _estimate_parts(machine):
+            if state not in good_states:
+                good_states.add(_check_state(state))
+        labels = sorted(machine.alphabet)
+        for label in labels:
+            if label not in good_labels:
+                good_labels.add(_check_token(label, "label"))
+        lines = [f"{header} {name}", "  states " + " ".join(texts)]
+        lines.append("  initial " + " ".join([x for x, (_, init) in zip(texts, flags) if init]))
+        if labels:
+            lines.append("  alphabet " + " ".join(labels))
+        marked = [x for x, (crit, _) in zip(texts, flags) if crit]
+        if marked:
+            lines.append(f"  {mark} " + " ".join(marked))
+        append = lines.append
+        for src, row in zip(texts, rows):
+            for label, ys in row.items():
+                for j in ys:
+                    append(f"  trans {src} {label} {texts[j]}")
+        chunks.append("\n".join(lines))
+    return "\n\n".join(chunks) + "\n"
+
+
+def serialize_network(network: Network) -> str:
+    """Canonical text for a network; equal networks give equal bytes.
+
+    Each member is written from its int table in id order, which is
+    sorted-name order. Every distinct token is checked once per document.
+    """
+    return _write("fsm", "member name", "critical", network.members)
 
 
 def serialize_observer(name: str, obs: ObserverFsm) -> str:
     """Canonical text for one local observer with estimate states."""
-    _check_token(name, "observer name")
-    for z in obs.states:
-        if not isinstance(z, frozenset):
-            raise FormatError(
-                "only estimate-state observers serialize; composed banks do not"
-            )
-        for state in z:
-            _check_state(state)
-    for label in obs.alphabet:
-        _check_token(label, "label")
-    ordered = sorted(obs.states, key=state_sort_key)
-    lines = [f"observer {name}"]
-    lines.append("  states " + " ".join(state_text(z) for z in ordered))
-    lines.append("  initial " + state_text(obs.initial))
-    if obs.alphabet:
-        lines.append("  alphabet " + " ".join(sorted(obs.alphabet)))
-    flagged = sorted([z for z, flag in zip(obs.states, obs.flags) if flag], key=state_sort_key)
-    if flagged:
-        lines.append("  flag " + " ".join(state_text(z) for z in flagged))
-    for src, label, dst in obs.transitions():
-        lines.append(f"  trans {state_text(src)} {label} {state_text(dst)}")
-    return "\n".join(lines) + "\n"
+    return _write("observer", "observer name", "flag", [(name, obs)])
 
 
 def _quote(s: str) -> str:
@@ -329,29 +296,19 @@ def export_dot(machine: Fsm | ObserverFsm, name: str = "critnet") -> str:
 
     Output is a pure function of the machine, byte for byte.
     """
+    texts, rows, flags = _view(machine)
+    quoted = [_quote(x) for x in texts]
+    starts = [x for x, (_, init) in zip(quoted, flags) if init]
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    if isinstance(machine, Fsm):
-        ordered = sorted(machine.states)
-        initials = sorted(machine.initial)
-        texts = {x: x for x in ordered}
-        doubled = machine.critical
-        edges = list(machine.transitions())
-    else:
-        ordered = sorted(machine.states, key=state_sort_key)
-        initials = [machine.initial]
-        texts = {z: state_text(z) for z in ordered}
-        doubled = {z for z, flag in zip(machine.states, machine.flags) if flag}
-        edges = machine.transitions()
-    for i in range(len(initials)):
-        lines.append(f'  "__start{i}" [shape=point, label=""];')
-    for x in ordered:
-        shape = " [shape=doublecircle]" if x in doubled else ""
-        lines.append(f"  {_quote(texts[x])}{shape};")
-    for i, x in enumerate(initials):
-        lines.append(f'  "__start{i}" -> {_quote(texts[x])};')
-    for src, label, dst in edges:
-        lines.append(
-            f"  {_quote(texts[src])} -> {_quote(texts[dst])} [label={_quote(label)}];"
-        )
+    for k in range(len(starts)):
+        lines.append(f'  "__start{k}" [shape=point, label=""];')
+    for x, (crit, _) in zip(quoted, flags):
+        lines.append(f"  {x} [shape=doublecircle];" if crit else f"  {x};")
+    for k, x in enumerate(starts):
+        lines.append(f'  "__start{k}" -> {x};')
+    for src, row in zip(quoted, rows):
+        for label, ys in row.items():
+            for j in ys:
+                lines.append(f"  {src} -> {quoted[j]} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

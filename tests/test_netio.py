@@ -13,7 +13,10 @@ from critnet import (
     FormatError,
     Fsm,
     Network,
+    ObserverFsm,
+    build_decentralized,
     build_observer,
+    compose_decentralized,
     compose_network,
     export_dot,
     parse_network,
@@ -308,8 +311,6 @@ class TestObserverDocuments:
             parse_observers(doc)
 
     def test_composed_bank_not_serializable(self, net_ab):
-        from critnet import build_decentralized, compose_decentralized
-
         bank = compose_decentralized(build_decentralized(net_ab))
         with pytest.raises(FormatError, match="composed banks"):
             serialize_observer("bank", bank)
@@ -425,6 +426,91 @@ def test_accepted_state_tokens_round_trip(tokens):
     assert parse_observers(serialize_observer("M", obs)) == (("M", obs),)
 
 
+# Characters besides space, tab, CR and LF that the reader splits lines or
+# tokens on; str.isspace() holds for each.
+SPLITTING = ["\xa0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028"]
+
+
+@pytest.mark.parametrize("where", ["state", "label", "name"])
+@pytest.mark.parametrize("ch", SPLITTING)
+def test_writers_refuse_what_the_reader_splits(where, ch):
+    bad = f"a{ch}b"
+    state, label, name = (
+        bad if where == w else ok for w, ok in (("state", "p"), ("label", "a"), ("name", "M"))
+    )
+    m = Fsm([state], [state], [label], [(state, label, state)])
+    for write, noun in (
+        (lambda: serialize_network(Network(((name, m),))), "member name"),
+        (lambda: serialize_observer(name, build_observer(m)), "observer name"),
+    ):
+        with pytest.raises(FormatError) as caught:
+            write()
+        what = noun if where == "name" else where
+        assert str(caught.value) == f"{what} {bad!r} contains forbidden [{ch!r}]"
+        assert caught.value.line is None
+
+
+# Both formats share one grammar; {h} is the section header, {n} what its
+# name names. Each case: document, message, line.
+SHARED_GRAMMAR = [
+    ("{h} A B\n", "{h} takes exactly one name", 1),
+    ("{h} M\n  states {x}\n{h} M\n", "duplicate {n} name 'M'", 3),
+    ("# first\n  states {x}\n{h} M\n", "'states' before any {h} section", 2),
+    ("{h} M\n  wobble x\n", "unknown directive 'wobble'", 2),
+    ("# nothing here\n\n", "document contains no {h} sections", None),
+    ("{h} M\n  states {x}\n  trans {x} a\n", "trans takes source, label, target", 3),
+    (
+        "{h} M\n  states {x}\n  alphabet a#b\n  trans {x} a#b {x}\n  alphabet a#b\n",
+        "label 'a#b' contains forbidden ['#']",
+        3,
+    ),
+    (
+        "{h} M\n  states {x}\n  alphabet a\n  trans {x} a {x}\n{h} N\n  alphabet b c\n"
+        "  alphabet c b a\"c\n  trans {x} a\"c {x}\n",
+        "label 'a\"c' contains forbidden ['\"']",
+        7,
+    ),
+    ("{h} M\n  states {x}\n  trans {x} a#b {x}\n", "label 'a#b' contains forbidden ['#']", 3),
+]
+
+
+@pytest.mark.parametrize("doc, message, line", SHARED_GRAMMAR)
+@pytest.mark.parametrize(
+    "parse, header, noun, state",
+    [(parse_network, "fsm", "member", "x"), (parse_observers, "observer", "observer", "{x}")],
+)
+def test_shared_grammar_errors(doc, message, line, parse, header, noun, state):
+    text = doc.replace("{h}", header).replace("{x}", state)
+    with pytest.raises(FormatError) as caught:
+        parse(text)
+    expected = message.replace("{h}", header).replace("{n}", noun)
+    assert str(caught.value) == (expected if line is None else f"line {line}: {expected}")
+    assert caught.value.line == line
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        (
+            parse_network,
+            "fsm M\n  states x y\n  trans x a y\n  trans y a x\n  trans x a y\n",
+            "line 5: duplicate transition x a y",
+        ),
+        (
+            parse_observers,
+            "observer O\n  states {x} {y}\n  trans {x} a {y}\n  trans {y} a {x}\n"
+            "  trans {x} a {x}\n",
+            "line 5: second transition from {x} on 'a': observers are deterministic",
+        ),
+    ],
+)
+def test_repeated_move_errors(parse, doc, message):
+    with pytest.raises(FormatError) as caught:
+        parse(doc)
+    assert str(caught.value) == message
+    assert caught.value.line == 5
+
+
 class TestDotExport:
     def test_fixture_a_bytes(self, fsm_a):
         assert export_dot(fsm_a, "A") == (
@@ -460,6 +546,49 @@ class TestDotExport:
         text = export_dot(m, 'na"me')
         assert '"na\\"me"' in text
         assert '"x\\"y"' in text
+
+    def test_composed_bank_bytes(self, net_ab):
+        # Bank states are tuples, found as ({p},{r}), ({q},{s,t}), ({p},{s,t}).
+        bank = compose_decentralized(build_decentralized(net_ab))
+        assert export_dot(bank, "bank") == (
+            'digraph "bank" {\n'
+            "  rankdir=LR;\n"
+            "  node [shape=circle];\n"
+            '  "__start0" [shape=point, label=""];\n'
+            '  "({p},{r})";\n'
+            '  "({p},{s,t})" [shape=doublecircle];\n'
+            '  "({q},{s,t})" [shape=doublecircle];\n'
+            '  "__start0" -> "({p},{r})";\n'
+            '  "({p},{r})" -> "({q},{s,t})" [label="a"];\n'
+            '  "({q},{s,t})" -> "({p},{s,t})" [label="b"];\n'
+            "}\n"
+        )
+
+    def test_constructed_observer_bytes(self):
+        # States and transitions are given out of canonical order.
+        p, q, pq = frozenset("p"), frozenset("q"), frozenset("pq")
+        obs = ObserverFsm(
+            [pq, q, p],
+            p,
+            ["b", "a"],
+            {(q, "b"): p, (pq, "b"): q, (pq, "a"): pq, (p, "a"): pq},
+            {p: 0, q: 1, pq: 1},
+        )
+        assert export_dot(obs, "O") == (
+            'digraph "O" {\n'
+            "  rankdir=LR;\n"
+            "  node [shape=circle];\n"
+            '  "__start0" [shape=point, label=""];\n'
+            '  "{p}";\n'
+            '  "{q}" [shape=doublecircle];\n'
+            '  "{p,q}" [shape=doublecircle];\n'
+            '  "__start0" -> "{p}";\n'
+            '  "{p}" -> "{p,q}" [label="a"];\n'
+            '  "{q}" -> "{p}" [label="b"];\n'
+            '  "{p,q}" -> "{p,q}" [label="a"];\n'
+            '  "{p,q}" -> "{q}" [label="b"];\n'
+            "}\n"
+        )
 
 
 class TestFormatErrorShape:
