@@ -5,9 +5,9 @@ label fires only when every member owning it has at least one successor;
 otherwise it blocks. A product state is critical as soon as one component is.
 
 ``explore`` is the one breadth-first kernel behind every synchronous product
-in the package: the plant here, the observer bank and the on-the-fly
-aggregates elsewhere. ``compose_many`` walks product states packed into
-ints through per-(label, owner) delta tables and hands the product over as
+in the package. ``walk_product`` steps packed ints through per-(label,
+owner) delta tables for the plant and the observer bank; the on-the-fly
+walk builds its rows as it goes. ``compose_many`` hands the plant over as
 an int table (``Fsm.int_moves``). It names each product state once, at the
 end, as "(x1,x2,...,xN)", and numbers the states by those names, as ids
 follow sorted names in every machine. A member's states are flattened into
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import product
-from math import inf
+from math import inf, prod
 
 from .errors import BudgetExceededError, InvalidInputError, MalformedFsmError
 from .fsm import Fsm
@@ -66,6 +66,8 @@ def split_commas(text: str, opening: str, closing: str) -> list[str] | None:
     Any character of ``opening`` opens a bracket and any of ``closing``
     closes one; all kinds count towards one depth.
     """
+    if not any(map(text.__contains__, opening + closing)):
+        return text.split(",")
     parts: list[str] = []
     depth = start = 0
     for i, ch in enumerate(text):
@@ -189,30 +191,19 @@ def field_layout(widths: Sequence[int], low: int = 0) -> list[tuple[int, int]]:
     return layout
 
 
-def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
-    """Accessible part of the synchronous product of the given machines.
+def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[list, list, list]:
+    """Breadth-first walk of the synchronous product of int tables, packed.
 
-    With a single machine this is the identity. ``max_states`` bounds the
-    number of product states explored before giving up, and a single
-    machine's own states. The product is valid by construction, so its
-    table goes to ``Fsm._trusted`` by position, without the public
-    constructor's checks.
-
-    A product state is one int with a field of state ids per member
-    (``field_layout``). Each (label, owner) table maps the owner's masked
-    field to None (blocked), the delta of its one move, or a tuple of deltas
-    in ascending target order; nondeterministic owners combine in
-    ``itertools.product`` order, so states are found in member-id order.
+    Member i has a row ``{label: targets}`` (one id, or ascending ids) per
+    state id in ``rows_of[i]`` and initial ids ``starts[i]``; ``owners`` is
+    ``owners_by_label`` of the members. A state is one int with a field per
+    member (``field_layout``). Each (label, owner) table maps the owner's
+    masked field to None (blocked), the delta of its one move, or a tuple of
+    deltas; nondeterministic owners combine in ``itertools.product`` order,
+    so states are found in member-id order. Returns the states in discovery
+    order, their rows ``{label: target or list of targets}``, and the layout.
     """
-    if not machines:
-        raise InvalidInputError("nothing to compose")
-    if len(machines) == 1:
-        check_budget(len(machines[0].states), max_states, "product exceeded {} states")
-        return machines[0]
-
-    owners = owners_by_label(machines)
-    states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
-    layout = field_layout([(len(states) - 1).bit_length() or 1 for states in states_of])
+    layout = field_layout([(len(rows) - 1).bit_length() or 1 for rows in rows_of])
     steps = []
     for label, members in owners:
         tables = []
@@ -224,6 +215,8 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
                 ys = row.get(label)
                 if ys is None:
                     table[z << shift] = None
+                elif ys.__class__ is int:
+                    table[z << shift] = (ys - z) << shift
                 elif len(ys) == 1:
                     table[z << shift] = (ys[0] - z) << shift
                 else:
@@ -255,9 +248,31 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
                     yield (t := s + delta + sum(ds))
                     targets.append(t)
 
-    starts = [[z for z, (_, init) in enumerate(flags) if init] for flags in flags_of]
     initial = [sum(z << shift for z, (_, shift) in zip(ids, layout)) for ids in product(*starts)]
-    reached, _, _ = explore(initial, expand, max_states, "product exceeded {} states")
+    reached, _, _ = explore(initial, expand, max_states, budget_message)
+    return reached, moves, layout
+
+
+def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
+    """Accessible part of the synchronous product of the given machines.
+
+    With a single machine this is the identity. ``max_states`` bounds the
+    number of product states explored before giving up, and a single
+    machine's own states. The product is valid by construction, so its
+    table goes to ``Fsm._trusted`` by position, without the public
+    constructor's checks.
+    """
+    if not machines:
+        raise InvalidInputError("nothing to compose")
+    budget = "product exceeded {} states"
+    if len(machines) == 1:
+        check_budget(len(machines[0].states), max_states, budget)
+        return machines[0]
+
+    owners = owners_by_label(machines)
+    states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
+    starts = [[z for z, (_, init) in enumerate(flags) if init] for flags in flags_of]
+    reached, moves, layout = walk_product(rows_of, owners, starts, max_states, budget)
 
     # A member's states are split into their parts once, and only if a name
     # has a bracket; see the module docstring for when they split.
@@ -283,7 +298,8 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
         }
         for p in order
     ]
-    flags = [(any(c), p < len(initial)) for p, c in enumerate(zip(*critical))]
+    initial = prod(map(len, starts))
+    flags = [(any(c), p < initial) for p, c in enumerate(zip(*critical))]
     return Fsm._trusted(names, {label for label, _ in owners}, rows, [flags[p] for p in order])
 
 

@@ -6,11 +6,11 @@ each local sees exactly the projection of the stream onto its alphabet. The
 session flag is the OR of the local flags after all affected locals have
 stepped.
 
-A session compiles its locals once, when it starts. Locals with equal
-observers own the same labels and move in lockstep, so they share one
-cursor, as bisimilar members lifted from one class representative do; full
-equality is only tested between observers with the same initial state,
-alphabet and size. Each cursor steps over its observer's int table
+A session compiles its locals once, when it starts. Locals with equal int
+tables (``observer.distinct_tables``) own the same labels and move in
+lockstep, whatever their states are called, so they share one cursor, as
+bisimilar members lifted from one class representative do; each local still
+reads its own states. Each cursor steps over its observer's int table
 (``ObserverFsm.rows`` and ``flags``), compiled at start into one row per
 label mapping a state position to the next (None when there is no move).
 
@@ -21,8 +21,8 @@ flips, so an event costs its owners plus one decode, however many locals
 there are. ``lines`` yields each record's text as its event is applied.
 
 Sessions are the one mutable thing in this package and expect a single
-writer. Their memory is fixed at start: the tables are sized by the
-distinct observers, and no record is kept per event, only the current
+writer. Their memory is fixed at start: the compiled tables are sized by
+the distinct local tables, and no record is kept per event, only the current
 states, the bit buffer and three counters. An event no run of the plant
 allows poisons the session: the step is not applied and every later feed
 fails fast.
@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .compose import owners_by_label
 from .errors import DesyncError, InvalidInputError
 from .fsm import Word
-from .observer import DecentralizedObserver, ObserverFsm
+from .observer import DecentralizedObserver, ObserverFsm, distinct_tables
 
 
 class StepRecord(NamedTuple):
@@ -70,43 +70,27 @@ class MonitorSession:
         if len(set(names)) != len(names):
             raise InvalidInputError(f"duplicate local names in {names}")
         self._locals = tuple(locals_)
-        # Cursors are numbered by first use, so a lower cursor's first local
-        # comes earlier in the session. Full identities are compared only
-        # among observers that agree on initial state, alphabet and size.
-        observers: list[ObserverFsm] = []
-        alike: dict[tuple, list[int]] = {}
-        cursors = []
-        for _, obs in self._locals:
-            same = alike.setdefault((obs.initial, obs.alphabet, len(obs.states)), [])
-            for c in same:
-                if observers[c] is obs or observers[c] == obs:
-                    break
-            else:
-                c = len(observers)
-                observers.append(obs)
-                same.append(c)
-            cursors.append(c)
-        self._cursors = tuple(cursors)
-        # Per cursor: its observer's states and flags by position, the
-        # current position and output, and the locals it fans out to. The
-        # locals' outputs are kept as '0'/'1' bytes, with a count of the
-        # cursors that are raised; both change only when an output flips.
+        # Numbered by first use, so a lower cursor's first local comes earlier.
+        self._cursors, observers = distinct_tables(obs for _, obs in self._locals)
+        # Per cursor: its observer's flags by position, the current position
+        # and output, and the locals it fans out to. The locals' outputs are
+        # kept as '0'/'1' bytes, with a count of the cursors that are raised;
+        # both change only when an output flips.
         flags = [obs.flags for obs in observers]
         rows = [obs.rows for obs in observers]
-        self._estimates = [obs.states for obs in observers]
         self._current = [obs.start for obs in observers]
         self._out = [f[i] for f, i in zip(flags, self._current)]
         self._fanout = [[] for _ in observers]
-        for i, c in enumerate(cursors):
+        for i, c in enumerate(self._cursors):
             self._fanout[c].append(i)
-        self._bits = bytearray(48 + self._out[c] for c in cursors)
+        self._bits = bytearray(48 + self._out[c] for c in self._cursors)
         self._raised = sum(self._out)
         # Per label: each owning cursor with its row by position and its
         # flags, and the record's moved flags.
         self._labels = {
             label: (
                 tuple((c, tuple(row.get(label) for row in rows[c]), flags[c]) for c in owners),
-                tuple(c in owners for c in cursors),
+                tuple(c in owners for c in self._cursors),
             )
             for label, owners in owners_by_label(observers)
         }
@@ -120,7 +104,7 @@ class MonitorSession:
 
     @property
     def states(self) -> tuple:
-        return tuple(self._estimates[c][self._current[c]] for c in self._cursors)
+        return tuple(obs.states[self._current[c]] for (_, obs), c in zip(self._locals, self._cursors))
 
     @property
     def outputs(self) -> tuple[int, ...]:

@@ -16,7 +16,8 @@ banks and projected on-the-fly locals take it over as it is and skip the
 public constructor's checks; the public constructor, and so the observer
 parser, keeps every one. Bank composition, monitor sessions, isomorphism
 and the cost ledger step over rows by position and name states only on the
-way out; plant ids follow sorted names, as in every ``Fsm``.
+way out; plant ids follow sorted names, as in every ``Fsm``. The bank walk
+and sessions step locals with equal tables as one (``distinct_tables``).
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import getitem
 
-from .compose import Network, check_budget, explore, owners_by_label
+from .compose import Network, check_budget, explore, owners_by_label, walk_product
 from .errors import InvalidInputError, MalformedFsmError
 from .fsm import Fsm
 
@@ -140,7 +140,9 @@ class ObserverFsm:
 
     def transitions(self) -> list[tuple[ObserverState, str, ObserverState]]:
         """Transition triples in canonical (source, label) order."""
-        return sorted(self._triples(), key=lambda t: (state_sort_key(t[0]), t[1]))
+        states = self.states
+        order = sorted(range(len(states)), key=lambda i: state_sort_key(states[i]))
+        return [(states[i], x, states[j]) for i in order for x, j in sorted(self.rows[i].items())]
 
     def _triples(self):
         states = self.states
@@ -327,6 +329,24 @@ def build_decentralized(
     )
 
 
+def distinct_tables(observers: Iterable[ObserverFsm]) -> tuple[tuple[int, ...], list[ObserverFsm]]:
+    """Each observer's number, and the observer that first used each number.
+
+    Observers with equal ``start``, ``alphabet``, ``rows`` and ``flags`` move
+    in lockstep under every word, whatever their states are called, so they
+    share a number; numbers follow first use.
+    """
+    alike, numbers, distinct = {}, [], []
+    for obs in observers:
+        same = alike.setdefault((obs.start, obs.alphabet, tuple(obs.flags)), [])
+        c = next((c for c in same if distinct[c].rows == obs.rows), len(distinct))
+        if c == len(distinct):
+            distinct.append(obs)
+            same.append(c)
+        numbers.append(c)
+    return tuple(numbers), distinct
+
+
 def compose_decentralized(
     d: DecentralizedObserver, max_states: int | None = None
 ) -> ObserverFsm:
@@ -335,44 +355,28 @@ def compose_decentralized(
     States are aggregates: one estimate per member. A shared label moves
     every local owning it, and blocks when any of them has no move. With a
     single local the bank composes to that local itself, within the same
-    budget. The walk runs over tuples of the locals' state positions and
-    emits the bank's rows by aggregate position; aggregates become estimate
-    tuples once, at the end.
+    budget. ``walk_product`` steps one field per distinct table
+    (``distinct_tables``) and emits the bank's rows by aggregate position;
+    each local names its field with its own states once, at the end.
     """
+    budget = "composed bank exceeded {} states"
     if len(d.locals) == 1:
         only = d.locals[0][1]
-        check_budget(len(only.states), max_states, "composed bank exceeded {} states")
+        check_budget(len(only.states), max_states, budget)
         return only
-    observers = d.observers
-    rows_of = [obs.rows for obs in observers]
-    owners = owners_by_label(observers)
-    moves: dict[tuple[int, ...], dict[str, tuple[int, ...]]] = {}
-
-    def expand(agg: tuple[int, ...]):
-        rows = list(map(getitem, rows_of, agg))
-        row = moves[agg] = {}
-        for label, members in owners:
-            parts = list(agg)
-            for i in members:
-                nxt = rows[i].get(label)
-                if nxt is None:
-                    break
-                parts[i] = nxt
-            else:
-                successor = tuple(parts)
-                yield successor
-                row[label] = successor
-
-    z0 = tuple(obs.start for obs in observers)
-    aggs, _, _ = explore((z0,), expand, max_states, "composed bank exceeded {} states")
+    numbers, distinct = distinct_tables(d.observers)
+    owners = owners_by_label(distinct)
+    rows_of, starts = [obs.rows for obs in distinct], [(obs.start,) for obs in distinct]
+    aggs, moves, layout = walk_product(rows_of, owners, starts, max_states, budget)
     position = {agg: p for p, agg in enumerate(aggs)}
-    states_of = [obs.states for obs in observers]
-    flags_of = [obs.flags for obs in observers]
+    fields = [[(agg & mask) >> shift for agg in aggs] for mask, shift in layout]
+    states = [list(map(obs.states.__getitem__, fields[c])) for obs, c in zip(d.observers, numbers)]
+    flags = [list(map(obs.flags.__getitem__, ids)) for obs, ids in zip(distinct, fields)]
     return ObserverFsm._trusted(
-        [tuple(map(getitem, states_of, agg)) for agg in aggs],
+        list(zip(*states)),
         {label for label, _ in owners},
-        [{label: position[dst] for label, dst in moves[agg].items()} for agg in aggs],
-        [1 if any(map(getitem, flags_of, agg)) else 0 for agg in aggs],
+        [{label: position[dst] for label, dst in row.items()} for row in moves],
+        [1 if any(f) else 0 for f in zip(*flags)],
     )
 
 

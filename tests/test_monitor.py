@@ -261,19 +261,25 @@ class TestAgainstReference:
 class TestCursorSharing:
     def test_alike_but_different_observers_get_their_own_cursors(self):
         # Same initial estimate, alphabet and size; only the move from q
-        # differs. A copy of the first, built apart, shares its cursor.
-        p, q = fz("p"), fz("q")
+        # differs. A copy of the first, built apart, shares its cursor, and
+        # so does a copy whose estimates are renamed; it reads its own names.
+        p, q, r, s = fz("p"), fz("q"), fz("r"), fz("s")
 
-        def observer(back):
-            return ObserverFsm([p, q], p, ["a"], {(p, "a"): q, (q, "a"): back}, {p: 0, q: 1})
+        def observer(p, q, back):
+            moves = {(p, "a"): q, (q, "a"): back, (p, "b"): p}
+            return ObserverFsm([p, q], p, ["a", "b"], moves, {p: 0, q: 1})
 
-        x, y, x_copy = observer(p), observer(q), observer(p)
-        assert x != y and x == x_copy and x is not x_copy
-        session = start_session([("X", x), ("Y", y), ("X2", x_copy)])
-        assert session._cursors == (0, 1, 0)
+        x, y, x_copy = observer(p, q, p), observer(p, q, q), observer(p, q, p)
+        renamed = observer(r, s, r)
+        assert x != y and x == x_copy and x is not x_copy and x != renamed
+        session = start_session([("X", x), ("Y", y), ("X2", x_copy), ("XR", renamed)])
+        assert session._cursors == (0, 1, 0, 0)
         session.replay(["a", "a"])
-        assert session.states == (p, q, p)
-        assert session.outputs == (0, 1, 0)
+        assert session.states == (p, q, p, r)
+        assert session.outputs == (0, 1, 0, 0)
+        assert session.feed("a").bits == "1111"
+        with pytest.raises(DesyncError, match="^local 'X' has no move on 'b'"):
+            session.feed("b")
 
 
 def _sampled_trace(net, rng, length):

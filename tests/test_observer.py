@@ -27,7 +27,7 @@ from critnet import (
     validate_critical_observer,
 )
 from conftest import make_converse_pair
-from genutil import observable_fsm, random_fsm, random_network
+from genutil import observable_fsm, random_fsm, random_network, with_duplicates
 from oracles import (
     estimates_by_word,
     naive_bank_product,
@@ -260,10 +260,11 @@ class TestDecentralized:
         assert witness is not None
 
     def test_budget_threshold_is_exact(self):
+        # The last 60 networks carry renamed copies, whose locals share a field.
         rng = random.Random(912)
         checked = 0
-        for _ in range(60):
-            net = random_network(rng, max_members=3, max_states=4)
+        for copies in [0] * 60 + [2] * 60:
+            net = with_duplicates(rng, random_network(rng, max_members=3, max_states=4), copies)
             if len(net.members) < 2:
                 continue
             checked += 1
@@ -274,7 +275,7 @@ class TestDecentralized:
                 BudgetExceededError, match=f"^composed bank exceeded {n - 1} states$"
             ):
                 compose_decentralized(bank, max_states=n - 1)
-        assert checked >= 20
+        assert checked >= 80
 
     def test_initial_aggregate_over_budget(self, net_ab):
         bank = build_decentralized(net_ab)
@@ -334,8 +335,8 @@ class TestTrustedConstruction:
     def test_composed_bank_matches_naive_product(self):
         rng = random.Random(1208)
         checked = 0
-        for _ in range(80):
-            net = random_network(rng, max_members=4, max_states=4)
+        for copies in [0] * 80 + [2] * 80:
+            net = with_duplicates(rng, random_network(rng, max_members=4, max_states=4), copies)
             if len(net.members) < 2:
                 continue
             bank = build_decentralized(net)
@@ -345,7 +346,7 @@ class TestTrustedConstruction:
             assert composed.transitions() == naive.transitions()
             assert list(composed.flags) == list(naive.flags)
             checked += 1
-        assert checked >= 40
+        assert checked >= 100
 
 
     def test_initial_state_away_from_position_zero(self):
@@ -353,8 +354,8 @@ class TestTrustedConstruction:
         # initial state can sit anywhere; banks and sessions must start there.
         rng = random.Random(1209)
         checked = 0
-        for _ in range(60):
-            net = random_network(rng, max_members=3, max_states=4)
+        for copies in [0] * 60 + [2] * 60:
+            net = with_duplicates(rng, random_network(rng, max_members=3, max_states=4), copies)
             if len(net.members) < 2:
                 continue
             bank = DecentralizedObserver(
@@ -373,7 +374,7 @@ class TestTrustedConstruction:
                 assert problem is None
                 assert [(r.index, r.label, r.moved, r.outputs, r.flag) for r in records] == want
             checked += 1
-        assert checked >= 30
+        assert checked >= 60
 
 
 def _reversed(obs: ObserverFsm) -> ObserverFsm:
