@@ -137,20 +137,20 @@ def explore(
     max_states: int | None = None,
     budget_message: str = "",
     *,
-    key: Callable[[Hashable], object] | None = None,
+    sort: bool = False,
     stop: Callable[[Hashable], bool] | None = None,
     on_generation: Callable[[int, int, int], None] | None = None,
 ) -> tuple[list[Hashable], Hashable | None, int]:
     """Breadth-first walk from ``init``, one generation at a time.
 
-    A generation is expanded in discovery order, or sorted by ``key``. Code
-    after a ``yield`` in ``expand`` runs only once the kernel has stored that
-    successor or found it stored, so callers record moves there. A fresh
-    state for which ``stop`` holds ends the walk before it is stored, and
-    the move to it is never recorded. More than ``max_states`` states, in
-    the initial set or after any store, raise ``BudgetExceededError`` with
-    ``budget_message.format(max_states)``. ``on_generation`` gets
-    (generation, frontier size, states stored) before each generation.
+    A generation is expanded in discovery order, or ascending with ``sort``.
+    Code after a ``yield`` in ``expand`` runs only once the kernel has stored
+    that successor or found it stored, so callers record moves there. A fresh
+    state for which ``stop`` holds ends the walk before it is stored, and the
+    move to it is never recorded. More than ``max_states`` states, in the
+    initial set or after any store, raise ``BudgetExceededError`` with
+    ``budget_message.format(max_states)``. ``on_generation`` gets (generation,
+    frontier size, states stored) before each generation.
 
     Returns the stored states in discovery order, the stop state or None,
     and the number of generations expanded before the stop.
@@ -163,8 +163,8 @@ def explore(
     while frontier:
         if on_generation is not None:
             on_generation(generation, len(frontier), len(seen))
-        if key is not None and len(frontier) > 1:
-            frontier.sort(key=key)
+        if sort:
+            frontier.sort()
         next_frontier = []
         push = next_frontier.append
         for s in frontier:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from math import comb
 
 from .compose import Network, check_budget, explore, owners_by_label, walk_product
 from .errors import InvalidInputError, MalformedFsmError
@@ -196,23 +197,23 @@ class EstimateTable:
     """A machine's local observer, built lazily and interned as int ids.
 
     Estimates get ids in discovery order, starting with the initial estimate
-    at id 0. Per id the table keeps the estimate, its cached sort key, whether
-    it touches the critical set and whether it lies inside it, and a
-    successor row ``{label: id}`` computed the first time the id is expanded
-    and never again. Estimates are interned and stepped as sets of the
-    machine's state ids (``Fsm.int_moves``); each gets its names once, when
-    first interned. Only the estimates some exploration reaches are ever
-    expanded.
+    at id 0. Per id the table keeps the estimate, whether it touches the
+    critical set and whether it lies inside it, and a successor row
+    ``{label: id}`` computed the first time the id is expanded and never
+    again. Estimates are interned and stepped as sets of the machine's state
+    ids (``Fsm.int_moves``); each gets its names once, when first interned.
+    Only the estimates some exploration reaches are expanded, and only those
+    a caller packs are ranked (``rank``), so ``build_observer`` ranks none.
     """
 
     __slots__ = (
         "machine",
         "labels",
         "estimates",
-        "keys",
         "touches",
         "contained",
         "rows",
+        "by_rank",
         "_members",
         "_ids",
     )
@@ -221,10 +222,10 @@ class EstimateTable:
         self.machine = m
         self.labels = sorted(m.alphabet)
         self.estimates: list[frozenset[str]] = []
-        self.keys: list[tuple] = []
         self.touches: list[bool] = []
         self.contained: list[bool] = []
         self.rows: list[dict[str, int] | None] = []
+        self.by_rank: dict[int, int] = {}
         self._members: list[frozenset[int]] = []
         self._ids: dict[frozenset[int], int] = {}
         _, _, flags = m.int_moves()
@@ -235,15 +236,27 @@ class EstimateTable:
         if i is None:
             i = self._ids[members] = len(self.estimates)
             names, _, flags = self.machine.int_moves()
-            z = frozenset([names[x] for x in members])
             critical = [flags[x][0] for x in members]
-            self.estimates.append(z)
-            self.keys.append(state_sort_key(z))
+            self.estimates.append(frozenset([names[x] for x in members]))
             self.touches.append(any(critical))
             self.contained.append(all(critical))
             self._members.append(members)
             self.rows.append(None)
         return i
+
+    def rank(self, i: int) -> int:
+        """Estimate ``i``'s place among all nonempty sets of the n states, by
+        size, then by sorted ids (``state_sort_key`` order): below 2^n - 1.
+        Records it in ``by_rank``, which maps it back to ``i``."""
+        ids = self._members[i]
+        if len(ids) == 1:
+            (r,) = ids
+        else:
+            n, k, r = len(self.machine.states), len(ids), -1
+            for x in sorted(ids):
+                r, k = r + comb(n, k) - comb(n - 1 - x, k), k - 1
+        self.by_rank[r] = i
+        return r
 
     def row(self, i: int) -> dict[str, int]:
         """Successor ids of estimate ``i`` by label, in sorted label order."""

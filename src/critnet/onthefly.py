@@ -10,12 +10,13 @@ observers and the network is observable.
 An aggregate is one int: the count of members whose estimate lies inside
 their critical set, above it the count of those whose estimate touches it,
 then one field per member (``compose.field_layout``, member 0 highest), n
-bits wide for n states, which holds any estimate id. Each label memoizes, by
-its owners' fields, the delta a move adds to fields and counts, or None when
-it is blocked, so a move is one AND, one lookup and one add. A label every
-member owns steps each member through its own memo instead, as its memo key
-would be the whole aggregate. The moves a memo first yields are logged and
-decoded after the walk.
+bits wide for n states, holding the estimate's rank (``EstimateTable.rank``),
+so aggregates sort canonically as plain ints. Each label memoizes, by its
+owners' fields, the delta a move adds to fields and counts, or None when it
+is blocked, so a move is one AND, one lookup and one add; only a miss maps
+ranks to ids and back. A label every member owns steps each member through
+its own memo instead, as its memo key would be the whole aggregate. The
+moves a memo first yields are logged and decoded after the walk.
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def run_onthefly(
     aggregates seen so far) at the start of each generation.
 
     Each member's estimates live in its own lazily built ``EstimateTable``;
-    an aggregate packs their ids into one int (see the module docstring)
-    and sorts by the estimates' cached keys. A member's witnessed
-    transitions are its part of the logged moves, in order, and its
-    witnessed states their targets after id 0; the move into the witness is
-    never logged. Estimates reappear only in the outcome.
+    an aggregate packs their ranks into one int (see the module docstring),
+    so a generation sorts as plain ints. A member's witnessed transitions
+    are its part of the logged moves, in order, and its witnessed states
+    their targets after id 0; the move into the witness is never logged.
+    Estimates reappear only in the outcome.
     """
     machines = network.machines
     n = len(machines)
@@ -97,15 +98,16 @@ def run_onthefly(
     layout = field_layout([len(m.states) for m in machines], 2 * width)
     fields = [(t, mask, shift, {}, {0: None}) for t, (mask, shift) in zip(tables, layout)]
     initial = sum((t.touches[0] << width) + t.contained[0] for t in tables)
+    initial += sum(t.rank(0) << shift for t, _, shift, _, _ in fields)
 
     def step(agg: int, label: str, owners) -> int | None:
         delta = 0
         for t, mask, shift, _, _ in owners:
-            z = (agg & mask) >> shift
+            z = t.by_rank[r := (agg & mask) >> shift]
             y = (t.rows[z] or t.row(z)).get(label)
             if y is None:
                 return None
-            delta += ((y - z) << shift) + ((t.touches[y] - t.touches[z]) << width)
+            delta += ((t.rank(y) - r) << shift) + ((t.touches[y] - t.touches[z]) << width)
             delta += t.contained[y] - t.contained[z]
         return delta
 
@@ -152,12 +154,6 @@ def run_onthefly(
                         own[key] = part
                     log.append((agg, agg + delta, owners, label))
 
-    def key(agg: int) -> tuple:
-        keys = []
-        for t, mask, shift, _, _ in fields:
-            keys.append(t.keys[(agg & mask) >> shift])
-        return tuple(keys)
-
     # Every table interns its member's initial estimate as id 0. The initial
     # aggregate is never straddle-tested: construction forces each member's
     # initial states to one side of its critical set, which puts the initial
@@ -167,21 +163,22 @@ def run_onthefly(
         expand,
         max_states,
         "exploration exceeded {} aggregates",
-        key=key,
+        sort=True,
         stop=lambda agg: agg & inside << width and not agg & inside,
         on_generation=on_generation,
     )
     for src, dst, owners, label in log:
-        for _, mask, shift, recorded, kept in owners:
-            kept.setdefault((dst & mask) >> shift)
-            recorded.setdefault(((src & mask) >> shift, label), (dst & mask) >> shift)
+        for t, mask, shift, recorded, kept in owners:
+            kept.setdefault(y := t.by_rank[(dst & mask) >> shift])
+            recorded.setdefault((t.by_rank[(src & mask) >> shift], label), y)
     if witness is None:
         verdict = Verdict(True)
         locals_ = tuple(
             (name, _finalize_local(f[0], f[4])) for name, f in zip(network.names, fields)
         )
     else:
-        verdict = Verdict(False, tuple(t.estimates[(witness & m) >> s] for t, m, s, _, _ in fields))
+        ids = [t.by_rank[(witness & m) >> s] for t, m, s, _, _ in fields]
+        verdict = Verdict(False, tuple(t.estimates[z] for t, z in zip(tables, ids)))
         locals_ = None
     return OnTheFlyOutcome(
         verdict=verdict,

@@ -19,6 +19,7 @@ from critnet import (
     serialize_network,
     tuple_parts,
 )
+from critnet.compose import explore
 from conftest import make_fsm_a, make_fsm_b
 from genutil import random_fsm, random_network
 from oracles import extended_delta, naive_compose, project_word, structural_key
@@ -390,6 +391,50 @@ class TestPackedWalkAgainstReference:
             wide += widths > 64 and n > 1
         assert sum(seen.values()) >= 500 and min(seen.values()) >= 40
         assert branching >= 80 and wide >= 30
+
+
+class TestSortedExplore:
+    """``explore`` with ``sort`` walks the unsorted walk's generations, ascending."""
+
+    @staticmethod
+    def _walk(init, succ, sort, max_states=None):
+        expanded, starts = [], []
+
+        def expand(s):
+            expanded.append(s)
+            return succ[s]
+
+        seen, stop, count = explore(
+            init,
+            expand,
+            max_states,
+            "walk exceeded {} states",
+            sort=sort,
+            on_generation=lambda generation, size, stored: starts.append(len(expanded)),
+        )
+        assert stop is None and count == len(starts)
+        bounds = zip(starts, [*starts[1:], len(expanded)])
+        return seen, [expanded[a:b] for a, b in bounds]
+
+    def test_generations_stored_set_and_budget_match_the_unsorted_walk(self):
+        rng = random.Random(1701)
+        shuffled = 0
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            succ = {s: rng.sample(range(n), rng.randint(0, min(3, n))) for s in range(n)}
+            init = rng.sample(range(n), rng.randint(1, min(3, n)))
+            seen, generations = self._walk(init, succ, False)
+            seen_sorted, generations_sorted = self._walk(init, succ, True)
+            assert all(g == sorted(g) for g in generations_sorted)
+            assert [set(g) for g in generations_sorted] == [set(g) for g in generations]
+            assert sorted(seen_sorted) == sorted(seen)
+            shuffled += generations_sorted != generations
+            stored = len(seen)
+            for sort in (False, True):
+                assert len(self._walk(init, succ, sort, stored)[0]) == stored
+                with pytest.raises(BudgetExceededError, match=f"^walk exceeded {stored - 1} states$"):
+                    self._walk(init, succ, sort, stored - 1)
+        assert shuffled >= 100
 
 
 def _branching_owners(machines, label):

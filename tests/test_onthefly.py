@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -17,6 +19,7 @@ from critnet import (
     run_onthefly,
     straddle_test,
 )
+from critnet.observer import EstimateTable, state_sort_key
 from genutil import SHARED_POOL, random_fsm, random_network
 from oracles import (
     check_aggregate_observer,
@@ -271,3 +274,48 @@ class TestAgainstNaiveSearch:
             with pytest.raises(BudgetExceededError):
                 run_onthefly(net, max_states=n - 1)
         assert checked >= 10
+
+
+class TestCanonicalRanks:
+    """Packed fields hold ranks that follow the estimates' canonical order."""
+
+    def test_ranks_number_every_subset_in_canonical_order(self):
+        for n in range(1, 10):
+            # "q11" sorts before "q2": sorted names are not numeric order.
+            names = [f"q{2 + 9 * i}" for i in range(n)]
+            assert n < 2 or sorted(names) != names
+            subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(names, k)]
+            ranks = {}
+            for z in subsets:
+                table = EstimateTable(Fsm(names, z, ["a"], []))
+                ranks[z] = table.rank(0)
+                assert table.by_rank == {ranks[z]: 0}
+            assert sorted(ranks.values()) == list(range(2**n - 1))
+            assert sorted(subsets, key=ranks.get) == sorted(subsets, key=state_sort_key)
+
+    def test_member_with_ranks_past_two_to_the_thirty_matches_naive_bfs(self):
+        # A has 34 states, named so that "s10" < "s2": "a" grows an estimate
+        # by the next state, "b" shifts it by three. B counts "a" moves up to
+        # b19; reaching b19 is nondeterministic, so with b19 critical the
+        # witness is {b18,b19}, after A's estimates have passed 13 states,
+        # whose ranks exceed 2**30.
+        n = 34
+        s = [f"s{i}" for i in range(n)]
+        grow = [(s[i], "a", s[j]) for i in range(n) for j in {i, min(i + 1, n - 1)}]
+        shift = [(s[i], "b", s[(i + 3) % n]) for i in range(n)]
+        a = Fsm(s, ["s0"], ["a", "b"], grow + shift)
+        b = [f"b{i}" for i in range(20)]
+        count = [(b[i], "a", b[min(i + 1, 19)]) for i in range(20)] + [("b18", "a", "b18")]
+        past = 0
+        for critical in (["b19"], []):
+            net = Network((("A", a), ("B", Fsm(b, ["b0"], ["a"], count, critical))))
+            out = run_onthefly(net)
+            naive = naive_first_straddle(net)
+            assert out.verdict.witness == naive.witness
+            assert out.verdict.observable == (not critical)
+            assert [list(states) for states in out.witnessed_states] == naive.states
+            assert [list(moves) for moves in out.witnessed_transitions] == naive.moves
+            assert out.aggregates_seen == naive.stored
+            for z in out.witnessed_states[0]:
+                past += sum(comb(n, k) for k in range(1, len(z))) > 2**30
+        assert past >= 100
