@@ -202,6 +202,9 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_preserve(args) -> int:
+    for flag, value in (("--runs", args.runs), ("--length", args.length)):
+        if value < 0:
+            raise InvalidInputError(f"{flag} must not be negative, got {value}")
     network = _parse(parse_network, args.file)
     budget = _resolve_budget(args)
     report = preservation_check(

@@ -10,11 +10,11 @@ combines their flags with OR; composing the bank yields a machine isomorphic
 to the observer of the composed network.
 
 An observer is stored as one int table over state positions: per position
-a row ``{label: next position}`` and an output flag. The estimate tables
-the builders explore already have that layout, so local observers, composed
-banks and projected on-the-fly locals take it over as it is and skip the
-public constructor's checks; the public constructor, and so the observer
-parser, keeps every one. Bank composition, monitor sessions, isomorphism
+a row ``{label: next position}`` and an output flag. Local observers and
+projected on-the-fly locals come from one method (``EstimateTable.observer``)
+and composed banks from the packed product walk; both skip the public
+constructor's checks, which the constructor, and so the observer parser,
+keeps. Bank composition, monitor sessions, isomorphism
 and the cost ledger step over rows by position and name states only on the
 way out; plant ids follow sorted names, as in every ``Fsm``. The bank walk
 and sessions step locals with equal tables as one (``distinct_tables``).
@@ -194,102 +194,112 @@ class Verdict:
 
 
 class EstimateTable:
-    """A machine's local observer, built lazily and interned as int ids.
+    """A machine's local observer, built lazily, one int key per estimate.
 
-    Estimates get ids in discovery order, starting with the initial estimate
-    at id 0. Per id the table keeps the estimate, whether it touches the
-    critical set and whether it lies inside it, and a successor row
-    ``{label: id}`` computed the first time the id is expanded and never
-    again. Estimates are interned and stepped as sets of the machine's state
-    ids (``Fsm.int_moves``); each gets its names once, when first interned.
-    Only the estimates some exploration reaches are expanded, and only those
-    a caller packs are ranked (``rank``), so ``build_observer`` ranks none.
+    An estimate is an int mask over the state ids (``Fsm.int_moves``). Its
+    key is its canonical rank among the nonempty sets of the n states, by
+    size, then by sorted ids (``state_sort_key`` order), so keys lie below
+    2^n - 1. ``keys`` maps masks to keys and ``masks`` maps back. Per key the
+    table keeps whether the estimate touches the critical set and whether
+    it lies inside it, and a successor row ``{label: key}`` computed the
+    first time the key is expanded. Names are built only on the way out.
     """
 
     __slots__ = (
         "machine",
-        "labels",
-        "estimates",
+        "critical",
+        "start",
+        "keys",
+        "masks",
         "touches",
         "contained",
         "rows",
-        "by_rank",
-        "_members",
-        "_ids",
     )
 
     def __init__(self, m: Fsm):
         self.machine = m
-        self.labels = sorted(m.alphabet)
-        self.estimates: list[frozenset[str]] = []
-        self.touches: list[bool] = []
-        self.contained: list[bool] = []
-        self.rows: list[dict[str, int] | None] = []
-        self.by_rank: dict[int, int] = {}
-        self._members: list[frozenset[int]] = []
-        self._ids: dict[frozenset[int], int] = {}
-        _, _, flags = m.int_moves()
-        self._intern(frozenset([x for x, (_, init) in enumerate(flags) if init]))
+        critical = initial = 0
+        for x, (c, i) in enumerate(m.int_moves()[2]):
+            critical, initial = critical | c << x, initial | i << x
+        self.critical = critical
+        self.keys: dict[int, int] = {}
+        self.masks: dict[int, int] = {}
+        self.touches: dict[int, int] = {}
+        self.contained: dict[int, int] = {}
+        self.rows: dict[int, dict[str, int]] = {}
+        self.start = self._intern(initial)
 
-    def _intern(self, members: frozenset[int]) -> int:
-        i = self._ids.get(members)
-        if i is None:
-            i = self._ids[members] = len(self.estimates)
-            names, _, flags = self.machine.int_moves()
-            critical = [flags[x][0] for x in members]
-            self.estimates.append(frozenset([names[x] for x in members]))
-            self.touches.append(any(critical))
-            self.contained.append(all(critical))
-            self._members.append(members)
-            self.rows.append(None)
-        return i
+    def _intern(self, mask: int) -> int:
+        key = self.keys.get(mask)
+        if key is None:
+            ids = _ids(mask)
+            if len(ids) == 1:
+                key = ids[0]
+            else:
+                n, k, key = len(self.machine.states), len(ids), -1
+                for x in ids:
+                    key, k = key + comb(n, k) - comb(n - 1 - x, k), k - 1
+            self.keys[mask], self.masks[key] = key, mask
+            self.touches[key] = 1 if mask & self.critical else 0
+            self.contained[key] = 1 if mask & self.critical == mask else 0
+        return key
 
-    def rank(self, i: int) -> int:
-        """Estimate ``i``'s place among all nonempty sets of the n states, by
-        size, then by sorted ids (``state_sort_key`` order): below 2^n - 1.
-        Records it in ``by_rank``, which maps it back to ``i``."""
-        ids = self._members[i]
-        if len(ids) == 1:
-            (r,) = ids
-        else:
-            n, k, r = len(self.machine.states), len(ids), -1
-            for x in sorted(ids):
-                r, k = r + comb(n, k) - comb(n - 1 - x, k), k - 1
-        self.by_rank[r] = i
-        return r
-
-    def row(self, i: int) -> dict[str, int]:
-        """Successor ids of estimate ``i`` by label, in sorted label order."""
-        row = self.rows[i]
+    def row(self, key: int) -> dict[str, int]:
+        """Successor keys of estimate ``key`` by label, in sorted label order."""
+        row = self.rows.get(key)
         if row is None:
-            moves = self.machine.int_moves()[1]
-            images: dict[str, set[int]] = {}
-            for x in self._members[i]:
+            moves, images = self.machine.int_moves()[1], {}
+            for x in _ids(self.masks[key]):
                 for label, ys in moves[x].items():
-                    images.setdefault(label, set()).update(ys)
+                    for y in ys:
+                        images[label] = images.get(label, 0) | 1 << y
             # A loop, not a comprehension: a comprehension would make ``self``
             # a closure cell, which every call pays for, cached or not.
-            row = {}
-            for label in self.labels:
-                image = images.get(label)
-                if image:
-                    row[label] = self._intern(frozenset(image))
-            self.rows[i] = row
+            row = self.rows[key] = {}
+            for label in sorted(images):
+                row[label] = self._intern(images[label])
         return row
+
+    def estimate(self, key: int) -> frozenset[str]:
+        """The estimate under ``key``, as a set of state names."""
+        return frozenset(map(self.machine.int_moves()[0].__getitem__, _ids(self.masks[key])))
+
+    def observer(self, keys: Sequence[int]) -> ObserverFsm:
+        """The observer over ``keys`` by position, the first one initial;
+        moves to estimates not in ``keys`` are dropped."""
+        position = dict(zip(keys, range(len(keys))))
+        # A loop: a comprehension per row costs more than its few moves.
+        rows = []
+        for key in keys:
+            rows.append(row := {})
+            for label, k in self.row(key).items():
+                if k in position:
+                    row[label] = position[k]
+        flags = list(map(self.touches.__getitem__, keys))
+        return ObserverFsm._trusted(list(map(self.estimate, keys)), self.machine.alphabet, rows, flags)
+
+
+def _ids(mask: int) -> list[int]:
+    """The state ids in ``mask``, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def build_observer(m: Fsm, max_states: int | None = None) -> ObserverFsm:
     """Subset construction seeded at the full initial-state estimate.
 
-    Expands every row of a fresh estimate table breadth first. The kernel
-    stores ids in the order the table interns them, so the table's ids are
-    already the observer's state positions.
+    Expands every row of a fresh estimate table breadth first; the observer
+    takes the estimates in the order the walk stores them.
     """
     table = EstimateTable(m)
-    explore((0,), lambda i: table.row(i).values(), max_states, "observer exceeded {} states")
-    return ObserverFsm._trusted(
-        table.estimates, m.alphabet, table.rows, [1 if t else 0 for t in table.touches]
+    keys, _, _ = explore(
+        (table.start,), lambda key: table.row(key).values(), max_states, "observer exceeded {} states"
     )
+    return table.observer(keys)
 
 
 def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:

@@ -10,13 +10,13 @@ observers and the network is observable.
 An aggregate is one int: the count of members whose estimate lies inside
 their critical set, above it the count of those whose estimate touches it,
 then one field per member (``compose.field_layout``, member 0 highest), n
-bits wide for n states, holding the estimate's rank (``EstimateTable.rank``),
-so aggregates sort canonically as plain ints. Each label memoizes, by its
+bits wide for n states, holding the estimate's key (``EstimateTable``), so
+aggregates sort canonically as plain ints. Each label memoizes, by its
 owners' fields, the delta a move adds to fields and counts, or None when it
-is blocked, so a move is one AND, one lookup and one add; only a miss maps
-ranks to ids and back. A label every member owns steps each member through
-its own memo instead, as its memo key would be the whole aggregate. The
-moves a memo first yields are logged and decoded after the walk.
+is blocked, so a move is one AND, one lookup and one add; a miss reads the
+owners' rows by those keys. A label every member owns steps each member
+through its own memo instead, as its memo key would be the whole aggregate.
+The moves a memo first yields are logged and decoded after the walk.
 """
 
 from __future__ import annotations
@@ -82,32 +82,32 @@ def run_onthefly(
     aggregates seen so far) at the start of each generation.
 
     Each member's estimates live in its own lazily built ``EstimateTable``;
-    an aggregate packs their ranks into one int (see the module docstring),
+    an aggregate packs their keys into one int (see the module docstring),
     so a generation sorts as plain ints. A member's witnessed transitions
     are its part of the logged moves, in order, and its witnessed states
-    their targets after id 0; the move into the witness is never logged.
-    Estimates reappear only in the outcome.
+    their targets after its initial key; the move into the witness is never
+    logged. Estimates are named only in the outcome.
     """
     machines = network.machines
     n = len(machines)
     width = n.bit_length()
     inside = (1 << width) - 1
     # Per member: its table, field mask and shift, and the recorded moves
-    # {(id, label): id} and kept ids, both in first-recorded order.
+    # {(key, label): key} and kept keys, both in first-recorded order.
     tables = [EstimateTable(m) for m in machines]
     layout = field_layout([len(m.states) for m in machines], 2 * width)
-    fields = [(t, mask, shift, {}, {0: None}) for t, (mask, shift) in zip(tables, layout)]
-    initial = sum((t.touches[0] << width) + t.contained[0] for t in tables)
-    initial += sum(t.rank(0) << shift for t, _, shift, _, _ in fields)
+    fields = [(t, mask, shift, {}, {t.start: None}) for t, (mask, shift) in zip(tables, layout)]
+    initial = sum((t.touches[t.start] << width) + t.contained[t.start] for t in tables)
+    initial += sum(t.start << shift for t, _, shift, _, _ in fields)
 
     def step(agg: int, label: str, owners) -> int | None:
         delta = 0
         for t, mask, shift, _, _ in owners:
-            z = t.by_rank[r := (agg & mask) >> shift]
-            y = (t.rows[z] or t.row(z)).get(label)
+            z = (agg & mask) >> shift
+            y = t.row(z).get(label)
             if y is None:
                 return None
-            delta += ((t.rank(y) - r) << shift) + ((t.touches[y] - t.touches[z]) << width)
+            delta += ((y - z) << shift) + ((t.touches[y] - t.touches[z]) << width)
             delta += t.contained[y] - t.contained[z]
         return delta
 
@@ -154,10 +154,9 @@ def run_onthefly(
                         own[key] = part
                     log.append((agg, agg + delta, owners, label))
 
-    # Every table interns its member's initial estimate as id 0. The initial
-    # aggregate is never straddle-tested: construction forces each member's
-    # initial states to one side of its critical set, which puts the initial
-    # product wholly on one side too.
+    # The initial aggregate is never straddle-tested: construction forces
+    # each member's initial states to one side of its critical set, which
+    # puts the initial product wholly on one side too.
     seen, witness, generations = explore(
         (initial,),
         expand,
@@ -169,37 +168,25 @@ def run_onthefly(
     )
     for src, dst, owners, label in log:
         for t, mask, shift, recorded, kept in owners:
-            kept.setdefault(y := t.by_rank[(dst & mask) >> shift])
-            recorded.setdefault((t.by_rank[(src & mask) >> shift], label), y)
+            kept.setdefault(y := (dst & mask) >> shift)
+            recorded.setdefault(((src & mask) >> shift, label), y)
+    # Each field of a stored aggregate is an initial key or a logged target,
+    # so every recorded move starts at a kept key; each is named once.
+    named = [dict(zip(kept, map(t.estimate, kept))) for t, _, _, _, kept in fields]
     if witness is None:
         verdict = Verdict(True)
-        locals_ = tuple(
-            (name, _finalize_local(f[0], f[4])) for name, f in zip(network.names, fields)
-        )
+        locals_ = tuple((name, f[0].observer(list(f[4]))) for name, f in zip(network.names, fields))
     else:
-        ids = [t.by_rank[(witness & m) >> s] for t, m, s, _, _ in fields]
-        verdict = Verdict(False, tuple(t.estimates[z] for t, z in zip(tables, ids)))
+        verdict = Verdict(False, tuple(t.estimate((witness & m) >> s) for t, m, s, _, _ in fields))
         locals_ = None
     return OnTheFlyOutcome(
         verdict=verdict,
         locals=locals_,
         aggregates_seen=len(seen),
         generations=generations,
-        witnessed_states=tuple(tuple(t.estimates[z] for z in kept) for t, _, _, _, kept in fields),
+        witnessed_states=tuple(tuple(names.values()) for names in named),
         witnessed_transitions=tuple(
-            tuple((t.estimates[src], label, t.estimates[dst]) for (src, label), dst in d.items())
-            for t, _, _, d, _ in fields
+            tuple((names[src], label, names[dst]) for (src, label), dst in d.items())
+            for names, (_, _, _, d, _) in zip(named, fields)
         ),
     )
-
-
-def _finalize_local(table: EstimateTable, kept: dict[int, None]) -> ObserverFsm:
-    """Full local observer restricted to the states the composition visits.
-
-    Kept ids become positions in the order first reached, id 0 first.
-    """
-    position = {z: p for p, z in enumerate(kept)}
-    rows = [{a: position[d] for a, d in table.row(z).items() if d in position} for z in kept]
-    flags = [1 if table.touches[z] else 0 for z in kept]
-    states = [table.estimates[z] for z in kept]
-    return ObserverFsm._trusted(states, table.machine.alphabet, rows, flags)

@@ -313,6 +313,18 @@ class TestPreserve:
         assert payload["verdicts_agree"] is True
         assert payload["verdict_full"] == payload["verdict_reduced"] == "not-observable"
 
+    @pytest.mark.parametrize("flag", ["--runs", "--length"])
+    def test_negative_sample_size_rejected(self, duplicated_file, capsys, flag):
+        assert main(["preserve", duplicated_file, "--json", flag, "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {flag} must not be negative, got -1\n"
+
+    @pytest.mark.parametrize("flag", ["--runs", "--length"])
+    def test_zero_sample_size_allowed(self, duplicated_file, capsys, flag):
+        assert main(["preserve", duplicated_file, "--json", flag, "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts_agree"] is True
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

@@ -19,6 +19,7 @@ from critnet import (
     run_onthefly,
     straddle_test,
 )
+from critnet.compose import walk_product
 from critnet.observer import EstimateTable, state_sort_key
 from genutil import SHARED_POOL, random_fsm, random_network
 from oracles import (
@@ -277,7 +278,7 @@ class TestAgainstNaiveSearch:
 
 
 class TestCanonicalRanks:
-    """Packed fields hold ranks that follow the estimates' canonical order."""
+    """Table keys, which the packed fields hold, are ranks in canonical order."""
 
     def test_ranks_number_every_subset_in_canonical_order(self):
         for n in range(1, 10):
@@ -288,8 +289,8 @@ class TestCanonicalRanks:
             ranks = {}
             for z in subsets:
                 table = EstimateTable(Fsm(names, z, ["a"], []))
-                ranks[z] = table.rank(0)
-                assert table.by_rank == {ranks[z]: 0}
+                ranks[z] = table.start
+                assert table.estimate(table.start) == z
             assert sorted(ranks.values()) == list(range(2**n - 1))
             assert sorted(subsets, key=ranks.get) == sorted(subsets, key=state_sort_key)
 
@@ -319,3 +320,27 @@ class TestCanonicalRanks:
             for z in out.witnessed_states[0]:
                 past += sum(comb(n, k) for k in range(1, len(z))) > 2**30
         assert past >= 100
+
+
+class TestHotPathsKeepPlainLocals:
+    """No local of a walk's ``expand`` or of ``EstimateTable.row`` is a closure cell.
+
+    A comprehension or nested function reading a local turns it into a cell,
+    and every access then pays an extra indirection, whether that code runs
+    or not. (From Python 3.12 comprehensions are inlined and make no cells;
+    generator expressions and nested functions still do.)
+    """
+
+    @staticmethod
+    def _nested(function, name):
+        (code,) = [c for c in function.__code__.co_consts if getattr(c, "co_name", None) == name]
+        return code
+
+    @pytest.mark.parametrize(
+        "function", [walk_product, run_onthefly], ids=["walk_product", "run_onthefly"]
+    )
+    def test_expand_has_no_cells(self, function):
+        assert self._nested(function, "expand").co_cellvars == ()
+
+    def test_row_has_no_cells(self):
+        assert EstimateTable.row.__code__.co_cellvars == ()
