@@ -15,7 +15,6 @@ from .compose import (
     tuple_parts,
 )
 from .equivalence import (
-    BisimRelation,
     EquivalenceClasses,
     IsoWitness,
     PreservationReport,

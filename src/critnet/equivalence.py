@@ -11,12 +11,11 @@ refinement over the disjoint union of the machines involved.
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .compose import Network, compose_network
+from .compose import Network, compose_network, explore
 from .fsm import Fsm
 from .observer import (
     ObserverFsm,
@@ -69,21 +68,23 @@ def iso_check(o1: ObserverFsm, o2: ObserverFsm) -> IsoWitness | None:
     """
     if o1.alphabet != o2.alphabet or len(o1.states) != len(o2.states):
         return None
-    image = {o1.start: o2.start}
-    frontier = deque([(o1.start, o2.start)])
-    while frontier:
-        x, y = frontier.popleft()
-        row1, row2 = o1.rows[x], o2.rows[y]
-        if o1.flags[x] != o2.flags[y] or row1.keys() != row2.keys():
-            return None
-        for label, a in row1.items():
-            b = row2[label]
-            if a not in image:
-                image[a] = b
-                frontier.append((a, b))
-            elif image[a] != b:
-                return None
-    return IsoWitness({o1.states[x]: o2.states[y] for x, y in image.items()})
+
+    def differ(pair: tuple[int, int]) -> bool:
+        x, y = pair
+        return o1.flags[x] != o2.flags[y] or o1.rows[x].keys() != o2.rows[y].keys()
+
+    def expand(pair: tuple[int, int]) -> list[tuple[int, int]]:
+        row2 = o2.rows[pair[1]]
+        return [(a, row2[label]) for label, a in o1.rows[pair[0]].items()]
+
+    start = (o1.start, o2.start)
+    if differ(start):
+        return None
+    pairs, bad, _ = explore((start,), expand, stop=differ)
+    # Stored pairs agree; an o1 state paired twice admits no single map.
+    if bad is not None or len(dict(pairs)) != len(pairs):
+        return None
+    return IsoWitness({o1.states[x]: o2.states[y] for x, y in pairs})
 
 
 def _first_seen_ids(keys: list) -> tuple[list[int], int]:
@@ -132,16 +133,6 @@ def _refinement_classes(machines: Sequence[Fsm]) -> list[dict[str, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class BisimRelation:
-    """The largest bisimulation between two machines, as state pairs."""
-
-    pairs: frozenset[tuple[str, str]]
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-
 def largest_bisimulation(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]]:
     """All pairs related by some bisimulation between the two machines.
 
@@ -156,7 +147,7 @@ def largest_bisimulation(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]]:
     return frozenset((x, y) for x, c in cls1.items() for y in right.get(c, ()))
 
 
-def bisim_check(m1: Fsm, m2: Fsm) -> BisimRelation | None:
+def bisim_check(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]] | None:
     """Largest bisimulation, if the machines are interchangeable as members.
 
     That takes more than related states: the alphabets must be equal, since
@@ -172,7 +163,7 @@ def bisim_check(m1: Fsm, m2: Fsm) -> BisimRelation | None:
     right_covered = {b for _, b in pairs}
     if not m1.initial <= left_covered or not m2.initial <= right_covered:
         return None
-    return BisimRelation(pairs)
+    return pairs
 
 
 @dataclass(frozen=True)

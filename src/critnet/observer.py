@@ -51,12 +51,13 @@ def state_sort_key(z: ObserverState):
     return tuple(state_sort_key(part) for part in z)
 
 
-def _nonempty(z: ObserverState) -> bool:
+def _state_fault(z: ObserverState) -> str:
+    """Why ``z`` cannot be an observer state, or "" when it can."""
     if isinstance(z, frozenset):
-        return bool(z)
-    if isinstance(z, tuple):
-        return bool(z) and all(_nonempty(part) for part in z)
-    return False
+        return "" if z else "the empty estimate cannot be an observer state"
+    if isinstance(z, tuple) and z:
+        return next(filter(None, map(_state_fault, z)), "")
+    return f"{z!r} is not an estimate"
 
 
 class ObserverFsm:
@@ -87,8 +88,8 @@ class ObserverFsm:
         if initial not in index:
             raise MalformedFsmError("initial estimate missing from state set")
         for z in states:
-            if not _nonempty(z):
-                raise MalformedFsmError("the empty estimate cannot be an observer state")
+            if fault := _state_fault(z):
+                raise MalformedFsmError(fault)
             if outputs.get(z) not in (0, 1):
                 raise MalformedFsmError(f"state {state_text(z)} needs a 0/1 output")
         if len(outputs) != len(states):
@@ -403,6 +404,28 @@ def compose_decentralized(
     )
 
 
+def _lockstep(obs: ObserverFsm, m: Fsm):
+    """Initial (plant state id, observer position) pairs, each pair's
+    successors in plant row order (position None where the observer cannot
+    follow), and the test for a pair whose flag is wrong. Plant ids follow
+    sorted names, so a seed draws the same runs from these as from names."""
+    if obs.alphabet != m.alphabet:
+        raise InvalidInputError("observer and machine must share an alphabet")
+    _, moves, plant_flags = m.int_moves()
+
+    def wrong(pair: tuple[int, int | None]) -> bool:
+        x, p = pair
+        return p is None or obs.flags[p] != plant_flags[x][0]
+
+    def successors(pair: tuple[int, int]) -> list[tuple[int, int | None]]:
+        x, p = pair
+        row = obs.rows[p]
+        return [(y, row.get(label)) for label, ys in moves[x].items() for y in ys]
+
+    init = [(x, obs.start) for x, (_, initial) in enumerate(plant_flags) if initial]
+    return init, successors, wrong
+
+
 def validate_critical_observer(obs: ObserverFsm, m: Fsm) -> bool:
     """Exact check that ``obs`` classifies every run of ``m`` correctly.
 
@@ -410,29 +433,10 @@ def validate_critical_observer(obs: ObserverFsm, m: Fsm) -> bool:
     trace and compares the flag with actual criticality at every step. This
     covers every run of any length, not a sample.
     """
-    if obs.alphabet != m.alphabet:
-        raise InvalidInputError("observer and machine must share an alphabet")
-
-    _, moves, plant_flags = m.int_moves()
-
-    # Pairs hold a plant state id and an observer position, or None when
-    # the plant can move but the observer cannot follow the run.
-    def wrong(pair: tuple[int, int | None]) -> bool:
-        x, p = pair
-        return p is None or obs.flags[p] != plant_flags[x][0]
-
-    def expand(pair: tuple[int, int]):
-        x, p = pair
-        row = obs.rows[p]
-        for label, ys in moves[x].items():
-            p2 = row.get(label)
-            for y in ys:
-                yield y, p2
-
-    init = [(x, obs.start) for x, (_, initial) in enumerate(plant_flags) if initial]
+    init, successors, wrong = _lockstep(obs, m)
     if any(map(wrong, init)):
         return False
-    _, bad, _ = explore(init, expand, stop=wrong)
+    _, bad, _ = explore(init, successors, stop=wrong)
     return bad is None
 
 
@@ -447,25 +451,16 @@ def sampled_runs_agree(
 
     A False answer is definitive; True only says the sample found nothing.
     """
-    if obs.alphabet != m.alphabet:
-        raise InvalidInputError("observer and machine must share an alphabet")
-    _, moves, plant_flags = m.int_moves()
-    # Plant ids follow sorted names, so ascending ids draw the same runs
-    # from a seed as names would.
-    initial = [x for x, (_, init) in enumerate(plant_flags) if init]
+    init, successors, wrong = _lockstep(obs, m)
     for _ in range(runs):
-        x = rng.choice(initial)
-        p = obs.start
-        if obs.flags[p] != plant_flags[x][0]:
+        pair = rng.choice(init)
+        if wrong(pair):
             return False
         for _ in range(max_len):
-            enabled = [(label, y) for label, ys in moves[x].items() for y in ys]
+            enabled = successors(pair)
             if not enabled:
                 break
-            label, x = rng.choice(enabled)
-            p = obs.rows[p].get(label)
-            if p is None:
-                return False
-            if obs.flags[p] != plant_flags[x][0]:
+            pair = rng.choice(enabled)
+            if wrong(pair):
                 return False
     return True

@@ -404,6 +404,31 @@ def observer_language(obs: ObserverFsm, max_len: int) -> set[tuple[str, ...]]:
     return words
 
 
+def naive_sampled_runs(obs: ObserverFsm, m: Fsm, rng, runs: int, max_len: int) -> bool:
+    """The sampled observer check by name, drawing what the library draws.
+
+    Each run starts at a random initial state, sorted by name, and takes at
+    most ``max_len`` random moves, a move drawn from the state's (label,
+    target) pairs with labels sorted and the targets of ``Fsm.succ`` sorted.
+    False as soon as the observer cannot follow or flags a state wrongly.
+    """
+    walk = ObserverWalk(obs)
+    initial = sorted(m.initial)
+    for _ in range(runs):
+        x, z = rng.choice(initial), obs.initial
+        if walk.output(z) != (x in m.critical):
+            return False
+        for _ in range(max_len):
+            enabled = [(a, y) for a in sorted(m.alphabet) for y in sorted(m.succ(x, a))]
+            if not enabled:
+                break
+            label, x = rng.choice(enabled)
+            z = walk.succ(z, label)
+            if z is None or walk.output(z) != (x in m.critical):
+                return False
+    return True
+
+
 def network_traces(net: Network, max_len: int, cap: int = 2000) -> list[tuple[str, ...]]:
     """Traces of the composed network by direct joint walking, capped."""
     labels = sorted(network_alphabet(net))

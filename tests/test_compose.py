@@ -10,6 +10,7 @@ from critnet import (
     BudgetExceededError,
     Fsm,
     InvalidInputError,
+    MalformedFsmError,
     Network,
     compose_many,
     compose_network,
@@ -41,6 +42,19 @@ class TestNetwork:
         m = make_fsm_a()
         with pytest.raises(InvalidInputError):
             Network((("A", m), ("A", m)))
+
+    def test_empty_member_name_rejected(self):
+        with pytest.raises(InvalidInputError) as caught:
+            Network((("A", make_fsm_a()), ("", make_fsm_b())))
+        assert str(caught.value) == "member names must be nonempty"
+
+    def test_product_name_collision_rejected(self):
+        # ("a,b", "c") and ("a", "b,c") both print as "(a,b,c)".
+        m1 = Fsm(["a,b", "a"], ["a,b", "a"], ["x"], [])
+        m2 = Fsm(["c", "b,c"], ["c", "b,c"], ["y"], [])
+        with pytest.raises(MalformedFsmError) as caught:
+            compose_many([m1, m2])
+        assert str(caught.value) == "product name collision at '(a,b,c)'"
 
 
 class TestTupleParts:

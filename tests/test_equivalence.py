@@ -265,7 +265,7 @@ class TestBisimCheck:
 
     def test_related_lookup(self, fsm_a):
         rel = bisim_check(fsm_a, renamed_copy(fsm_a, "c_"))
-        assert {b for a, b in rel.pairs if a == "p"} == {"c_p"}
+        assert {b for a, b in rel if a == "p"} == {"c_p"}
         assert ("p", "c_p") in rel
         assert ("p", "c_q") not in rel
 

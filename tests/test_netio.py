@@ -299,6 +299,17 @@ class TestObserverDocuments:
         with pytest.raises(FormatError, match="undeclared"):
             parse_observers(doc)
 
+    def test_empty_observer_name_rejected(self, fsm_a):
+        with pytest.raises(FormatError) as caught:
+            serialize_observer("", build_observer(fsm_a))
+        assert str(caught.value) == "empty observer name"
+
+    def test_unbalanced_estimate_names_its_line(self):
+        with pytest.raises(FormatError) as caught:
+            parse_observers("observer O\n  states {(p}\n")
+        assert caught.value.line == 2
+        assert str(caught.value) == "line 2: unbalanced parentheses in '{(p}'"
+
     def test_estimate_token_shapes(self):
         for bad in ("x", "{}", "{x", "x}", "{x,}", "{,x}"):
             doc = f"observer O\n  states {bad}\n  initial {bad}\n"

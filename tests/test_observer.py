@@ -32,6 +32,7 @@ from oracles import (
     estimates_by_word,
     naive_bank_product,
     naive_monitor,
+    naive_sampled_runs,
     naive_subset_order,
     network_traces,
     observer_run,
@@ -129,9 +130,30 @@ class TestObserverFsmValidation:
             ObserverFsm([self._z("x")], self._z("y"), ["a"], {}, {self._z("x"): 0})
 
     def test_empty_estimate_rejected(self):
-        z = frozenset()
-        with pytest.raises(MalformedFsmError, match="empty estimate"):
-            ObserverFsm([z], z, ["a"], {}, {z: 0})
+        # Alone or inside an aggregate.
+        for z in (frozenset(), (self._z("x"), frozenset())):
+            with pytest.raises(MalformedFsmError) as caught:
+                ObserverFsm([z], z, ["a"], {}, {z: 0})
+            assert str(caught.value) == "the empty estimate cannot be an observer state"
+
+    def test_non_estimate_state_named(self):
+        # A name, or an aggregate holding one, is no estimate at all.
+        for z in ("p", ("p",)):
+            with pytest.raises(MalformedFsmError) as caught:
+                ObserverFsm([z], z, ["a"], {}, {z: 1})
+            assert str(caught.value) == "'p' is not an estimate"
+
+    def test_outputs_for_unknown_states_rejected(self):
+        z = self._z("x")
+        with pytest.raises(MalformedFsmError) as caught:
+            ObserverFsm([z], z, ["a"], {}, {z: 0, self._z("y"): 1})
+        assert str(caught.value) == "outputs given for unknown states"
+
+    def test_transition_endpoint_must_be_a_state(self):
+        z = self._z("x")
+        with pytest.raises(MalformedFsmError) as caught:
+            ObserverFsm([z], z, ["a"], {(z, "a"): self._z("y")}, {z: 0})
+        assert str(caught.value) == "transition endpoint is not an observer state"
 
     def test_non_binary_output_rejected(self):
         z = self._z("x")
@@ -236,6 +258,17 @@ class TestDecentralized:
         assert bank.names == ("A", "B")
         assert bank.observers[0] == build_observer(fsm_a)
         assert bank.observers[1] == build_observer(fsm_b)
+
+    def test_empty_bank_rejected(self):
+        with pytest.raises(InvalidInputError) as caught:
+            DecentralizedObserver(())
+        assert str(caught.value) == "a decentralized observer needs at least one local"
+
+    def test_duplicate_local_names_rejected(self, fsm_a):
+        obs = build_observer(fsm_a)
+        with pytest.raises(InvalidInputError) as caught:
+            DecentralizedObserver((("A", obs), ("B", obs), ("A", obs)))
+        assert str(caught.value) == "duplicate local names in ['A', 'B', 'A']"
 
     def test_single_local_composes_to_itself(self, fsm_a):
         bank = build_decentralized(Network((("A", fsm_a),)))
@@ -398,6 +431,49 @@ class TestValidation:
         rng = random.Random(304)
         assert sampled_runs_agree(build_observer(fsm_a), fsm_a, rng)
         assert not sampled_runs_agree(build_observer(fsm_b), fsm_b, rng, runs=200)
+
+    def test_wrong_initial_flag_fails_both_checks(self):
+        # The observer flags its start, but the plant starts non-critical
+        # and never moves, so the start is the only pair to check.
+        m = Fsm(["p"], ["p"], ["a"], [])
+        z = frozenset({"p"})
+        obs = ObserverFsm([z], z, ["a"], {}, {z: 1})
+        assert not validate_critical_observer(obs, m)
+        assert not sampled_runs_agree(obs, m, random.Random(0), runs=1, max_len=1)
+
+    def test_sampled_validator_alphabet_gate(self, fsm_a, fsm_b):
+        with pytest.raises(InvalidInputError) as caught:
+            sampled_runs_agree(build_observer(fsm_a), fsm_b, random.Random(0))
+        assert str(caught.value) == "observer and machine must share an alphabet"
+
+    def test_observer_that_cannot_follow_fails_both_checks(self):
+        # The plant moves on "a"; the observer, with the right flag, has no move.
+        m = Fsm(["p"], ["p"], ["a"], [("p", "a", "p")])
+        z = frozenset({"p"})
+        obs = ObserverFsm([z], z, ["a"], {}, {z: 0})
+        assert not validate_critical_observer(obs, m)
+        assert not sampled_runs_agree(obs, m, random.Random(0), runs=1, max_len=1)
+        # With no move taken the sample sees nothing wrong.
+        assert sampled_runs_agree(obs, m, random.Random(0), runs=5, max_len=0)
+
+    def test_sampled_validator_draws_like_the_reference(self):
+        # Same answer and same draws as a walk by name, on observers of the
+        # plant itself and of other plants over the same alphabet.
+        rng = random.Random(308)
+        answers = set()
+        for i in range(300):
+            alphabet = rng.sample(["a", "b", "c"], rng.randint(1, 3))
+            m = random_fsm(rng, max_states=5, alphabet=alphabet)
+            source = m if i % 2 else random_fsm(rng, max_states=5, alphabet=alphabet)
+            obs = build_observer(source)
+            for seed in (i, i + 1000):
+                runs, max_len = rng.randint(0, 30), rng.randint(0, 12)
+                mine, ref = random.Random(seed), random.Random(seed)
+                answer = sampled_runs_agree(obs, m, mine, runs, max_len)
+                assert answer == naive_sampled_runs(obs, m, ref, runs, max_len)
+                assert mine.getstate() == ref.getstate()
+                answers.add(answer)
+        assert answers == {True, False}
 
     def test_exact_validator_matches_observability(self):
         # For the machine's own observer, exact validity and observability

@@ -12,7 +12,7 @@ import types
 import critnet
 
 PUBLIC = {
-    "BisimRelation", "BudgetExceededError", "CostLedger", "CritnetError",
+    "BudgetExceededError", "CostLedger", "CritnetError",
     "DEFAULT_STATE_BUDGET", "DecentralizedObserver", "DesyncError",
     "EPSILON_TOKEN", "EquivalenceClasses", "FormatError", "Fsm",
     "InvalidInputError", "IsoWitness", "MalformedFsmError", "MonitorSession",
