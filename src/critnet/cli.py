@@ -304,10 +304,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 0
     try:
         return args.func(args)
-    except CritnetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (CritnetError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -37,13 +37,7 @@ class Network:
     members: tuple[tuple[str, Fsm], ...]
 
     def __post_init__(self):
-        if not self.members:
-            raise InvalidInputError("a network needs at least one member")
-        names = [name for name, _ in self.members]
-        if len(set(names)) != len(names):
-            raise InvalidInputError(f"duplicate member names in {names}")
-        if any(not name for name in names):
-            raise InvalidInputError("member names must be nonempty")
+        check_members(self.members, "a network", "member", Fsm)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -58,6 +52,22 @@ class Network:
             if member_name == name:
                 return m
         raise KeyError(name)
+
+
+def check_members(pairs: Sequence[tuple[str, object]], owner: str, role: str, kind: type) -> None:
+    """The network and bank rule: one or more (name, ``kind``) pairs, names distinct nonempty strs."""
+    if not pairs:
+        raise InvalidInputError(f"{owner} needs at least one {role}")
+    names = [name for name, _ in pairs]
+    if strays := [name for name in names if not isinstance(name, str)]:
+        raise InvalidInputError(f"{role} name {strays[0]!r} is not a string")
+    if len(set(names)) != len(names):
+        raise InvalidInputError(f"duplicate {role} names in {names}")
+    if not all(names):
+        raise InvalidInputError(f"{role} names must be nonempty")
+    for name, value in pairs:
+        if not isinstance(value, kind):
+            raise InvalidInputError(f"{role} {name!r} is {value!r}, not an {kind.__name__}")
 
 
 def split_commas(text: str, opening: str, closing: str) -> list[str] | None:

@@ -60,7 +60,10 @@ class Fsm:
         alphabet, critical = frozenset(alphabet), frozenset(critical)
         if not states:
             raise MalformedFsmError("machine needs at least one state")
-        if any(not s for s in states):
+        for kind, values in (("state name", states), ("label", alphabet)):
+            if strays := [x for x in values if not isinstance(x, str)]:
+                raise MalformedFsmError(f"{kind} {strays[0]!r} is not a string")
+        if not all(states):
             raise MalformedFsmError("state names must be nonempty")
         if not initial:
             raise MalformedFsmError("machine needs at least one initial state")

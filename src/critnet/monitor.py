@@ -1,6 +1,7 @@
 """Replaying event streams through a bank of local observers.
 
-A session holds one local observer per member. Each incoming event moves
+A session runs a bank (``DecentralizedObserver``), one local observer per
+member, which the bank checked when it was built. Each incoming event moves
 every local whose alphabet contains it and leaves the others untouched, so
 each local sees exactly the projection of the stream onto its alphabet. The
 session flag is the OR of the local flags after all affected locals have
@@ -57,19 +58,14 @@ class StepRecord(NamedTuple):
 
 
 class MonitorSession:
-    """Stateful replay of an event stream through local observers.
+    """Stateful replay of an event stream through a bank of local observers.
 
     ``steps`` counts the events applied and ``raises`` the events after
     which the session flag went from 0 to 1.
     """
 
-    def __init__(self, locals_: Sequence[tuple[str, ObserverFsm]]):
-        if not locals_:
-            raise InvalidInputError("a session needs at least one local observer")
-        names = [name for name, _ in locals_]
-        if len(set(names)) != len(names):
-            raise InvalidInputError(f"duplicate local names in {names}")
-        self._locals = tuple(locals_)
+    def __init__(self, bank: DecentralizedObserver):
+        self._locals = bank.locals
         # Numbered by first use, so a lower cursor's first local comes earlier.
         self._cursors, observers = distinct_tables(obs for _, obs in self._locals)
         # Per cursor: its observer's flags by position, the current position
@@ -168,7 +164,8 @@ class MonitorSession:
 def start_session(
     source: DecentralizedObserver | Sequence[tuple[str, ObserverFsm]],
 ) -> MonitorSession:
-    """Open a session over a bank or over explicit (name, observer) pairs."""
-    if isinstance(source, DecentralizedObserver):
-        return MonitorSession(source.locals)
-    return MonitorSession(tuple(source))
+    """Open a session over a bank or over explicit (name, observer) pairs,
+    which are checked as a bank."""
+    if not isinstance(source, DecentralizedObserver):
+        source = DecentralizedObserver(tuple(source))
+    return MonitorSession(source)

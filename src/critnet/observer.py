@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import comb
 
-from .compose import Network, check_budget, explore, owners_by_label, walk_product
+from .compose import Network, check_budget, check_members, explore, owners_by_label, walk_product
 from .errors import InvalidInputError, MalformedFsmError
 from .fsm import Fsm
 
@@ -53,11 +53,13 @@ def state_sort_key(z: ObserverState):
 
 def _state_fault(z: ObserverState) -> str:
     """Why ``z`` cannot be an observer state, or "" when it can."""
-    if isinstance(z, frozenset):
-        return "" if z else "the empty estimate cannot be an observer state"
     if isinstance(z, tuple) and z:
         return next(filter(None, map(_state_fault, z)), "")
-    return f"{z!r} is not an estimate"
+    if not isinstance(z, frozenset):
+        return f"{z!r} is not an estimate"
+    if strays := [x for x in z if not isinstance(x, str) or not x]:
+        return f"estimate member {strays[0]!r} is not a state name"
+    return "" if z else "the empty estimate cannot be an observer state"
 
 
 class ObserverFsm:
@@ -234,12 +236,9 @@ class EstimateTable:
         key = self.keys.get(mask)
         if key is None:
             ids = _ids(mask)
-            if len(ids) == 1:
-                key = ids[0]
-            else:
-                n, k, key = len(self.machine.states), len(ids), -1
-                for x in ids:
-                    key, k = key + comb(n, k) - comb(n - 1 - x, k), k - 1
+            n, k, key = len(self.machine.states), len(ids), -1
+            for x in ids:
+                key, k = key + comb(n, k) - comb(n - 1 - x, k), k - 1
             self.keys[mask], self.masks[key] = key, mask
             self.touches[key] = 1 if mask & self.critical else 0
             self.contained[key] = 1 if mask & self.critical == mask else 0
@@ -329,11 +328,7 @@ class DecentralizedObserver:
     locals: tuple[tuple[str, ObserverFsm], ...]
 
     def __post_init__(self):
-        if not self.locals:
-            raise InvalidInputError("a decentralized observer needs at least one local")
-        names = [name for name, _ in self.locals]
-        if len(set(names)) != len(names):
-            raise InvalidInputError(f"duplicate local names in {names}")
+        check_members(self.locals, "a decentralized observer", "local", ObserverFsm)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -24,6 +24,7 @@ from .observer import (
     ObserverFsm,
     Verdict,
     build_decentralized,
+    check_observable,
     compose_decentralized,
 )
 from .onthefly import OnTheFlyOutcome, run_onthefly
@@ -95,28 +96,26 @@ def run_algorithm1(
     """Baseline: build all local observers, compose them, scan the product.
 
     The ledger charges every stored artifact: each full local observer and,
-    for multi-member networks, the composed bank as well. A bank state
+    for multi-member networks, the composed bank. A one-member bank composes
+    to its only local, which ``check_observable`` decides. A bank state
     straddles when its flag is set (some part touches its member's critical
     set) and no part is contained; containment is computed once per estimate.
     """
     bank = build_decentralized(network, max_states)
-    composed = compose_decentralized(bank, max_states)
-    observers = bank.observers
-    # A one-member bank is that member's local observer, over bare estimates.
-    aggregates = composed.states if len(observers) > 1 else [(z,) for z in composed.states]
-    contained = [
-        {z: z <= m.critical for z in obs.states} for obs, m in zip(observers, network.machines)
-    ]
-    verdict = next(
-        (
-            Verdict(False, z)
-            for z, parts, flag in zip(composed.states, aggregates, composed.flags)
-            if flag and not any(map(getitem, contained, parts))
-        ),
-        Verdict(True),
-    )
-    stored = list(observers)
-    if len(observers) > 1:
+    stored = list(bank.observers)
+    if len(stored) == 1:
+        verdict = check_observable(stored[0], network.machines[0].critical)
+    else:
+        composed = compose_decentralized(bank, max_states)
+        contained = [
+            {z: z <= m.critical for z in obs.states} for obs, m in zip(stored, network.machines)
+        ]
+        for z, flag in zip(composed.states, composed.flags):
+            if flag and not any(map(getitem, contained, z)):
+                verdict = Verdict(False, z)
+                break
+        else:
+            verdict = Verdict(True)
         stored.append(composed)
     return PipelineReport(
         algorithm="1",

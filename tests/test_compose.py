@@ -35,13 +35,25 @@ class TestNetwork:
             net_ab.get("missing")
 
     def test_empty_network_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as caught:
             Network(())
+        assert str(caught.value) == "a network needs at least one member"
 
     def test_duplicate_member_names_rejected(self):
         m = make_fsm_a()
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as caught:
             Network((("A", m), ("A", m)))
+        assert str(caught.value) == "duplicate member names in ['A', 'A']"
+
+    def test_member_names_must_be_strings(self):
+        with pytest.raises(InvalidInputError) as caught:
+            Network((("A", make_fsm_a()), (1, make_fsm_b())))
+        assert str(caught.value) == "member name 1 is not a string"
+
+    def test_members_must_be_machines(self):
+        with pytest.raises(InvalidInputError) as caught:
+            Network((("A", make_fsm_a()), ("B", "notfsm")))
+        assert str(caught.value) == "member 'B' is 'notfsm', not an Fsm"
 
     def test_empty_member_name_rejected(self):
         with pytest.raises(InvalidInputError) as caught:

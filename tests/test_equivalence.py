@@ -167,6 +167,13 @@ class TestObserverIso:
         assert iso_check(o1, o2) is None
         assert not is_iso_witness(o1, o2, {fz("x"): fz("x"), fz("y"): fz("y")})
 
+    def test_not_iso_on_initial_output_difference(self):
+        # Equal alphabets and sizes; the walk stops at the initial pair.
+        o1 = _det_observer(["a"], [("x", "a", "x")], flagged=["x"])
+        o2 = _det_observer(["a"], [("x", "a", "x")])
+        assert iso_check(o1, o2) is None
+        assert iso_check(o2, o1) is None
+
     def test_not_iso_on_transition_difference(self):
         # Same size, outputs and alphabet; the cycle closes elsewhere, or
         # one side has a move the other lacks.

@@ -52,6 +52,23 @@ class TestConstruction:
         for missing in ("a", "pp", "z"):
             assert fsm_a.succ(missing, "a") == frozenset()
 
+    def test_state_names_must_be_strings(self):
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["p", 1], ["p"], ["a"], [])
+        assert str(caught.value) == "state name 1 is not a string"
+
+    def test_labels_must_be_strings(self):
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["p"], ["p"], [1], [("p", 1, "p")])
+        assert str(caught.value) == "label 1 is not a string"
+
+    def test_never_equal_to_a_non_machine(self, fsm_a):
+        assert fsm_a.__eq__("p") is NotImplemented
+        assert fsm_a != "p" and not fsm_a == fsm_a.int_moves()
+
+    def test_repr(self, fsm_a):
+        assert repr(fsm_a) == "Fsm(states=2, initial=['p'], alphabet=['a', 'b'], critical=['q'])"
+
     def test_transitions_canonical_order(self, fsm_b):
         assert list(fsm_b.transitions()) == [("r", "a", "s"), ("r", "a", "t")]
 

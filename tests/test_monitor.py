@@ -13,6 +13,7 @@ from critnet import (
     DesyncError,
     Fsm,
     InvalidInputError,
+    MonitorSession,
     Network,
     ObserverFsm,
     build_decentralized,
@@ -83,20 +84,33 @@ class TestSessionBasics:
         assert session_ab.feed("a").flag == 1
 
     def test_empty_session_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as caught:
             start_session(())
+        assert str(caught.value) == "a decentralized observer needs at least one local"
 
     def test_duplicate_names_rejected(self, fsm_a):
         obs = build_observer(fsm_a)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as caught:
             start_session((("A", obs), ("A", obs)))
+        assert str(caught.value) == "duplicate local names in ['A', 'A']"
+
+    def test_pairs_are_checked_as_a_bank(self, fsm_a):
+        obs = build_observer(fsm_a)
+        for locals_, message in (
+            ((("", obs),), "local names must be nonempty"),
+            ((("A", fsm_a),), f"local 'A' is {fsm_a!r}, not an ObserverFsm"),
+        ):
+            with pytest.raises(InvalidInputError) as caught:
+                start_session(locals_)
+            assert str(caught.value) == message
 
     def test_pairs_and_bank_give_same_session(self, net_ab):
         bank = build_decentralized(net_ab)
         s1 = start_session(bank)
         s2 = start_session(bank.locals)
-        assert s1.names == s2.names
-        assert s1.states == s2.states
+        s3 = MonitorSession(bank)
+        assert s1.names == s2.names == s3.names == bank.names
+        assert s1.states == s2.states == s3.states
 
 
 class TestDesync:

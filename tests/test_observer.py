@@ -143,6 +143,15 @@ class TestObserverFsmValidation:
                 ObserverFsm([z], z, ["a"], {}, {z: 1})
             assert str(caught.value) == "'p' is not an estimate"
 
+    def test_estimate_members_must_be_state_names(self):
+        # Alone or inside an aggregate.
+        for bad in (1, ""):
+            z = frozenset({bad})
+            for state in (z, (self._z("x"), z)):
+                with pytest.raises(MalformedFsmError) as caught:
+                    ObserverFsm([state], state, ["a"], {}, {state: 0})
+                assert str(caught.value) == f"estimate member {bad!r} is not a state name"
+
     def test_outputs_for_unknown_states_rejected(self):
         z = self._z("x")
         with pytest.raises(MalformedFsmError) as caught:
@@ -184,6 +193,16 @@ class TestObserverFsmValidation:
         assert obs.start == 1 and obs.initial == z1
         assert list(obs.rows) == [{"a": 1}, {"b": 2}, {"a": 0}]
         assert list(obs.flags) == [1, 0, 0]
+
+    def test_never_equal_to_a_non_observer(self, fsm_a):
+        obs = build_observer(fsm_a)
+        assert obs.__eq__(fsm_a) is NotImplemented
+        assert obs != fsm_a and not obs == obs.states
+
+    def test_repr(self, net_ab, fsm_a):
+        assert repr(build_observer(fsm_a)) == "ObserverFsm(states=2, initial={p}, alphabet=['a', 'b'])"
+        composed = compose_decentralized(build_decentralized(net_ab))
+        assert repr(composed) == "ObserverFsm(states=3, initial=({p},{r}), alphabet=['a', 'b'])"
 
     def test_hash_key_built_on_first_use(self, fsm_a):
         o1, o2 = build_observer(fsm_a), build_observer(fsm_a)
@@ -269,6 +288,18 @@ class TestDecentralized:
         with pytest.raises(InvalidInputError) as caught:
             DecentralizedObserver((("A", obs), ("B", obs), ("A", obs)))
         assert str(caught.value) == "duplicate local names in ['A', 'B', 'A']"
+
+    def test_local_names_must_be_nonempty_strings(self, fsm_a):
+        obs = build_observer(fsm_a)
+        for name, message in (("", "local names must be nonempty"), (1, "local name 1 is not a string")):
+            with pytest.raises(InvalidInputError) as caught:
+                DecentralizedObserver((("A", obs), (name, obs)))
+            assert str(caught.value) == message
+
+    def test_locals_must_be_observers(self, fsm_a):
+        with pytest.raises(InvalidInputError) as caught:
+            DecentralizedObserver((("A", build_observer(fsm_a)), ("B", "x")))
+        assert str(caught.value) == "local 'B' is 'x', not an ObserverFsm"
 
     def test_single_local_composes_to_itself(self, fsm_a):
         bank = build_decentralized(Network((("A", fsm_a),)))

@@ -156,6 +156,24 @@ class TestAggregateScan:
             refuted += not want.observable
         assert refuted >= 10
 
+    def test_one_member_bank_is_its_local(self, monkeypatch):
+        # A one-member network is decided on its only local; nothing is composed.
+        def refuse(*args):
+            raise AssertionError("a one-member bank was composed")
+
+        monkeypatch.setattr("critnet.pipeline.compose_decentralized", refuse)
+        rng = random.Random(606)
+        refuted = 0
+        for _ in range(60):
+            m = random_fsm(rng, max_states=5)
+            obs = build_observer(m)
+            report = run_algorithm1(Network((("A", m),)))
+            assert report.verdict == check_observable(obs, m.critical)
+            assert report.ledger == ledger_for_observers([obs])
+            assert report.locals == (("A", obs),)
+            refuted += not report.verdict.observable
+        assert refuted >= 5
+
     def test_ledger_for_observers_is_additive(self, fsm_a):
         obs = build_observer(fsm_a)
         one = ledger_for_observers([obs])
