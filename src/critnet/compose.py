@@ -211,7 +211,8 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
     masked field to None (blocked), the delta of its one move, or a tuple of
     deltas; nondeterministic owners combine in ``itertools.product`` order,
     so states are found in member-id order. Returns the states in discovery
-    order, their rows ``{label: target or list of targets}``, and the layout.
+    order, their rows ``{label: target or list of targets}``, and per member
+    its state id in each state, by discovery position.
     """
     layout = field_layout([(len(rows) - 1).bit_length() or 1 for rows in rows_of])
     steps = []
@@ -260,7 +261,7 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
 
     initial = [sum(z << shift for z, (_, shift) in zip(ids, layout)) for ids in product(*starts)]
     reached, _, _ = explore(initial, expand, max_states, budget_message)
-    return reached, moves, layout
+    return reached, moves, [[(s & mask) >> shift for s in reached] for mask, shift in layout]
 
 
 def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
@@ -282,15 +283,14 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     owners = owners_by_label(machines)
     states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
     starts = [[z for z, (_, init) in enumerate(flags) if init] for flags in flags_of]
-    reached, moves, layout = walk_product(rows_of, owners, starts, max_states, budget)
+    reached, moves, fields = walk_product(rows_of, owners, starts, max_states, budget)
 
     # A member's states are split into their parts once, and only if a name
     # has a bracket; see the module docstring for when they split.
     texts, critical = [], []
-    for states, flags, (mask, shift) in zip(states_of, flags_of, layout):
+    for states, flags, ids in zip(states_of, flags_of, fields):
         parts = list(map(tuple_parts, states)) if "(" in "".join(states) else ()
         text = list(map(",".join, parts)) if len(set(map(len, parts))) == 1 else states
-        ids = [(s & mask) >> shift for s in reached]
         texts.append([text[z] for z in ids])
         critical.append([flags[z][0] for z in ids])
     names = ["(" + ",".join(x) + ")" for x in zip(*texts)]

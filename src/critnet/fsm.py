@@ -16,7 +16,7 @@ caller asks for states, successors or transitions.
 The public constructor checks every structural rule. Machines this package
 builds itself (composed products) hand over their table through
 ``Fsm._trusted`` and skip those checks. The label "eps" is reserved for the
-empty word, so no machine may use it.
+empty word, so no machine or observer may use it (``check_labels``).
 """
 
 from __future__ import annotations
@@ -36,6 +36,16 @@ _EMPTY: frozenset[str] = frozenset()
 
 # One state's moves: label -> target ids, labels sorted, ids ascending.
 Row = dict[str, tuple[int, ...]]
+
+
+def check_labels(alphabet: frozenset) -> None:
+    """The label rule of machines and observers: nonempty strings, never "eps"."""
+    if strays := [x for x in alphabet if not isinstance(x, str)]:
+        raise MalformedFsmError(f"label {strays[0]!r} is not a string")
+    if "" in alphabet:
+        raise MalformedFsmError("empty string is not a valid label")
+    if EPSILON_TOKEN in alphabet:
+        raise MalformedFsmError(f"label {EPSILON_TOKEN!r} is reserved for the empty word")
 
 
 class Fsm:
@@ -60,26 +70,22 @@ class Fsm:
         alphabet, critical = frozenset(alphabet), frozenset(critical)
         if not states:
             raise MalformedFsmError("machine needs at least one state")
-        for kind, values in (("state name", states), ("label", alphabet)):
-            if strays := [x for x in values if not isinstance(x, str)]:
-                raise MalformedFsmError(f"{kind} {strays[0]!r} is not a string")
+        if strays := [x for x in states if not isinstance(x, str)]:
+            raise MalformedFsmError(f"state name {strays[0]!r} is not a string")
+        check_labels(alphabet)
         if not all(states):
             raise MalformedFsmError("state names must be nonempty")
         if not initial:
             raise MalformedFsmError("machine needs at least one initial state")
+        # Strays may mix types; key=str keeps strings in their own order.
         if not initial <= states:
             raise MalformedFsmError(
-                f"initial states {sorted(initial - states)} not in state set"
+                f"initial states {sorted(initial - states, key=str)} not in state set"
             )
         if not critical <= states:
             raise MalformedFsmError(
-                f"critical states {sorted(critical - states)} not in state set"
+                f"critical states {sorted(critical - states, key=str)} not in state set"
             )
-        for label in alphabet:
-            if not label:
-                raise MalformedFsmError("empty string is not a valid label")
-            if label == EPSILON_TOKEN:
-                raise MalformedFsmError(f"label {EPSILON_TOKEN!r} is reserved for the empty word")
 
         names = sorted(states)
         index = {x: i for i, x in enumerate(names)}

@@ -29,7 +29,7 @@ from math import comb
 
 from .compose import Network, check_budget, check_members, explore, owners_by_label, walk_product
 from .errors import InvalidInputError, MalformedFsmError
-from .fsm import Fsm
+from .fsm import Fsm, check_labels
 
 # An estimate is a nonempty frozenset of plant states. Composed banks use
 # tuples of estimates, one per member, as their states.
@@ -73,7 +73,7 @@ class ObserverFsm:
     output, and ``start`` is the initial state's position.
     """
 
-    __slots__ = ("states", "initial", "alphabet", "rows", "flags", "start", "_key")
+    __slots__ = ("states", "initial", "alphabet", "rows", "flags", "start")
 
     def __init__(
         self,
@@ -97,6 +97,7 @@ class ObserverFsm:
         if len(outputs) != len(states):
             raise MalformedFsmError("outputs given for unknown states")
         alphabet = frozenset(alphabet)
+        check_labels(alphabet)
         rows: list[dict[str, int]] = [{} for _ in states]
         for (src, label), dst in transitions.items():
             if src not in index or dst not in index:
@@ -139,8 +140,6 @@ class ObserverFsm:
         self.rows = rows
         self.flags = flags
         self.start = start
-        # Built on first use; see _identity.
-        self._key = None
 
     def transitions(self) -> list[tuple[ObserverState, str, ObserverState]]:
         """Transition triples in canonical (source, label) order."""
@@ -148,21 +147,11 @@ class ObserverFsm:
         order = sorted(range(len(states)), key=lambda i: state_sort_key(states[i]))
         return [(states[i], x, states[j]) for i in order for x, j in sorted(self.rows[i].items())]
 
-    def _triples(self):
-        states = self.states
-        for z, row in zip(states, self.rows):
-            for label, j in row.items():
-                yield z, label, states[j]
-
     def _identity(self) -> tuple:
-        if self._key is None:
-            self._key = (
-                self.initial,
-                self.alphabet,
-                frozenset(zip(self.states, self.flags)),
-                frozenset(self._triples()),
-            )
-        return self._key
+        states = self.states
+        pairs = zip(states, self.rows)
+        moves = frozenset((z, x, states[j]) for z, row in pairs for x, j in row.items())
+        return self.initial, self.alphabet, frozenset(zip(states, self.flags)), moves
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObserverFsm):
@@ -375,8 +364,9 @@ def compose_decentralized(
     every local owning it, and blocks when any of them has no move. With a
     single local the bank composes to that local itself, within the same
     budget. ``walk_product`` steps one field per distinct table
-    (``distinct_tables``) and emits the bank's rows by aggregate position;
-    each local names its field with its own states once, at the end.
+    (``distinct_tables``) and hands back the bank's rows and each table's
+    position in every aggregate; each local names its positions with its
+    own states once, at the end.
     """
     budget = "composed bank exceeded {} states"
     if len(d.locals) == 1:
@@ -386,9 +376,8 @@ def compose_decentralized(
     numbers, distinct = distinct_tables(d.observers)
     owners = owners_by_label(distinct)
     rows_of, starts = [obs.rows for obs in distinct], [(obs.start,) for obs in distinct]
-    aggs, moves, layout = walk_product(rows_of, owners, starts, max_states, budget)
+    aggs, moves, fields = walk_product(rows_of, owners, starts, max_states, budget)
     position = {agg: p for p, agg in enumerate(aggs)}
-    fields = [[(agg & mask) >> shift for agg in aggs] for mask, shift in layout]
     states = [list(map(obs.states.__getitem__, fields[c])) for obs, c in zip(d.observers, numbers)]
     flags = [list(map(obs.flags.__getitem__, ids)) for obs, ids in zip(distinct, fields)]
     return ObserverFsm._trusted(

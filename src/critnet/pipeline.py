@@ -6,17 +6,18 @@ escapes the critical set. The reduced route first drops members bisimilar to
 an earlier one, then runs the on-the-fly exploration, which stores only
 per-member pieces and stops at the first straddling aggregate.
 
-Stored work is measured uniformly: a transition between aggregates costs the
-sizes of all source and target estimates plus one for the label, and every
-stored state carries one unit for its output bit. Time counts stored
-transitions. Candidates rejected or abandoned before storage cost nothing,
-so a first-step straddle yields a time ledger of zero.
+Stored work is measured uniformly. A state's size is its estimate's number
+of plant states; an aggregate, a composed bank's tuple of estimates, sums
+its parts. A stored transition costs the sizes of its source and target
+plus one for the label, and every stored state carries one unit for its
+output bit. Time counts stored transitions. Candidates rejected or
+abandoned before storage cost nothing, so a first-step straddle yields a
+time ledger of zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
 
 from .compose import Network
 from .equivalence import EquivalenceClasses, quotient_network
@@ -52,18 +53,10 @@ class PipelineReport:
     ledger_baseline: CostLedger | None = None
 
 
-def _parts(z) -> tuple:
-    return z if isinstance(z, tuple) else (z,)
-
-
-def _estimate_size(z) -> int:
-    return sum(map(len, _parts(z)))
-
-
 def ledger_for_observers(observers: list[ObserverFsm]) -> CostLedger:
     space = time = 0
     for obs in observers:
-        size = list(map(_estimate_size, obs.states))
+        size = [sum(map(len, z)) if z.__class__ is tuple else len(z) for z in obs.states]
         for here, row in zip(size, obs.rows):
             targets = row.values()
             space += len(targets) * (here + 1) + sum(map(size.__getitem__, targets))
@@ -99,7 +92,7 @@ def run_algorithm1(
     for multi-member networks, the composed bank. A one-member bank composes
     to its only local, which ``check_observable`` decides. A bank state
     straddles when its flag is set (some part touches its member's critical
-    set) and no part is contained; containment is computed once per estimate.
+    set) and no part is contained in its member's critical set.
     """
     bank = build_decentralized(network, max_states)
     stored = list(bank.observers)
@@ -107,11 +100,9 @@ def run_algorithm1(
         verdict = check_observable(stored[0], network.machines[0].critical)
     else:
         composed = compose_decentralized(bank, max_states)
-        contained = [
-            {z: z <= m.critical for z in obs.states} for obs, m in zip(stored, network.machines)
-        ]
+        criticals = [m.critical for m in network.machines]
         for z, flag in zip(composed.states, composed.flags):
-            if flag and not any(map(getitem, contained, z)):
+            if flag and not any(map(frozenset.issubset, z, criticals)):
                 verdict = Verdict(False, z)
                 break
         else:

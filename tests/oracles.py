@@ -386,24 +386,6 @@ def observer_run(obs: ObserverFsm, word: tuple[str, ...]) -> list[tuple[object, 
     return run
 
 
-def observer_language(obs: ObserverFsm, max_len: int) -> set[tuple[str, ...]]:
-    """All words up to max_len with a run through the observer."""
-    walk = ObserverWalk(obs)
-    words = {()}
-    frontier = [((), obs.initial)]
-    for _ in range(max_len):
-        nxt = []
-        for word, z in frontier:
-            for label in sorted(obs.alphabet):
-                z2 = walk.succ(z, label)
-                if z2 is not None:
-                    w2 = word + (label,)
-                    words.add(w2)
-                    nxt.append((w2, z2))
-        frontier = nxt
-    return words
-
-
 def naive_sampled_runs(obs: ObserverFsm, m: Fsm, rng, runs: int, max_len: int) -> bool:
     """The sampled observer check by name, drawing what the library draws.
 

@@ -87,10 +87,17 @@ class TestConstruction:
     def test_initial_outside_states_rejected(self):
         with pytest.raises(MalformedFsmError, match="initial"):
             Fsm(["x"], ["y"], ["a"], [])
+        # Strays of mixed types cannot be compared; they are named all the same.
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["p"], ["p", 1, "x"], ["a"], [])
+        assert str(caught.value) == "initial states [1, 'x'] not in state set"
 
     def test_critical_outside_states_rejected(self):
         with pytest.raises(MalformedFsmError, match="critical"):
             Fsm(["x"], ["x"], ["a"], [], critical=["y"])
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["p"], ["p"], ["a"], [], ["q", 2])
+        assert str(caught.value) == "critical states [2, 'q'] not in state set"
 
     def test_mixed_initial_criticality_rejected(self):
         with pytest.raises(MalformedFsmError, match="all critical or all non-critical"):

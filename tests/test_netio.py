@@ -54,6 +54,11 @@ class TestWords:
         with pytest.raises(FormatError, match="fsm 'A': label 'eps' is reserved"):
             parse_network(doc)
 
+    def test_eps_not_an_observer_label(self):
+        doc = "observer A\n  states {p}\n  initial {p}\n  alphabet a eps\n"
+        with pytest.raises(FormatError, match="observer 'A': label 'eps' is reserved"):
+            parse_observers(doc)
+
 
 class TestParseNetwork:
     def test_fixture_document(self, net_ab):

