@@ -37,6 +37,7 @@ class Network:
     members: tuple[tuple[str, Fsm], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members or ()))
         check_members(self.members, "a network", "member", Fsm)
 
     @property
@@ -58,6 +59,9 @@ def check_members(pairs: Sequence[tuple[str, object]], owner: str, role: str, ki
     """The network and bank rule: one or more (name, ``kind``) pairs, names distinct nonempty strs."""
     if not pairs:
         raise InvalidInputError(f"{owner} needs at least one {role}")
+    for i, pair in enumerate(pairs):
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise InvalidInputError(f"{role} {i} is {pair!r}, not a (name, {kind.__name__}) pair")
     names = [name for name, _ in pairs]
     if strays := [name for name in names if not isinstance(name, str)]:
         raise InvalidInputError(f"{role} name {strays[0]!r} is not a string")

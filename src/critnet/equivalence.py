@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .compose import Network, compose_network, explore
 from .fsm import Fsm
@@ -87,50 +86,35 @@ def iso_check(o1: ObserverFsm, o2: ObserverFsm) -> IsoWitness | None:
     return IsoWitness({o1.states[x]: o2.states[y] for x, y in pairs})
 
 
-def _first_seen_ids(keys: list) -> tuple[list[int], int]:
-    """Number keys in order of first occurrence; also return how many."""
-    ids: dict = {}
-    return [ids.setdefault(k, len(ids)) for k in keys], len(ids)
-
-
-def _refinement_classes(machines: Sequence[Fsm]) -> list[dict[str, int]]:
+def _refinement_classes(machines: Sequence[Fsm]) -> list[list[int]]:
     """Coarsest stable partition of the disjoint union of ``machines``.
 
     Round-based signature refinement over integer state ids, after
     Kanellakis and Smolka 1990 (Paige and Tarjan 1987 refine by splitters
-    instead, in O(m log n)). Blocks start from the (critical, initial)
-    signature; each round splits a block by the classes its states reach
-    under every label, until no block splits. Class ids are numbered in
-    order of first occurrence, so no round sorts anything.
-    Two states share a class exactly when some bisimulation relates them,
-    within one machine or across two. Returns one state -> class map per
-    machine; class ids are shared across the maps. Every machine already
-    holds its int table (``Fsm.int_moves``), so a call only shifts target
-    ids into the union and refines.
+    instead, in O(m log n)). Blocks start from the (critical, initial) flags.
+    Each round reads every machine's own table (``Fsm.int_moves``) and
+    numbers each state's signature (its block, and the blocks it reaches by
+    each label) as it computes it, in one dict shared by the machines, so ids
+    follow first occurrence and no round sorts. It stops when a round finds
+    no more blocks than the last, and returns every state id's class per
+    machine: two states share a class exactly when some bisimulation relates
+    them, within one machine or across two.
     """
-    encoded = [m.int_moves() for m in machines]
-    # State y of a machine has the id k + y in the union, k its offset.
-    offsets = list(accumulate([len(states) for states, _, _ in encoded], initial=0))
-    moves = [
-        [(a, [k + y for y in ys]) for a, ys in out.items()]
-        for (_, rows, _), k in zip(encoded, offsets)
-        for out in rows
-    ]
-    cls, count = _first_seen_ids([f for _, _, flags in encoded for f in flags])
+    tables = [m.int_moves() for m in machines]
+    ids: dict = {}
+    classes = [[ids.setdefault(f, len(ids)) for f in flags] for _, _, flags in tables]
     while True:
-        get = cls.__getitem__
-        signatures = [
-            (c, tuple([(a, frozenset(map(get, ys))) for a, ys in out]))
-            for c, out in zip(cls, moves)
-        ]
-        new_cls, new_count = _first_seen_ids(signatures)
-        if new_count == count:
-            break
-        cls, count = new_cls, new_count
-    return [
-        dict(zip(states, cls[k : k + len(states)]))
-        for (states, _, _), k in zip(encoded, offsets)
-    ]
+        count, ids = len(ids), {}
+        number, new = ids.setdefault, []
+        for cls, (_, rows, _) in zip(classes, tables):
+            get = cls.__getitem__
+            new.append([
+                number((c, tuple([(a, frozenset(map(get, ys))) for a, ys in row.items()])), len(ids))
+                for c, row in zip(cls, rows)
+            ])
+        classes = new
+        if len(ids) == count:
+            return classes
 
 
 def largest_bisimulation(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]]:
@@ -142,9 +126,9 @@ def largest_bisimulation(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]]:
     """
     cls1, cls2 = _refinement_classes([m1, m2])
     right: dict[int, list[str]] = {}
-    for y, c in cls2.items():
+    for y, c in zip(m2.int_moves()[0], cls2):
         right.setdefault(c, []).append(y)
-    return frozenset((x, y) for x, c in cls1.items() for y in right.get(c, ()))
+    return frozenset((x, y) for x, c in zip(m1.int_moves()[0], cls1) for y in right.get(c, ()))
 
 
 def bisim_check(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]] | None:
@@ -159,54 +143,54 @@ def bisim_check(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]] | None:
     if m1.alphabet != m2.alphabet:
         return None
     pairs = largest_bisimulation(m1, m2)
-    left_covered = {a for a, _ in pairs}
-    right_covered = {b for _, b in pairs}
-    if not m1.initial <= left_covered or not m2.initial <= right_covered:
+    if not m1.initial <= {a for a, _ in pairs} or not m2.initial <= {b for _, b in pairs}:
         return None
     return pairs
 
 
 @dataclass(frozen=True)
 class EquivalenceClasses:
-    """Grouping of network members by pairwise bisimilarity."""
+    """Members grouped by bisimilarity, in member order; a class's first member is kept."""
 
     classes: tuple[tuple[str, ...], ...]
-    representatives: tuple[str, ...]
+
+    @property
+    def representatives(self) -> tuple[str, ...]:
+        return tuple(cls[0] for cls in self.classes)
 
     def rep_of(self, name: str) -> str:
-        for cls, rep in zip(self.classes, self.representatives):
+        for cls in self.classes:
             if name in cls:
-                return rep
+                return cls[0]
         raise KeyError(name)
 
 
 def quotient_network(network: Network) -> tuple[Network, EquivalenceClasses]:
     """Drop members bisimilar to an earlier one, keeping lowest-index reps.
 
-    Members merge only with equal alphabets, so each alphabet gets one
-    refinement over all its members. Initial states can only be related to
-    initial states, so two members pass ``bisim_check`` exactly when their
-    initial states fall in the same set of classes; that set is the key.
+    Members merge only with equal alphabets, so a member's key is its
+    alphabet, and an alphabet two or more members share gets one refinement
+    over all of them. Initial states can only be related to initial states,
+    so two such members pass ``bisim_check`` exactly when their initial
+    states fall in the same set of classes, which extends their keys.
     """
     members = network.members
     by_alphabet: dict[frozenset[str], list[int]] = {}
     for i, (_, m) in enumerate(members):
         by_alphabet.setdefault(m.alphabet, []).append(i)
-    key: dict[int, tuple] = {}
-    for alphabet, indices in by_alphabet.items():
-        if len(indices) == 1:  # nothing to merge with
-            key[indices[0]] = (alphabet,)
-            continue
-        maps = _refinement_classes([members[i][1] for i in indices])
-        for i, cls in zip(indices, maps):
-            key[i] = (alphabet, frozenset(cls[x] for x in members[i][1].initial))
-
-    grouped: dict[tuple, list[int]] = {}
-    for i in range(len(members)):
-        grouped.setdefault(key[i], []).append(i)
-    classes = tuple(tuple(members[i][0] for i in group) for group in grouped.values())
-    reps = tuple(members[group[0]] for group in grouped.values())
-    return Network(reps), EquivalenceClasses(classes, tuple(name for name, _ in reps))
+    keys = [(m.alphabet,) for _, m in members]
+    for indices in by_alphabet.values():
+        # A lone alphabet has nothing to merge with. One refinement over all members took
+        # 3.7-6.6x the time on the chain, line and mixed benchmarks, whose alphabets differ.
+        if len(indices) > 1:
+            for i, cls in zip(indices, _refinement_classes([members[i][1] for i in indices])):
+                flags = members[i][1].int_moves()[2]
+                keys[i] += (frozenset([c for c, (_, init) in zip(cls, flags) if init]),)
+    grouped: dict[tuple, list[tuple[str, Fsm]]] = {}
+    for key, member in zip(keys, members):
+        grouped.setdefault(key, []).append(member)
+    classes = tuple(tuple(name for name, _ in group) for group in grouped.values())
+    return Network(tuple(group[0] for group in grouped.values())), EquivalenceClasses(classes)
 
 
 @dataclass(frozen=True)

@@ -167,5 +167,5 @@ def start_session(
     """Open a session over a bank or over explicit (name, observer) pairs,
     which are checked as a bank."""
     if not isinstance(source, DecentralizedObserver):
-        source = DecentralizedObserver(tuple(source))
+        source = DecentralizedObserver(source)
     return MonitorSession(source)

@@ -317,6 +317,7 @@ class DecentralizedObserver:
     locals: tuple[tuple[str, ObserverFsm], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "locals", tuple(self.locals or ()))
         check_members(self.locals, "a decentralized observer", "local", ObserverFsm)
 
     @property

@@ -35,9 +35,10 @@ class TestNetwork:
             net_ab.get("missing")
 
     def test_empty_network_rejected(self):
-        with pytest.raises(InvalidInputError) as caught:
-            Network(())
-        assert str(caught.value) == "a network needs at least one member"
+        for members in ((), [], None):
+            with pytest.raises(InvalidInputError) as caught:
+                Network(members)
+            assert str(caught.value) == "a network needs at least one member"
 
     def test_duplicate_member_names_rejected(self):
         m = make_fsm_a()
@@ -54,6 +55,26 @@ class TestNetwork:
         with pytest.raises(InvalidInputError) as caught:
             Network((("A", make_fsm_a()), ("B", "notfsm")))
         assert str(caught.value) == "member 'B' is 'notfsm', not an Fsm"
+
+    def test_members_must_be_name_machine_pairs(self):
+        m = make_fsm_a()
+        for members, message in (
+            ([m], f"member 0 is {m!r}, not a (name, Fsm) pair"),
+            ((("A", m, 1),), f"member 0 is ('A', {m!r}, 1), not a (name, Fsm) pair"),
+            (("AB",), "member 0 is 'AB', not a (name, Fsm) pair"),
+        ):
+            with pytest.raises(InvalidInputError) as caught:
+                Network(members)
+            assert str(caught.value) == message
+
+    def test_list_built_network_keeps_its_own_tuple(self):
+        m = make_fsm_a()
+        pairs = [("A", m)]
+        net = Network(pairs)
+        twin = Network((("A", m),))
+        assert net == twin and hash(net) == hash(twin)
+        pairs.append(("A", m))
+        assert net.members == (("A", m),)
 
     def test_empty_member_name_rejected(self):
         with pytest.raises(InvalidInputError) as caught:

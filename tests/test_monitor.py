@@ -99,6 +99,7 @@ class TestSessionBasics:
         for locals_, message in (
             ((("", obs),), "local names must be nonempty"),
             ((("A", fsm_a),), f"local 'A' is {fsm_a!r}, not an ObserverFsm"),
+            ([obs], f"local 0 is {obs!r}, not a (name, ObserverFsm) pair"),
         ):
             with pytest.raises(InvalidInputError) as caught:
                 start_session(locals_)

@@ -288,9 +288,10 @@ class TestDecentralized:
         assert bank.observers[1] == build_observer(fsm_b)
 
     def test_empty_bank_rejected(self):
-        with pytest.raises(InvalidInputError) as caught:
-            DecentralizedObserver(())
-        assert str(caught.value) == "a decentralized observer needs at least one local"
+        for locals_ in ((), [], None):
+            with pytest.raises(InvalidInputError) as caught:
+                DecentralizedObserver(locals_)
+            assert str(caught.value) == "a decentralized observer needs at least one local"
 
     def test_duplicate_local_names_rejected(self, fsm_a):
         obs = build_observer(fsm_a)
@@ -309,6 +310,15 @@ class TestDecentralized:
         with pytest.raises(InvalidInputError) as caught:
             DecentralizedObserver((("A", build_observer(fsm_a)), ("B", "x")))
         assert str(caught.value) == "local 'B' is 'x', not an ObserverFsm"
+
+    def test_list_built_bank_keeps_its_own_tuple(self, fsm_a):
+        obs = build_observer(fsm_a)
+        pairs = [("A", obs)]
+        bank = DecentralizedObserver(pairs)
+        twin = DecentralizedObserver((("A", obs),))
+        assert bank == twin and hash(bank) == hash(twin)
+        pairs.append(("A", obs))
+        assert bank.locals == (("A", obs),)
 
     def test_single_local_composes_to_itself(self, fsm_a):
         bank = build_decentralized(Network((("A", fsm_a),)))
