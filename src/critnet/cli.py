@@ -134,11 +134,14 @@ def _cmd_synth(args) -> int:
             raise InvalidInputError(f"member {name!r} is not a plain file name for --out")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = {}
     for name, obs in report.locals:
-        (out / f"{name}.obs").write_text(serialize_observer(name, obs), encoding="utf-8")
-        (out / f"{name}.dot").write_text(export_dot(obs, name), encoding="utf-8")
-        written.extend([f"{name}.obs", f"{name}.dot"])
+        written[f"{name}.obs"] = serialize_observer(name, obs)
+        written[f"{name}.dot"] = export_dot(obs, name)
+    for file, text in written.items():
+        # Write in place and cut the tail: ext4 flushes a file truncated to empty when it closes.
+        with open(os.open(out / file, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.truncate(f.write(text.encode()))
     print(f"wrote {' '.join(written)} to {out}", file=sys.stderr)
     return 0
 

@@ -21,6 +21,7 @@ from .observer import (
     Verdict,
     build_observer,
     check_observable,
+    distinct_tables,
     sampled_runs_agree,
     validate_critical_observer,
 )
@@ -170,7 +171,8 @@ def quotient_network(network: Network) -> tuple[Network, EquivalenceClasses]:
 
     Members merge only with equal alphabets, so a member's key is its
     alphabet, and an alphabet two or more members share gets one refinement
-    over all of them. Initial states can only be related to initial states,
+    over one member per equal table (``distinct_tables``); a copy takes its
+    table's classes. Initial states can only be related to initial states,
     so two such members pass ``bisim_check`` exactly when their initial
     states fall in the same set of classes, which extends their keys.
     """
@@ -183,7 +185,8 @@ def quotient_network(network: Network) -> tuple[Network, EquivalenceClasses]:
         # A lone alphabet has nothing to merge with. One refinement over all members took
         # 3.7-6.6x the time on the chain, line and mixed benchmarks, whose alphabets differ.
         if len(indices) > 1:
-            for i, cls in zip(indices, _refinement_classes([members[i][1] for i in indices])):
+            numbers, machines = distinct_tables([members[i][1] for i in indices])
+            for i, cls in zip(indices, map(_refinement_classes(machines).__getitem__, numbers)):
                 flags = members[i][1].int_moves()[2]
                 keys[i] += (frozenset([c for c, (_, init) in zip(cls, flags) if init]),)
     grouped: dict[tuple, list[tuple[str, Fsm]]] = {}

@@ -16,8 +16,8 @@ and composed banks from the packed product walk; both skip the public
 constructor's checks, which the constructor, and so the observer parser,
 keeps. Bank composition, monitor sessions, isomorphism
 and the cost ledger step over rows by position and name states only on the
-way out; plant ids follow sorted names, as in every ``Fsm``. The bank walk
-and sessions step locals with equal tables as one (``distinct_tables``).
+way out; plant ids follow sorted names, as in every ``Fsm``. Members and
+locals with equal tables (``distinct_tables``) are built, walked and stepped once.
 """
 
 from __future__ import annotations
@@ -329,29 +329,47 @@ class DecentralizedObserver:
         return tuple(obs for _, obs in self.locals)
 
 
-def build_decentralized(
-    network: Network, max_states: int | None = None
-) -> DecentralizedObserver:
-    """One full local observer per member, no composition performed."""
-    return DecentralizedObserver(
-        tuple((name, build_observer(m, max_states)) for name, m in network.members)
-    )
+def build_decentralized(network: Network, max_states: int | None = None) -> DecentralizedObserver:
+    """One full local observer per member, no composition performed.
+
+    Members with equal tables (``distinct_tables``) share one subset construction, in member
+    order; a copy keeps the first one's rows and flags and names estimates by its own states.
+    """
+    numbers, machines = distinct_tables(network.machines)
+    built = [build_observer(m, max_states) for m in machines]
+    locals_ = []
+    for (name, m), c in zip(network.members, numbers):
+        obs = built[c]
+        if m is not machines[c]:
+            rename = dict(zip(machines[c].int_moves()[0], m.int_moves()[0])).__getitem__
+            states = [frozenset(map(rename, z)) for z in obs.states]
+            obs = ObserverFsm._trusted(states, obs.alphabet, obs.rows, obs.flags)
+        locals_.append((name, obs))
+    return DecentralizedObserver(tuple(locals_))
 
 
-def distinct_tables(observers: Iterable[ObserverFsm]) -> tuple[tuple[int, ...], list[ObserverFsm]]:
-    """Each observer's number, and the observer that first used each number.
+def distinct_tables(items: Iterable[ObserverFsm] | Iterable[Fsm]) -> tuple[tuple[int, ...], list]:
+    """Each observer's or machine's number, and the one that first used each number.
 
     Observers with equal ``start``, ``alphabet``, ``rows`` and ``flags`` move
-    in lockstep under every word, whatever their states are called, so they
-    share a number; numbers follow first use.
+    in lockstep under every word, whatever their states are called. Machines
+    with equal ``alphabet`` and ``int_moves`` rows and flags share state ids,
+    so refinement classes, and observers up to state names. Numbers follow first use.
     """
     alike, numbers, distinct = {}, [], []
-    for obs in observers:
-        same = alike.setdefault((obs.start, obs.alphabet, tuple(obs.flags)), [])
-        c = next((c for c in same if distinct[c].rows == obs.rows), len(distinct))
-        if c == len(distinct):
-            distinct.append(obs)
-            same.append(c)
+    for item in items:
+        if isinstance(item, Fsm):
+            _, rows, flags = item.int_moves()
+        else:
+            rows, flags = item.rows, (item.start, *item.flags)
+        same = alike.setdefault((item.alphabet, flags), [])
+        # A loop, not ``next`` over a generator: most members are alone in their bucket.
+        for c, seen in same:
+            if seen == rows:
+                break
+        else:
+            same.append((c := len(distinct), rows))
+            distinct.append(item)
         numbers.append(c)
     return tuple(numbers), distinct
 

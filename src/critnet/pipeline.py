@@ -134,9 +134,8 @@ def run_algorithm3(
     locals_ = None
     if outcome.locals is not None:
         by_rep = dict(outcome.locals)
-        locals_ = tuple(
-            (name, by_rep[classes.rep_of(name)]) for name in network.names
-        )
+        rep = {name: cls[0] for cls in classes.classes for name in cls}
+        locals_ = tuple((name, by_rep[rep[name]]) for name in network.names)
     baseline = None
     if run_baseline:
         baseline = run_algorithm1(network, max_states).ledger

@@ -97,8 +97,16 @@ def random_network(
 
 
 def renamed_copy(m: Fsm, prefix: str) -> Fsm:
-    """Same machine with every state renamed; bisimilar by construction."""
-    ren = {s: f"{prefix}{s}" for s in m.states}
+    """Same machine with every state renamed; bisimilar by construction.
+
+    A common prefix keeps the names' sorted order, so the copy has the
+    original's state ids and int table.
+    """
+    return renamed(m, {s: f"{prefix}{s}" for s in m.states})
+
+
+def renamed(m: Fsm, ren: dict[str, str]) -> Fsm:
+    """Same machine with each state ``s`` renamed ``ren[s]``."""
     return Fsm(
         ren.values(),
         (ren[s] for s in m.initial),
@@ -106,6 +114,13 @@ def renamed_copy(m: Fsm, prefix: str) -> Fsm:
         ((ren[a], label, ren[b]) for a, label, b in m.transitions()),
         (ren[s] for s in m.critical),
     )
+
+
+def equal_rows_fsm(critical=("r",), initial=("p",), alphabet=("a", "b")) -> Fsm:
+    """p -a-> q -a-> {p, r}, r -b-> p: every choice of flags and alphabet
+    gives the same ``int_moves`` rows."""
+    moves = [("p", "a", "q"), ("q", "a", "p"), ("q", "a", "r"), ("r", "b", "p")]
+    return Fsm(["p", "q", "r"], initial, alphabet, moves, critical)
 
 
 def split_state_variant(rng: random.Random, m: Fsm, prefix: str) -> Fsm:

@@ -14,13 +14,15 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import random
 import sys
 from pathlib import Path
 
 import critnet.cli
 import critnet.monitor
 import critnet.pipeline
-from critnet import Network, parse_network, run_algorithm1
+from critnet import Network, build_observer, parse_network, run_algorithm1, serialize_network
+from genutil import renamed, renamed_copy, split_state_variant
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -204,3 +206,32 @@ def test_traced_toy_chain_check_visits_every_aggregate(monkeypatch, tmp_path, ca
         if span[0] == "onthefly.run_onthefly"
     ]
     assert explored == [27]
+
+
+def test_traced_counts_see_every_copy(tmp_path, capsys, fsm_a, fsm_b):
+    # Members with equal tables share one subset construction and one
+    # refinement; the traced counts must still cover every member.
+    members = (
+        ("A", fsm_a),
+        ("B", fsm_b),
+        ("Acopy", renamed_copy(fsm_a, "c_")),
+        ("Bflip", renamed(fsm_b, {"r": "z", "s": "y", "t": "x"})),
+        ("Asplit", split_state_variant(random.Random(1), fsm_a, "s")),
+        ("Bcopy", renamed_copy(fsm_b, "c_")),
+    )
+    net = tmp_path / "copies.net"
+    net.write_text(serialize_network(Network(members)), encoding="utf-8")
+    counts = {}
+    for argv in (["check", str(net), "--algorithm", "1"], ["check", str(net)]):
+        tracer = _tracing().Tracer()
+        tracer.install()
+        try:
+            tracer.call_job(0, critnet.cli.main, argv)
+        finally:
+            tracer.uninstall()
+        assert "not traced" not in capsys.readouterr().err
+        for i, span in enumerate(tracer.spans):
+            counts.setdefault(span[0], []).append(tracer.counts.get(i))
+    want = sum(len(build_observer(m).states) for _, m in members)
+    assert counts["observer.build_decentralized"] == [{"local_states": want}]
+    assert counts["equivalence.quotient_network"] == [{"classes": 2}]

@@ -168,6 +168,16 @@ class TestSynth:
         dot_text = (outdir / "A.dot").read_text(encoding="utf-8")
         assert dot_text.startswith('digraph "A" {')
 
+    def test_out_overwrites_longer_and_shorter_files(self, observable_file, tmp_path, capsys):
+        outdir = tmp_path / "synth"
+        assert main(["synth", observable_file, "--out", str(outdir)]) == 0
+        fresh = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        for stale in ("é" * 5000, ""):
+            for name in fresh:
+                (outdir / name).write_text(stale, encoding="utf-8")
+            assert main(["synth", observable_file, "--out", str(outdir)]) == 0
+            assert {p.name: p.read_bytes() for p in outdir.iterdir()} == fresh
+
     def test_not_observable_synthesizes_nothing(self, net_file, tmp_path, capsys):
         outdir = tmp_path / "nothing"
         assert main(["synth", net_file, "--out", str(outdir)]) == 1

@@ -21,10 +21,13 @@ from critnet import (
     preservation_check,
     quotient_network,
 )
+from critnet.observer import distinct_tables
 from conftest import make_fsm_a, make_fsm_b
 from genutil import (
+    equal_rows_fsm,
     random_fsm,
     random_network,
+    renamed,
     renamed_copy,
     split_state_variant,
     with_duplicates,
@@ -375,7 +378,7 @@ def _pairwise_grouping(net: Network):
 class TestQuotientMatchesPairwise:
     def test_random_networks_with_copies(self):
         rng = random.Random(410)
-        mixed_alphabets = kept_apart = 0
+        mixed_alphabets = kept_apart = shared = 0
         for trial in range(60):
             base = random_network(rng, max_members=4, max_states=4)
             # One more member over an existing alphabet, so members with equal
@@ -391,8 +394,11 @@ class TestQuotientMatchesPairwise:
             alphabets = [m.alphabet for m in reduced.machines]
             mixed_alphabets += len(set(alphabets)) > 1
             kept_apart += len(set(alphabets)) < len(alphabets)
+            # Renamed copies keep their original's table, so the refinement reads it once.
+            shared += len(distinct_tables(net.machines)[1]) < len(net.members)
         assert mixed_alphabets >= 40
         assert kept_apart >= 40
+        assert shared >= 30
 
     def test_same_alphabet_different_initial_classes(self):
         # M2 has an initial state bisimilar to M1's and one matching nothing
@@ -404,6 +410,40 @@ class TestQuotientMatchesPairwise:
         reduced, classes = quotient_network(net)
         assert classes.classes == (("M1",), ("M2", "M3"))
         assert classes.representatives == ("M1", "M2")
+        assert (classes.classes, classes.representatives) == _pairwise_grouping(net)
+
+
+class TestQuotientOverEqualTables:
+    """The quotient refines one member per equal table; copies take its classes."""
+
+    def test_equal_rows_apart_by_flags_initial_or_label(self):
+        base = equal_rows_fsm()
+        net = Network(
+            (
+                ("A", base),
+                ("Crit", equal_rows_fsm(critical=("q",))),
+                ("Init", equal_rows_fsm(initial=("q",))),
+                ("Label", equal_rows_fsm(alphabet=("a", "b", "z"))),
+                ("Acopy", renamed_copy(base, "c_")),
+            )
+        )
+        assert distinct_tables(net.machines)[0] == (0, 1, 2, 3, 0)
+        reduced, classes = quotient_network(net)
+        assert classes.classes == (("A", "Acopy"), ("Crit",), ("Init",), ("Label",))
+        assert (classes.classes, classes.representatives) == _pairwise_grouping(net)
+        assert reduced.names == ("A", "Crit", "Init", "Label")
+
+    def test_copy_with_reordered_ids_still_merges(self):
+        # Ids follow sorted names, so reversed names reverse the ids: the
+        # tables differ and the copy is refined on its own, yet it merges.
+        base = equal_rows_fsm()
+        flipped = renamed(base, {"p": "z", "q": "y", "r": "x"})
+        net = Network((("A", base), ("F", flipped), ("C", renamed_copy(base, "c_"))))
+        assert flipped.int_moves()[1] != base.int_moves()[1]
+        assert distinct_tables(net.machines)[0] == (0, 1, 0)
+        reduced, classes = quotient_network(net)
+        assert classes.classes == (("A", "F", "C"),)
+        assert reduced.members == (("A", base),)
         assert (classes.classes, classes.representatives) == _pairwise_grouping(net)
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import critnet.observer
 from critnet import (
     BudgetExceededError,
     DecentralizedObserver,
@@ -27,7 +28,16 @@ from critnet import (
     validate_critical_observer,
 )
 from conftest import make_converse_pair
-from genutil import observable_fsm, random_fsm, random_network, with_duplicates
+from critnet.observer import distinct_tables
+from genutil import (
+    equal_rows_fsm,
+    observable_fsm,
+    random_fsm,
+    random_network,
+    renamed,
+    renamed_copy,
+    with_duplicates,
+)
 from oracles import (
     estimates_by_word,
     naive_bank_product,
@@ -106,9 +116,9 @@ class TestBuildObserver:
             m = random_fsm(rng, max_states=6)
             n = len(build_observer(m).states)
             assert len(build_observer(m, max_states=n).states) == n
-            if n > 1:
-                with pytest.raises(BudgetExceededError, match=f"exceeded {n - 1} states"):
-                    build_observer(m, max_states=n - 1)
+            with pytest.raises(BudgetExceededError) as caught:
+                build_observer(m, max_states=n - 1)
+            assert str(caught.value) == f"observer exceeded {n - 1} states"
 
     def test_critical_initial_flagged_immediately(self):
         m = Fsm(["x"], ["x"], ["a"], [("x", "a", "x")], critical=["x"])
@@ -382,6 +392,118 @@ class TestDecentralized:
         assert not check_observable(build_observer(m1), m1.critical).observable
         c = compose_network(net)
         assert check_observable(build_observer(c), c.critical).observable
+
+
+def _same_observer(got: ObserverFsm, want: ObserverFsm) -> bool:
+    """Equal, and equal position by position: states, rows, flags and start."""
+    return (
+        got == want
+        and got.states == want.states
+        and got.start == want.start
+        and list(got.rows) == list(want.rows)
+        and list(got.flags) == list(want.flags)
+    )
+
+
+class TestEqualTables:
+    """Members with equal tables share one subset construction, and only they do."""
+
+    def _variants(self) -> list[Fsm]:
+        base = equal_rows_fsm()
+        return [
+            base,
+            renamed_copy(base, "c_"),
+            equal_rows_fsm(critical=("q",)),
+            equal_rows_fsm(initial=("q",)),
+            equal_rows_fsm(alphabet=("a", "b", "z")),
+            # Ids follow sorted names, so reversed names reverse the ids.
+            renamed(base, {"p": "z", "q": "y", "r": "x"}),
+            renamed_copy(base, "d_"),
+        ]
+
+    def test_rows_alone_do_not_make_a_group(self):
+        variants = self._variants()
+        rows = variants[0].int_moves()[1]
+        assert all(m.int_moves()[1] == rows for m in variants[:5])
+        numbers, distinct = distinct_tables(variants)
+        assert numbers == (0, 0, 1, 2, 3, 4, 0)
+        assert len(distinct) == 5
+        assert all(a is b for a, b in zip(distinct, [variants[i] for i in (0, 2, 3, 4, 5)]))
+
+    def test_one_subset_construction_per_group(self, monkeypatch):
+        variants = self._variants()
+        net = Network(tuple((f"M{i}", m) for i, m in enumerate(variants)))
+        built, real = [], build_observer
+        monkeypatch.setattr(
+            critnet.observer, "build_observer", lambda m, n=None: built.append(m) or real(m, n)
+        )
+        bank = build_decentralized(net)
+        assert len(built) == 5
+        assert all(a is b for a, b in zip(built, [variants[i] for i in (0, 2, 3, 4, 5)]))
+        for (name, m), (local, obs) in zip(net.members, bank.locals):
+            assert local == name
+            assert _same_observer(obs, real(m))
+        # A copy names the shared estimates by its own states.
+        assert bank.observers[1].states[0] == frozenset({"c_p"})
+        assert bank.observers[1].rows is bank.observers[0].rows
+
+    def test_banks_with_copies_equal_per_member_observers(self):
+        rng = random.Random(2301)
+        shared = 0
+        for trial in range(150):
+            base = random_network(rng, max_members=3, max_states=5)
+            net = with_duplicates(rng, base, copies=rng.randint(1, 3), split=trial % 3 == 2)
+            bank = build_decentralized(net)
+            assert bank.names == net.names
+            for m, obs in zip(net.machines, bank.observers):
+                assert _same_observer(obs, build_observer(m))
+            shared += len(distinct_tables(net.machines)[1]) < len(net.members)
+        assert shared >= 80
+
+
+class TestBankBudget:
+    """A bank over budget raises where each member building its own observer would."""
+
+    def test_over_budget_copy_raises_from_the_same_member(self, monkeypatch):
+        # The raising member is the first one, in member order, whose own
+        # observer is over the budget, whether or not a later copy shares it.
+        rng = random.Random(2303)
+        real = build_observer
+        copied = 0
+        for _ in range(80):
+            net = with_duplicates(rng, random_network(rng, max_members=3, max_states=5), 2)
+            sizes = [len(real(m).states) for m in net.machines]
+            numbers = distinct_tables(net.machines)[0]
+            assert build_decentralized(net, max_states=max(sizes)) == build_decentralized(net)
+            for budget in range(min(sizes), max(sizes)):
+                first = next(i for i, size in enumerate(sizes) if size > budget)
+                copied += numbers.count(numbers[first]) > 1
+                tried = []
+                monkeypatch.setattr(
+                    critnet.observer,
+                    "build_observer",
+                    lambda m, n=None: tried.append(m) or real(m, n),
+                )
+                with pytest.raises(BudgetExceededError) as caught:
+                    build_decentralized(net, max_states=budget)
+                monkeypatch.undo()
+                assert str(caught.value) == f"observer exceeded {budget} states"
+                assert tried[-1] is net.machines[first]
+        assert copied >= 20
+
+    def test_copy_after_its_over_budget_original(self, fsm_a, monkeypatch):
+        # A's observer has 2 states and B's 3; over a budget of 2, B raises
+        # before its copy is reached, as it does when each member builds its own.
+        base = equal_rows_fsm()
+        net = Network((("A", fsm_a), ("B", base), ("Bc", renamed_copy(base, "c_"))))
+        tried, real = [], build_observer
+        monkeypatch.setattr(
+            critnet.observer, "build_observer", lambda m, n=None: tried.append(m) or real(m, n)
+        )
+        with pytest.raises(BudgetExceededError) as caught:
+            build_decentralized(net, max_states=2)
+        assert str(caught.value) == "observer exceeded 2 states"
+        assert tried == [fsm_a, base] and tried[-1] is base
 
 
 def _rebuilt(obs: ObserverFsm) -> ObserverFsm:
