@@ -154,7 +154,7 @@ class Fsm:
     def succ(self, state: str, label: str) -> frozenset[str]:
         """Successor set of one state under one label (empty if none)."""
         names, rows, _ = self._table
-        i = bisect_left(names, state)
+        i = bisect_left(names, state) if isinstance(state, str) else len(names)
         if i == len(names) or names[i] != state:
             return _EMPTY
         return frozenset([names[j] for j in rows[i].get(label, ())])

@@ -13,7 +13,10 @@ document, at its first occurrence, and each parser builds its machines
 through the public constructor. The writers render one canonical view of
 a machine (state texts in canonical order, moves by position, and which
 positions are initial and which critical or flagged), which DOT export
-renders too, and check every state and label they write once per document.
+renders too, and check every state and label they write once per call.
+Each distinct machine object is rendered once per call: a later member
+holding it, as copies hold their class representative's local observer,
+gets those lines under its own header line, its name checked as always.
 
 Serialization sorts everything, so equal objects always produce identical
 bytes. The token "eps" is reserved for the empty word and is never a label,
@@ -23,7 +26,7 @@ so a document that declares it fails as a malformed machine.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 
 from .compose import Network, split_commas
 from .errors import FormatError, MalformedFsmError
@@ -235,42 +238,45 @@ def _estimate_parts(obs: ObserverFsm) -> list[str]:
     return sorted(frozenset().union(*obs.states))
 
 
-def _write(
-    header: str, noun: str, mark: str, members: Iterable[tuple[str, Fsm | ObserverFsm]]
-) -> str:
-    """A document of one section per (name, machine) in either format.
+def _write(header: str, noun: str, mark: str, members: Sequence) -> list[str]:
+    """One section per (name, machine) in either format, each ending in a newline.
 
     Before a section is written, its name, its plant state names and its
-    labels are checked, each distinct state and label once per document.
+    labels are checked, each distinct state and label once per call. The
+    lines after the header are rendered once per distinct machine object.
     """
     good_states: set[str] = set()
     good_labels: set[str] = set()
-    chunks = []
+    bodies: dict[int, str] = {}  # the caller holds every machine, so no id is reused
+    sections = []
     for name, machine in members:
         _check_token(name, noun)
-        texts, rows, flags = _view(machine)
-        # A plant's state texts are its state names.
-        for state in texts if isinstance(machine, Fsm) else _estimate_parts(machine):
-            if state not in good_states:
-                good_states.add(_check_state(state))
-        labels = sorted(machine.alphabet)
-        for label in labels:
-            if label not in good_labels:
-                good_labels.add(_check_token(label, "label"))
-        lines = [f"{header} {name}", "  states " + " ".join(texts)]
-        lines.append("  initial " + " ".join([x for x, (_, init) in zip(texts, flags) if init]))
-        if labels:
-            lines.append("  alphabet " + " ".join(labels))
-        marked = [x for x, (crit, _) in zip(texts, flags) if crit]
-        if marked:
-            lines.append(f"  {mark} " + " ".join(marked))
-        append = lines.append
-        for src, row in zip(texts, rows):
-            for label, ys in row.items():
-                for j in ys:
-                    append(f"  trans {src} {label} {texts[j]}")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
+        body = bodies.get(id(machine))
+        if body is None:
+            texts, rows, flags = _view(machine)
+            # A plant's state texts are its state names.
+            for state in texts if isinstance(machine, Fsm) else _estimate_parts(machine):
+                if state not in good_states:
+                    good_states.add(_check_state(state))
+            labels = sorted(machine.alphabet)
+            for label in labels:
+                if label not in good_labels:
+                    good_labels.add(_check_token(label, "label"))
+            lines = ["  states " + " ".join(texts)]
+            lines.append("  initial " + " ".join([x for x, (_, init) in zip(texts, flags) if init]))
+            if labels:
+                lines.append("  alphabet " + " ".join(labels))
+            marked = [x for x, (crit, _) in zip(texts, flags) if crit]
+            if marked:
+                lines.append(f"  {mark} " + " ".join(marked))
+            append = lines.append
+            for src, row in zip(texts, rows):
+                for label, ys in row.items():
+                    for j in ys:
+                        append(f"  trans {src} {label} {texts[j]}")
+            body = bodies[id(machine)] = "\n".join(lines)
+        sections.append(f"{header} {name}\n{body}\n")
+    return sections
 
 
 def serialize_network(network: Network) -> str:
@@ -279,16 +285,48 @@ def serialize_network(network: Network) -> str:
     Each member is written from its int table in id order, which is
     sorted-name order. Every distinct token is checked once per document.
     """
-    return _write("fsm", "member name", "critical", network.members)
+    return "\n".join(_write("fsm", "member name", "critical", network.members))
+
+
+def observer_documents(locals_: Sequence[tuple[str, ObserverFsm]]) -> list[str]:
+    """``serialize_observer(name, obs)`` of each local, in order."""
+    return _write("observer", "observer name", "flag", locals_)
 
 
 def serialize_observer(name: str, obs: ObserverFsm) -> str:
     """Canonical text for one local observer with estimate states."""
-    return _write("observer", "observer name", "flag", [(name, obs)])
+    return observer_documents([(name, obs)])[0]
 
 
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def dot_documents(members: Sequence[tuple[str, Fsm | ObserverFsm]]) -> list[str]:
+    """``export_dot(machine, name)`` of each (name, machine), each machine object rendered once."""
+    bodies: dict[int, str] = {}  # the caller holds every machine, so no id is reused
+    documents = []
+    for name, machine in members:
+        body = bodies.get(id(machine))
+        if body is None:
+            texts, rows, flags = _view(machine)
+            quoted = [_quote(x) for x in texts]
+            starts = [x for x, (_, init) in zip(quoted, flags) if init]
+            lines = ["  rankdir=LR;", "  node [shape=circle];"]
+            for k in range(len(starts)):
+                lines.append(f'  "__start{k}" [shape=point, label=""];')
+            for x, (crit, _) in zip(quoted, flags):
+                lines.append(f"  {x} [shape=doublecircle];" if crit else f"  {x};")
+            for k, x in enumerate(starts):
+                lines.append(f'  "__start{k}" -> {x};')
+            for src, row in zip(quoted, rows):
+                for label, ys in row.items():
+                    for j in ys:
+                        lines.append(f"  {src} -> {quoted[j]} [label={_quote(label)}];")
+            lines.append("}")
+            body = bodies[id(machine)] = "\n".join(lines)
+        documents.append(f"digraph {_quote(name)} {{\n{body}\n")
+    return documents
 
 
 def export_dot(machine: Fsm | ObserverFsm, name: str = "critnet") -> str:
@@ -296,19 +334,4 @@ def export_dot(machine: Fsm | ObserverFsm, name: str = "critnet") -> str:
 
     Output is a pure function of the machine, byte for byte.
     """
-    texts, rows, flags = _view(machine)
-    quoted = [_quote(x) for x in texts]
-    starts = [x for x, (_, init) in zip(quoted, flags) if init]
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    for k in range(len(starts)):
-        lines.append(f'  "__start{k}" [shape=point, label=""];')
-    for x, (crit, _) in zip(quoted, flags):
-        lines.append(f"  {x} [shape=doublecircle];" if crit else f"  {x};")
-    for k, x in enumerate(starts):
-        lines.append(f'  "__start{k}" -> {x};')
-    for src, row in zip(quoted, rows):
-        for label, ys in row.items():
-            for j in ys:
-                lines.append(f"  {src} -> {quoted[j]} [label={_quote(label)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_documents([(name, machine)])[0]

@@ -18,12 +18,15 @@ from critnet import (
     Network,
     build_observer,
     compose_network,
+    export_dot,
     parse_network,
     parse_observers,
     quotient_network,
+    run_algorithm3,
     serialize_network,
     serialize_observer,
 )
+from critnet import netio
 from critnet.cli import _build_parser, main
 from conftest import make_fsm_a
 from genutil import renamed_copy
@@ -186,7 +189,7 @@ class TestSynth:
         assert "({p},{s,t})" in err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("bad", ["../escaped", "a/b", "..", "."])
+    @pytest.mark.parametrize("bad", ["../escaped", "a/b", "..", ".", "a\x00b"])
     def test_out_refuses_member_names_that_are_not_file_names(self, bad, tmp_path, capsys):
         net = Network((("A", make_fsm_a()), (bad, renamed_copy(make_fsm_a(), "c_"))))
         path = tmp_path / "net.txt"
@@ -198,6 +201,58 @@ class TestSynth:
         # Without --out, names only go into the documents on stdout.
         assert main(["synth", str(path)]) == 0
         assert dict(parse_observers(capsys.readouterr().out)).keys() == {"A", bad}
+
+    def test_out_refuses_an_over_long_member_name_before_writing(self, tmp_path, capsys):
+        # A file name holds at most 255 bytes, the ".obs" suffix included.
+        for name, fits in (("x" * 251, True), ("x" * 252, False), ("é" * 126, False)):
+            net = Network((("A", make_fsm_a()), (name, renamed_copy(make_fsm_a(), "c_"))))
+            path = tmp_path / "net.txt"
+            path.write_text(serialize_network(net), encoding="utf-8")
+            outdir = tmp_path / "out"
+            if fits:
+                assert main(["synth", str(path), "--out", str(outdir)]) == 0
+                assert (outdir / f"{name}.obs").exists() and (outdir / f"{name}.dot").exists()
+                shutil.rmtree(outdir)
+                capsys.readouterr()
+                continue
+            assert main(["synth", str(path), "--out", str(outdir)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: member {name!r} ")
+            assert list(tmp_path.rglob("*")) == [path]
+
+    @pytest.mark.parametrize("copy", ["Acopy", "A\\copy"])
+    def test_out_files_are_the_one_member_documents(self, copy, tmp_path, capsys):
+        # The golden network's copies, and a copy whose name DOT must escape.
+        net = Network((("A", make_fsm_a()), (copy, renamed_copy(make_fsm_a(), "c_"))))
+        mine = tmp_path / "copy.net"
+        mine.write_text(serialize_network(net), encoding="utf-8")
+        for path in (REPO_ROOT / "tests/data/golden/dups.net", mine):
+            locals_ = run_algorithm3(parse_network(path.read_text(encoding="utf-8"))).locals
+            assert len({id(obs) for _, obs in locals_}) < len(locals_)
+            want = {}
+            for name, obs in locals_:
+                want[f"{name}.obs"] = serialize_observer(name, obs).encode()
+                want[f"{name}.dot"] = export_dot(obs, name).encode()
+            outdir = tmp_path / path.stem
+            assert main(["synth", str(path), "--out", str(outdir)]) == 0
+            assert {p.name: p.read_bytes() for p in outdir.iterdir()} == want
+            assert main(["synth", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert out == "\n".join(serialize_observer(name, obs) for name, obs in locals_)
+
+    def test_out_renders_each_distinct_observer_once(self, tmp_path, capsys, monkeypatch):
+        k = 5
+        members = [("A", make_fsm_a())]
+        members += [(f"A{i}", renamed_copy(make_fsm_a(), f"c{i}_")) for i in range(1, k)]
+        path = tmp_path / "copies.net"
+        path.write_text(serialize_network(Network(tuple(members))), encoding="utf-8")
+        views = []
+        view = netio._view
+        monkeypatch.setattr(netio, "_view", lambda machine: views.append(machine) or view(machine))
+        outdir = tmp_path / "out"
+        assert main(["synth", str(path), "--out", str(outdir)]) == 0
+        assert len(list(outdir.iterdir())) == 2 * k
+        # The k copies share one observer: one view for its .obs and one for its DOT.
+        assert len(views) == 2 and views[0] is views[1]
 
     def test_duplicates_share_observers(self, capsys, tmp_path):
         net = Network(

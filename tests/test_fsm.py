@@ -52,6 +52,13 @@ class TestConstruction:
         for missing in ("a", "pp", "z"):
             assert fsm_a.succ(missing, "a") == frozenset()
 
+    def test_a_state_that_is_not_a_string_has_no_successors(self, fsm_a):
+        # A machine only holds string states; anything else is just absent.
+        for missing in (3, None, ("p",), b"p"):
+            assert fsm_a.succ(missing, "a") == frozenset()
+        assert step(fsm_a, [None], "a") == frozenset()
+        assert step(fsm_a, [None, "p"], "a") == frozenset({"q"})
+
     def test_state_names_must_be_strings(self):
         with pytest.raises(MalformedFsmError) as caught:
             Fsm(["p", 1], ["p"], ["a"], [])

@@ -24,6 +24,7 @@ from critnet import (
     serialize_network,
     serialize_observer,
 )
+from critnet.netio import dot_documents, observer_documents
 from genutil import random_network
 
 NET_AB_DOC = """\
@@ -285,6 +286,21 @@ class TestObserverDocuments:
         assert "{(p,r)}" in text
         (name, again), = parse_observers(text)
         assert name == "AB" and again == obs
+
+    def test_copies_get_the_one_member_documents(self, fsm_a, fsm_b):
+        a, b = build_observer(fsm_a), build_observer(fsm_b)
+        locals_ = [("A", a), ("B", b), ("A2", a), ('say "A"\\', a)]
+        assert observer_documents(locals_[:3]) == [serialize_observer(n, o) for n, o in locals_[:3]]
+        assert dot_documents(locals_) == [export_dot(o, n) for n, o in locals_]
+
+    @pytest.mark.parametrize("bad", ["", "two words", "a{b}", "#x"])
+    def test_a_copy_with_a_bad_name_fails_as_it_does_alone(self, bad, fsm_a):
+        obs = build_observer(fsm_a)
+        with pytest.raises(FormatError) as alone:
+            serialize_observer(bad, obs)
+        with pytest.raises(FormatError) as copy:
+            observer_documents([("A", obs), (bad, obs)])
+        assert str(copy.value) == str(alone.value)
 
     def test_nondeterministic_transition_rejected(self):
         doc = (
