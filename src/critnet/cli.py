@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -74,6 +73,7 @@ def _cmd_check(args) -> int:
     else:
         report = run_algorithm3(network, budget)
     if args.json:
+        import json  # only --json needs it, so a plain run does not import it
         payload = {
             "algorithm": report.algorithm,
             "verdict": "observable" if report.verdict.observable else "not-observable",
@@ -150,14 +150,15 @@ def _cmd_compose(args) -> int:
     return 0
 
 
-def _events(stream):
-    """The labels of an event stream, one per line, skipping blanks and comments."""
+def _events(stream, name: str, session):
+    """The labels of stream ``name``, one per line, skipping blanks and comments."""
     for raw in stream:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if len(line.split()) != 1:
-            raise InvalidInputError(f"one event per line, got {line!r}")
+            done = session.steps
+            raise InvalidInputError(f"{name}: one event per line, got {line!r} after {done} events")
         yield line
 
 
@@ -178,7 +179,7 @@ def _cmd_monitor(args) -> int:
     lines = sys.stdin if stream is None else map(bytes.decode, stream)
     write, flush = sys.stdout.write, sys.stdout.flush
     try:
-        for line in session.lines(_events(lines)):
+        for line in session.lines(_events(lines, name, session)):
             write(line + "\n")
             if live:
                 flush()
@@ -214,31 +215,21 @@ def _cmd_preserve(args) -> int:
         report.observer_serves_full == report.observer_serves_reduced
     )
     if args.json:
-        payload = {
-            "classes": [list(c) for c in report.classes.classes],
-            "verdict_full": "observable" if report.verdict_full.observable else "not-observable",
-            "verdict_reduced": "observable" if report.verdict_reduced.observable else "not-observable",
-            "verdicts_agree": report.verdicts_agree,
-            "observer_serves_full": report.observer_serves_full,
-            "observer_serves_reduced": report.observer_serves_reduced,
-            "sampled_full": report.sampled_full,
-            "sampled_reduced": report.sampled_reduced,
-        }
+        import json
+        payload = report._asdict()  # the flags as they are; classes and verdicts as text
+        payload["classes"] = [list(c) for c in report.classes.classes]
+        for key in ("verdict_full", "verdict_reduced"):
+            payload[key] = "observable" if payload[key].observable else "not-observable"
         print(json.dumps(payload, sort_keys=True))
     else:
         for cls, rep in zip(report.classes.classes, report.classes.representatives):
             print(f"class {rep}: {' '.join(cls)}")
         print(f"verdict full: {report.verdict_full}")
         print(f"verdict reduced: {report.verdict_reduced}")
-        print(f"verdicts agree: {'yes' if report.verdicts_agree else 'no'}")
-        print(
-            "reduced observer serves full network: "
-            f"{'yes' if report.observer_serves_full else 'no'}"
-        )
-        print(
-            "reduced observer serves reduced network: "
-            f"{'yes' if report.observer_serves_reduced else 'no'}"
-        )
+        yes = {True: "yes", False: "no"}
+        print(f"verdicts agree: {yes[report.verdicts_agree]}")
+        print(f"reduced observer serves full network: {yes[report.observer_serves_full]}")
+        print(f"reduced observer serves reduced network: {yes[report.observer_serves_reduced]}")
     return 0 if consistent else 1
 
 

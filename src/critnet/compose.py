@@ -22,7 +22,6 @@ assumed free of commas outside brackets and of unbalanced brackets.
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from dataclasses import dataclass
 from itertools import product
 from math import inf, prod
 
@@ -30,48 +29,66 @@ from .errors import BudgetExceededError, InvalidInputError, MalformedFsmError
 from .fsm import Fsm
 
 
-@dataclass(frozen=True)
-class Network:
-    """An ordered collection of named machines composed by synchronization."""
+class Members:
+    """(name, part) pairs fixed at construction, in the one slot a subclass declares: one or
+    more, names distinct nonempty strings, parts ``_kind``; errors name ``_owner`` and ``_role``.
+    Equality, hash and repr follow the pairs."""
 
-    members: tuple[tuple[str, Fsm], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members or ()))
-        check_members(self.members, "a network", "member", Fsm)
+    def __init__(self, pairs: Iterable[tuple[str, object]]):
+        pairs, role, kind = tuple(pairs or ()), self._role, self._kind
+        if not pairs:
+            raise InvalidInputError(f"{self._owner} needs at least one {role}")
+        for i, pair in enumerate(pairs):
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise InvalidInputError(f"{role} {i} is {pair!r}, not a (name, {kind.__name__}) pair")
+        names = [name for name, _ in pairs]
+        if strays := [name for name in names if not isinstance(name, str)]:
+            raise InvalidInputError(f"{role} name {strays[0]!r} is not a string")
+        if len(set(names)) != len(names):
+            raise InvalidInputError(f"duplicate {role} names in {names}")
+        if not all(names):
+            raise InvalidInputError(f"{role} names must be nonempty")
+        for name, value in pairs:
+            if not isinstance(value, kind):
+                raise InvalidInputError(f"{role} {name!r} is {value!r}, not an {kind.__name__}")
+        object.__setattr__(self, self.__slots__[0], pairs)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _pairs(self) -> tuple:
+        return getattr(self, self.__slots__[0])
+
+    def __eq__(self, other: object) -> bool:
+        return self._pairs() == other._pairs() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._pairs())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}({self.__slots__[0]}={self._pairs()!r})"
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.members)
+        return tuple(name for name, _ in self._pairs())
+
+
+class Network(Members):
+    """An ordered collection of named machines composed by synchronization."""
+
+    __slots__ = ("members",)
+    _owner, _role, _kind = "a network", "member", Fsm
 
     @property
     def machines(self) -> tuple[Fsm, ...]:
         return tuple(m for _, m in self.members)
 
     def get(self, name: str) -> Fsm:
-        for member_name, m in self.members:
-            if member_name == name:
-                return m
-        raise KeyError(name)
-
-
-def check_members(pairs: Sequence[tuple[str, object]], owner: str, role: str, kind: type) -> None:
-    """The network and bank rule: one or more (name, ``kind``) pairs, names distinct nonempty strs."""
-    if not pairs:
-        raise InvalidInputError(f"{owner} needs at least one {role}")
-    for i, pair in enumerate(pairs):
-        if not isinstance(pair, tuple) or len(pair) != 2:
-            raise InvalidInputError(f"{role} {i} is {pair!r}, not a (name, {kind.__name__}) pair")
-    names = [name for name, _ in pairs]
-    if strays := [name for name in names if not isinstance(name, str)]:
-        raise InvalidInputError(f"{role} name {strays[0]!r} is not a string")
-    if len(set(names)) != len(names):
-        raise InvalidInputError(f"duplicate {role} names in {names}")
-    if not all(names):
-        raise InvalidInputError(f"{role} names must be nonempty")
-    for name, value in pairs:
-        if not isinstance(value, kind):
-            raise InvalidInputError(f"{role} {name!r} is {value!r}, not an {kind.__name__}")
+        return dict(self.members)[name]
 
 
 def split_commas(text: str, opening: str, closing: str) -> list[str] | None:

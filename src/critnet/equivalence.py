@@ -10,9 +10,8 @@ refinement over the disjoint union of the machines involved.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .compose import Network, compose_network, explore
 from .fsm import Fsm
@@ -27,8 +26,7 @@ from .observer import (
 )
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """A bijection on states witnessing isomorphism."""
 
     mapping: dict
@@ -149,8 +147,7 @@ def bisim_check(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]] | None:
     return pairs
 
 
-@dataclass(frozen=True)
-class EquivalenceClasses:
+class EquivalenceClasses(NamedTuple):
     """Members grouped by bisimilarity, in member order; a class's first member is kept."""
 
     classes: tuple[tuple[str, ...], ...]
@@ -160,10 +157,7 @@ class EquivalenceClasses:
         return tuple(cls[0] for cls in self.classes)
 
     def rep_of(self, name: str) -> str:
-        for cls in self.classes:
-            if name in cls:
-                return cls[0]
-        raise KeyError(name)
+        return {member: cls[0] for cls in self.classes for member in cls}[name]
 
 
 def quotient_network(network: Network) -> tuple[Network, EquivalenceClasses]:
@@ -196,8 +190,7 @@ def quotient_network(network: Network) -> tuple[Network, EquivalenceClasses]:
     return Network(tuple(group[0] for group in grouped.values())), EquivalenceClasses(classes)
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(NamedTuple):
     """Side-by-side evidence that reduction preserves the analysis."""
 
     classes: EquivalenceClasses
@@ -234,6 +227,7 @@ def preservation_check(
     # reduced observer is directly comparable against the full machine.
     serves_full = validate_critical_observer(red_obs, full_m)
     serves_reduced = validate_critical_observer(red_obs, red_m)
+    import random  # here, so that importing critnet does not import it
     rng = random.Random(seed)
     sampled_full = sampled_runs_agree(red_obs, full_m, rng, runs, max_len)
     sampled_reduced = sampled_runs_agree(red_obs, red_m, rng, runs, max_len)

@@ -38,6 +38,27 @@ _EMPTY: frozenset[str] = frozenset()
 Row = dict[str, tuple[int, ...]]
 
 
+def _rows(triples: Iterable, index: dict[str, int], alphabet: frozenset) -> list[Row] | None:
+    """Per id its row, filled in id order from sorted triples; None at a bad or unsortable one."""
+    rows: list[Row] = [{} for _ in index]
+    last = object()  # the source of no triple
+    try:
+        for src, label, dst in sorted(triples):
+            if src is not last:  # a source's moves come together
+                row, last = rows[index[src]], src
+            j = index[dst]
+            ys = row.get(label)
+            if ys is None:
+                if label not in alphabet:  # a label is checked where it enters a row
+                    return None
+                row[label] = (j,)
+            elif ys[-1] != j:  # a repeated triple sorts next to itself
+                row[label] = ys + (j,)
+    except (KeyError, TypeError, ValueError):  # unknown, unhashable, unorderable, not triples
+        return None
+    return rows
+
+
 def check_labels(alphabet: frozenset) -> None:
     """The label rule of machines and observers: nonempty strings, never "eps"."""
     if strays := [x for x in alphabet if not isinstance(x, str)]:
@@ -77,41 +98,31 @@ class Fsm:
             raise MalformedFsmError("state names must be nonempty")
         if not initial:
             raise MalformedFsmError("machine needs at least one initial state")
-        # Strays may mix types; key=str keeps strings in their own order.
-        if not initial <= states:
-            raise MalformedFsmError(
-                f"initial states {sorted(initial - states, key=str)} not in state set"
-            )
-        if not critical <= states:
-            raise MalformedFsmError(
-                f"critical states {sorted(critical - states, key=str)} not in state set"
-            )
+        if not (initial <= states and critical <= states):  # key=str: strays may mix types
+            for role, part in (("initial", initial), ("critical", critical)):
+                if stray := part - states:
+                    raise MalformedFsmError(f"{role} states {sorted(stray, key=str)} not in state set")
 
         names = sorted(states)
-        index = {x: i for i, x in enumerate(names)}
-        moves: dict[tuple[int, str, int], None] = {}
-        for src, label, dst in transitions:
-            i, j = index.get(src), index.get(dst)
-            if i is None:
-                raise MalformedFsmError(f"transition source {src!r} not in state set")
-            if j is None:
-                raise MalformedFsmError(f"transition target {dst!r} not in state set")
-            if label not in alphabet:
-                raise MalformedFsmError(f"transition label {label!r} not in alphabet")
-            moves[i, label, j] = None
+        index = dict(zip(names, range(len(names))))
+        rows = None if iter(transitions) is transitions else _rows(transitions, index, alphabet)
+        if rows is None:  # a one-shot iterator, a bad triple, or triples that do not sort
+            checked = []  # in input order, so an error names the first bad triple
+            for src, label, dst in transitions:
+                i, j = index.get(src), index.get(dst)
+                if i is None:
+                    raise MalformedFsmError(f"transition source {src!r} not in state set")
+                if j is None:
+                    raise MalformedFsmError(f"transition target {dst!r} not in state set")
+                if label not in alphabet:
+                    raise MalformedFsmError(f"transition label {label!r} not in alphabet")
+                checked.append((names[i], label, names[j]))  # the machine's own name objects
+            rows = _rows(checked, index, alphabet)
 
         # Initial homogeneity: a mixed initial set already straddles the
         # critical boundary before any event happens.
         if initial & critical and not initial <= critical:
-            raise MalformedFsmError(
-                "initial states must be all critical or all non-critical"
-            )
-        # Ids follow sorted names, so sorted moves fill each row in label
-        # order with ascending targets.
-        rows: list[Row] = [{} for _ in names]
-        for i, label, j in sorted(moves):
-            row = rows[i]
-            row[label] = row.get(label, ()) + (j,)
+            raise MalformedFsmError("initial states must be all critical or all non-critical")
         flags = [(x in critical, x in initial) for x in names]
         self._assign(names, rows, flags, initial, alphabet, critical)
 

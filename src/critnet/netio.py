@@ -39,6 +39,8 @@ _FORBIDDEN = re.compile(r'[#"{}\s]')
 
 
 def _check_token(token: str, what: str, line: int | None = None) -> str:
+    if token.isidentifier():  # no forbidden character, and no bracket or comma either
+        return token
     if not token:
         raise FormatError(f"empty {what}", line)
     if _FORBIDDEN.search(token):
@@ -81,24 +83,20 @@ def _split_estimate(token: str, line: int | None) -> frozenset[str]:
 
 
 def _read_sections(
-    text: str,
-    header: str,
-    noun: str,
-    mark: str,
-    state: Callable[[str, int], object],
-    move_key: Callable[[object, str, object], tuple],
-    duplicate: str,
+    text: str, header: str, noun: str, mark: str, state: Callable[[str, int], object],
+    deterministic: bool, duplicate: str,
 ) -> list[tuple[str, int, dict[str, list], dict]]:
     """Split a document in either format into sections, each token checked once.
 
     A section opens with `<header> <name>`; `noun` says what the name names.
     Per section it returns the name, the header's line number, the
     `states`, `initial`, `<mark>` and `alphabet` lists in a dict, and the
-    moves as ``{move_key(src, label, dst): dst}`` in document order.
-    ``state(token, line)`` gives a state token's value or raises; it runs
-    once per distinct token. Labels are checked once each, apart from
-    states, so a label such as "x,y" is not a valid state. A move whose key
-    repeats fails with ``duplicate`` formatted with the line's three tokens.
+    moves in document order, ``{(src, label): dst}`` if ``deterministic``
+    and ``{(src, label, dst): line}`` if not. ``state(token, line)`` gives a
+    state token's value or raises; it runs once per distinct token. Labels
+    are checked once each, apart from states, so "x,y" is a label but not a
+    state. A move whose key repeats fails with ``duplicate`` formatted with
+    the line's three tokens.
     """
     sections = []
     names: set[str] = set()
@@ -119,20 +117,25 @@ def _read_sections(
 
     for number, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens:
             continue
         directive = tokens[0]
         if directive == "trans" and lists is not None:
-            if len(tokens) != 4:
-                raise FormatError("trans takes source, label, target", number)
-            _, a, x, b = tokens
+            try:
+                _, a, x, b = tokens
+            except ValueError:
+                raise FormatError("trans takes source, label, target", number) from None
             src, dst = values.get(a), values.get(b)
             if src is None or x not in labels or dst is None:
                 src, x, dst = value(a, number), label(x, number), value(b, number)
-            key = move_key(src, x, dst)
-            if key in moves:
+            if deterministic:
+                if (src, x) in moves:
+                    raise FormatError(duplicate.format(a, x, b), number)
+                moves[src, x] = dst
+            elif moves.setdefault((src, x, dst), number) != number:  # one hash per move
                 raise FormatError(duplicate.format(a, x, b), number)
-            moves[key] = dst
+        elif directive.startswith("#"):
+            continue
         elif directive == header:
             if len(tokens) != 2:
                 raise FormatError(f"{header} takes exactly one name", number)
@@ -168,8 +171,7 @@ def parse_network(text: str) -> Network:
     """
     members = []
     for name, line, lists, moves in _read_sections(
-        text, "fsm", "member name", "critical", _check_state,
-        lambda src, label, dst: (src, label, dst), "duplicate transition {} {} {}",
+        text, "fsm", "member name", "critical", _check_state, False, "duplicate transition {} {} {}"
     ):
         try:
             m = Fsm(lists["states"], lists["initial"], lists["alphabet"], moves, lists["critical"])
@@ -187,8 +189,7 @@ def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
     """
     out = []
     for name, line, lists, moves in _read_sections(
-        text, "observer", "observer name", "flag", _split_estimate,
-        lambda src, label, dst: (src, label),
+        text, "observer", "observer name", "flag", _split_estimate, True,
         "second transition from {} on {!r}: observers are deterministic",
     ):
         states, initial = lists["states"], lists["initial"]

@@ -22,14 +22,16 @@ locals with equal tables (``distinct_tables``) are built, walked and stepped onc
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from math import comb
+from typing import TYPE_CHECKING, NamedTuple
 
-from .compose import Network, check_budget, check_members, explore, owners_by_label, walk_product
+from .compose import Members, Network, check_budget, explore, owners_by_label, walk_product
 from .errors import InvalidInputError, MalformedFsmError
 from .fsm import Fsm, check_labels
+
+if TYPE_CHECKING:  # annotations only, so importing critnet does not import random
+    import random
 
 # An estimate is a nonempty frozenset of plant states. Composed banks use
 # tuples of estimates, one per member, as their states.
@@ -168,8 +170,7 @@ class ObserverFsm:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an observability check.
 
     When not observable, ``witness`` is the first estimate found that raises
@@ -310,19 +311,11 @@ def check_observable(obs: ObserverFsm, critical: Iterable[str]) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class DecentralizedObserver:
+class DecentralizedObserver(Members):
     """A bank of local observers, one per network member, OR-combined."""
 
-    locals: tuple[tuple[str, ObserverFsm], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "locals", tuple(self.locals or ()))
-        check_members(self.locals, "a decentralized observer", "local", ObserverFsm)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.locals)
+    __slots__ = ("locals",)
+    _owner, _role, _kind = "a decentralized observer", "local", ObserverFsm
 
     @property
     def observers(self) -> tuple[ObserverFsm, ...]:

@@ -22,7 +22,7 @@ The moves a memo first yields are logged and decoded after the walk.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .compose import Network, explore, field_layout, owners_by_label
 from .observer import EstimateTable, ObserverFsm, Verdict
@@ -46,8 +46,7 @@ def straddle_test(
     return not contained
 
 
-@dataclass(frozen=True)
-class OnTheFlyOutcome:
+class OnTheFlyOutcome(NamedTuple):
     """Result of the integrated exploration.
 
     ``locals`` holds the projected local observers (per member, in member

@@ -17,7 +17,7 @@ time ledger of zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .compose import Network
 from .equivalence import EquivalenceClasses, quotient_network
@@ -33,16 +33,14 @@ from .onthefly import OnTheFlyOutcome, run_onthefly
 DEFAULT_STATE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class CostLedger:
+class CostLedger(NamedTuple):
     """Stored-data units (space) and stored-transition count (time)."""
 
     space: int
     time: int
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """Verdict plus the artifacts and costs a pipeline run produced."""
 
     algorithm: str
@@ -73,14 +71,10 @@ def ledger_for_outcome(outcome: OnTheFlyOutcome) -> CostLedger:
     """
     if outcome.locals is not None:
         return ledger_for_observers([obs for _, obs in outcome.locals])
-    s1 = sum(
-        len(src) + len(dst) + 1
-        for member in outcome.witnessed_transitions
-        for src, _, dst in member
-    )
-    s2 = sum(len(member) for member in outcome.witnessed_states)
-    time = sum(len(member) for member in outcome.witnessed_transitions)
-    return CostLedger(space=s1 + s2, time=time)
+    moves = [move for member in outcome.witnessed_transitions for move in member]
+    space = sum(len(src) + len(dst) + 1 for src, _, dst in moves)
+    space += sum(map(len, outcome.witnessed_states))
+    return CostLedger(space=space, time=len(moves))
 
 
 def run_algorithm1(

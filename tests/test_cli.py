@@ -336,6 +336,20 @@ class TestMonitor:
         assert main(["monitor", observer_file, "--events", str(events)]) == 2
         assert "one event per line" in capsys.readouterr().err
 
+    def test_a_bad_event_line_names_the_stream_and_the_events_applied(
+        self, observer_file, tmp_path, capsys, monkeypatch
+    ):
+        events = tmp_path / "events.txt"
+        events.write_text("a\n\n# note\nb\na b\na\n", encoding="utf-8")
+        assert main(["monitor", observer_file, "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "1 a 11 1\n2 b 01 1\n"
+        assert captured.err == f"error: {events}: one event per line, got 'a b' after 2 events\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO("x y\n"))
+        assert main(["monitor", observer_file]) == 2
+        expected = "error: <stdin>: one event per line, got 'x y' after 0 events\n"
+        assert capsys.readouterr().err == expected
+
     def test_observers_from_separate_files(self, tmp_path, capsys, fsm_a, fsm_b):
         fa = tmp_path / "a.obs"
         fa.write_text(serialize_observer("A", build_observer(fsm_a)), encoding="utf-8")

@@ -83,6 +83,59 @@ class TestConstruction:
         m = Fsm(["x"], ["x"], ["a"], [("x", "a", "x"), ("x", "a", "x")])
         assert list(m.transitions()) == [("x", "a", "x")]
 
+    def test_repeats_collapse_among_other_targets(self):
+        moves = [("x", "a", "y"), ("x", "a", "x"), ("x", "b", "y"), ("x", "a", "y"), ("x", "a", "x")]
+        m = Fsm(["x", "y"], ["x"], ["a", "b"], moves)
+        assert m.int_moves()[1] == ({"a": (0, 1), "b": (1,)}, {})
+
+    def test_the_first_bad_transition_in_input_order_is_named(self):
+        # The later triple sorts first, yet the message names the earlier one.
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["x"], ["x"], ["a"], [("x", "a", "z"), ("w", "a", "x")])
+        assert str(caught.value) == "transition target 'z' not in state set"
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["x"], ["x"], ["a"], [("x", "b", "x"), ("x", "a", "x"), ("a", "a", "x")])
+        assert str(caught.value) == "transition label 'b' not in alphabet"
+
+    def test_a_generator_of_transitions_is_consumed_once(self):
+        drawn = []
+
+        def moves(triples):
+            for t in triples:
+                drawn.append(t)
+                yield t
+
+        good = [("x", "a", "y"), ("y", "a", "x"), ("x", "a", "y")]
+        m = Fsm(["x", "y"], ["x"], ["a"], moves(good))
+        assert drawn == good
+        assert list(m.transitions()) == [("x", "a", "y"), ("y", "a", "x")]
+        # The first bad triple in input order is named, and none is drawn twice.
+        drawn.clear()
+        bad = [("x", "a", "x"), ("q", "a", "x"), ("b", "a", "x")]
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["x"], ["x"], ["a"], moves(bad))
+        assert str(caught.value) == "transition source 'q' not in state set"
+        assert drawn == bad[: len(drawn)]
+
+    @pytest.mark.parametrize(
+        "moves, message",
+        [
+            ([("x", "a", "x"), (1, "a", "x")], "transition source 1 not in state set"),
+            ([("x", "a", "x"), ("x", "a", None)], "transition target None not in state set"),
+            ([("x", 2, "x"), ("x", "a", "x")], "transition label 2 not in alphabet"),
+        ],
+    )
+    def test_a_triple_that_does_not_sort_gets_the_checks_message(self, moves, message):
+        # Sorting a string against an int or None raises TypeError; the
+        # constructor still names the bad triple as a malformed machine.
+        with pytest.raises(MalformedFsmError) as caught:
+            Fsm(["x"], ["x"], ["a"], moves)
+        assert str(caught.value) == message
+
+    def test_lists_and_tuples_mixed_still_build(self):
+        m = Fsm(["x", "y"], ["x"], ["a"], [["x", "a", "y"], ("x", "a", "x"), ("x", "a", "y")])
+        assert m.int_moves()[1] == ({"a": (0, 1)}, {})
+
     def test_empty_states_rejected(self):
         with pytest.raises(MalformedFsmError):
             Fsm([], [], ["a"], [])

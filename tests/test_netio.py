@@ -25,7 +25,7 @@ from critnet import (
     serialize_observer,
 )
 from critnet.netio import dot_documents, observer_documents
-from genutil import random_network
+from genutil import random_network, renamed
 
 NET_AB_DOC = """\
 # two members, one shared label
@@ -456,6 +456,31 @@ def test_accepted_state_tokens_round_trip(tokens):
     assert parse_network(serialize_network(net)) == net
     obs = build_observer(net.get("M"))
     assert parse_observers(serialize_observer("M", obs)) == (("M", obs),)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_parsed_machines_equal_the_constructor_on_shuffled_triples(seed):
+    # The parser hands the constructor its moves in document order; any
+    # order of the same triples, repeats included, gives the same table.
+    rng = random.Random(seed)
+    net = random_network(rng, max_members=3)
+    # Prefixes of mixed length reorder sorted names against the generator's.
+    net = Network([
+        (name, renamed(m, {x: f"{rng.randint(0, 120)}{x}" for x in m.states}))
+        for name, m in net.members
+    ])
+    parsed = parse_network(serialize_network(net))
+    assert parsed.names == net.names
+    for m, p in zip(net.machines, parsed.machines):
+        triples = list(m.transitions())
+        triples += rng.choices(triples, k=len(triples) // 2) if triples else []
+        rng.shuffle(triples)
+        states = sorted(m.states)
+        rng.shuffle(states)
+        built = Fsm(states, m.initial, m.alphabet, triples, m.critical)
+        assert p.int_moves() == built.int_moves()
+        assert p.alphabet == built.alphabet
 
 
 # Characters besides space, tab, CR and LF that the reader splits lines or

@@ -7,9 +7,15 @@ export, or dropping one, has to change this list on purpose.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import critnet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC = {
     "BudgetExceededError", "CostLedger", "CritnetError",
@@ -37,3 +43,19 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
+
+
+def test_importing_the_cli_leaves_out_what_it_does_not_need():
+    # A fresh interpreter without site (-S), so that only critnet's own
+    # imports count. `dataclasses` pulls in `inspect`; `random` serves only
+    # `preserve`, which imports it when it runs.
+    code = (
+        "import sys; import critnet.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'random'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
