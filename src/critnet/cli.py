@@ -154,6 +154,9 @@ def _events(stream, name: str, session):
     """The labels of stream ``name``, one per line, skipping blanks and comments."""
     for raw in stream:
         line = raw.strip()
+        if line.isidentifier():  # nonempty, with no whitespace and no "#": most labels
+            yield line
+            continue
         if not line or line.startswith("#"):
             continue
         if len(line.split()) != 1:
@@ -164,8 +167,9 @@ def _events(stream, name: str, session):
 
 def _cmd_monitor(args) -> int:
     locals_: list = []
+    known: dict = {}  # a copy's file, which differs only in its header, is parsed once
     for path in args.observers:
-        locals_.extend(_parse(parse_observers, path))
+        locals_.extend(_parse(lambda text: parse_observers(text, known), path))
     session = start_session(locals_)
     live = args.events == "-"
     if live:

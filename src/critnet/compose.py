@@ -235,6 +235,8 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
     order, their rows ``{label: target or list of targets}``, and per member
     its state id in each state, by discovery position.
     """
+    # The initial states alone can be too many to list, so count them first.
+    check_budget(prod(map(len, starts)), max_states, budget_message)
     layout = field_layout([(len(rows) - 1).bit_length() or 1 for rows in rows_of])
     steps = []
     for label, members in owners:

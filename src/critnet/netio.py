@@ -17,6 +17,11 @@ renders too, and check every state and label they write once per call.
 Each distinct machine object is rendered once per call: a later member
 holding it, as copies hold their class representative's local observer,
 gets those lines under its own header line, its name checked as always.
+The observer reader has the mirror rule for a caller that passes one
+``known`` dict across documents: a document that is one section under a
+first line ``observer NAME`` is parsed once per distinct text after that
+line, and a copy's file gets the same object under its own name, checked
+as always. Repeated sections inside one document still parse each time.
 
 Serialization sorts everything, so equal objects always produce identical
 bytes. The token "eps" is reserved for the empty word and is never a label,
@@ -181,12 +186,27 @@ def parse_network(text: str) -> Network:
     return Network(tuple(members))
 
 
-def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
+def parse_observers(
+    text: str, known: dict[str, ObserverFsm] | None = None
+) -> tuple[tuple[str, ObserverFsm], ...]:
     """Parse one or more observer sections into (name, observer) pairs.
 
     Each distinct estimate token is split once per document, and each
     distinct label checked once; a malformed token fails at its first line.
+
+    ``known``, kept by the caller across documents, maps the text after a
+    first line that is exactly ``observer NAME`` to the one observer that
+    document held. A later document with the same text there and such a
+    first line gets that object under its own name, checked as always; any
+    other document is parsed in full, so its errors are unchanged.
     """
+    if known is not None:
+        head, _, rest = text.partition("\n")
+        tokens = head.split()
+        # With no whitespace in NAME, this head is also the first line splitlines sees.
+        exact = len(tokens) == 2 and head == "observer " + tokens[1]
+        if exact and rest in known:
+            return ((_check_token(tokens[1], "observer name", 1), known[rest]),)
     out = []
     for name, line, lists, moves in _read_sections(
         text, "observer", "observer name", "flag", _split_estimate, True,
@@ -210,6 +230,8 @@ def parse_observers(text: str) -> tuple[tuple[str, ObserverFsm], ...]:
         except MalformedFsmError as e:
             raise FormatError(f"observer {name!r}: {e}", line) from e
         out.append((name, obs))
+    if known is not None and exact and len(out) == 1:
+        known[rest] = out[0][1]
     return tuple(out)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import select
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from critnet import (
+    Fsm,
     Network,
     build_observer,
     compose_network,
@@ -28,8 +30,9 @@ from critnet import (
 )
 from critnet import netio
 from critnet.cli import _build_parser, main
+from critnet.monitor import start_session
 from conftest import make_fsm_a
-from genutil import renamed_copy
+from genutil import renamed_copy, split_state_variant
 
 
 @pytest.fixture
@@ -127,6 +130,16 @@ class TestBudget:
     def test_nonpositive_budget_rejected(self, net_file, capsys):
         assert main(["check", net_file, "--budget", "0"]) == 2
         assert "positive" in capsys.readouterr().err
+
+    def test_initial_product_over_budget_exits_2(self, tmp_path, capsys):
+        # 2**18 initial product states: the budget error comes before they are listed.
+        m = Fsm(["p", "q"], ["p", "q"], [], [])
+        path = tmp_path / "wide.net"
+        path.write_text(serialize_network(Network(tuple((f"M{i}", m) for i in range(18)))))
+        assert main(["compose", str(path), "--budget", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: product exceeded 1000 states\n"
 
     def test_preserve_honours_env_budget(self, capsys, monkeypatch):
         # preserve has no --budget flag, but composes under the same cap.
@@ -366,6 +379,86 @@ class TestMonitor:
         assert main(["monitor", observer_file, "--events", str(events)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_copies_files_load_once_and_print_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        line = parse_network((REPO_ROOT / "demos" / "data" / "line.net").read_text())
+        rng = random.Random(7)
+        members = list(line.members)
+        for name, m in line.members:
+            members.append((f"{name}R", renamed_copy(m, "r_")))
+            members.append((f"{name}S", split_state_variant(rng, m, "s_")))
+        net = tmp_path / "copies.net"
+        net.write_text(serialize_network(Network(tuple(members))), encoding="utf-8")
+        outdir = tmp_path / "obs"
+        assert main(["synth", str(net), "--out", str(outdir)]) == 0
+        capsys.readouterr()
+        events = tmp_path / "events.txt"
+        events.write_text("load\npass\nload\npass\ntake\ndone\n", encoding="utf-8")
+        argv = ["monitor", *sorted(map(str, outdir.glob("*.obs"))), "--events", str(events)]
+        sessions = []
+        monkeypatch.setattr(
+            "critnet.cli.start_session", lambda pairs: sessions.append(pairs) or start_session(pairs)
+        )
+        shared = main(argv), capsys.readouterr()
+        # The same run with every file parsed in full.
+        monkeypatch.setattr("critnet.cli.parse_observers", lambda text, _: parse_observers(text))
+        alone = main(argv), capsys.readouterr()
+        assert shared == alone
+        assert shared[0] == 0 and shared[1].out.count("\n") == 6
+        shared_locals, alone_locals = map(dict, sessions)
+        assert shared_locals == alone_locals
+        for name in line.names:
+            copies = [shared_locals[name + suffix] for suffix in ("", "R", "S")]
+            assert all(obs is copies[0] for obs in copies)
+            assert alone_locals[name + "R"] is not alone_locals[name]
+
+    @pytest.mark.parametrize(
+        "head",
+        ["observer a#b\n", "observer A B\n", "# note\nobserver a#b\n", "observer a#b\r\n"],
+        # Files are read with universal newlines, so "crlf" reaches the parser as "bad-name".
+        ids=["bad-name", "three-tokens", "comment-first", "crlf"],
+    )
+    def test_a_reused_body_under_another_header_fails_as_it_does_alone(
+        self, head, tmp_path, capsys, fsm_a
+    ):
+        text = serialize_observer("A", build_observer(fsm_a))
+        good, bad = tmp_path / "good.obs", tmp_path / "bad.obs"
+        good.write_text(text, encoding="utf-8")
+        body = text.partition("\n")[2]
+        if head.endswith("\r\n"):
+            body = body.replace("\n", "\r\n")
+        bad.write_bytes((head + body).encode())
+        assert main(["monitor", str(bad)]) == 2
+        alone = capsys.readouterr().err
+        assert alone.startswith(f"error: {bad}: line ")
+        assert main(["monitor", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err == alone
+
+    def test_event_lines_that_are_not_identifiers(self, tmp_path, capsys):
+        # "a-b" and "x.y" are labels but not identifiers; "\u00e9t\u00e9" is both.
+        obs = tmp_path / "o.obs"
+        obs.write_text(
+            "observer O\n  states {p} {q}\n  initial {p}\n  alphabet a-b x.y \u00e9t\u00e9\n"
+            "  flag {q}\n  trans {p} a-b {q}\n  trans {q} x.y {p}\n  trans {p} \u00e9t\u00e9 {p}\n",
+            encoding="utf-8",
+        )
+        events = tmp_path / "events.txt"
+        events.write_text(
+            "a-b\n\n  \n# a b\n#\n\tx.y \n\u00e9t\u00e9\n # note\nx.y\n", encoding="utf-8"
+        )
+        assert main(["monitor", str(obs), "--events", str(events)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "1 a-b 1 1\n2 x.y 0 0\n3 \u00e9t\u00e9 0 0\n"
+        assert "desync" in captured.err
+
+    def test_inner_whitespace_in_an_event_line_still_fails(self, observer_file, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_text("a\nb\n  b\u00a0a \n", encoding="utf-8")
+        assert main(["monitor", observer_file, "--events", str(events)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "1 a 11 1\n2 b 01 1\n"
+        line = "b\u00a0a"  # U+00A0 is whitespace to str.split
+        assert captured.err == f"error: {events}: one event per line, got {line!r} after 2 events\n"
+
 
 class TestExport:
     def test_dot_per_member(self, net_file, capsys):
@@ -562,3 +655,27 @@ def test_editable_install_runs_from_checkout(tmp_path):
     proc = _run_outside_checkout(tmp_path, exe, "--help")
     assert proc.returncode == 0
     assert "critical observability" in proc.stdout.lower()
+
+
+class TestModuleEntryPoint:
+    """``python -m critnet`` runs the same ``main`` as the script."""
+
+    def _run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        return subprocess.run(
+            [sys.executable, "-m", "critnet", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+
+    def test_help_exits_0(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0
+        assert b"critical observability" in proc.stdout.lower()
+
+    def test_check_prints_the_in_process_bytes(self, net_file, capsys):
+        code = main(["check", net_file])
+        captured = capsys.readouterr()
+        proc = self._run("check", net_file)
+        assert proc.returncode == code
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == captured.err.encode()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -197,6 +198,20 @@ class TestBudget:
         assert len(compose_network(net, max_states=4).states) == 4
         with pytest.raises(BudgetExceededError, match="^product exceeded 3 states$"):
             compose_network(net, max_states=3)
+
+    def test_initial_states_are_counted_before_they_are_listed(self):
+        # 18 members with two initial states each start 2**18 = 262 144
+        # product states; listing them all before the check took tens of MB.
+        m = Fsm(["p", "q"], ["p", "q"], [], [])
+        net = Network(tuple((f"M{i}", m) for i in range(18)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="^product exceeded 1000 states$"):
+                compose_network(net, max_states=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_one_member_is_held_to_the_budget(self):
         # A single member is its own product: the budget counts its states,

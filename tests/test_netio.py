@@ -390,6 +390,76 @@ class TestObserverDocuments:
         assert parse_observers(respelled) == ((name, obs),)
 
 
+class TestKnownObserverDocuments:
+    """``parse_observers(text, known)``: one parse per distinct body after an exact header."""
+
+    BODY = "  states {p} {q}\n  initial {p}\n  alphabet a\n  flag {q}\n  trans {p} a {q}\n"
+
+    def test_a_repeated_body_is_parsed_once(self):
+        known: dict = {}
+        (a, obs), = parse_observers("observer A\n" + self.BODY, known)
+        (b, again), = parse_observers("observer B\n" + self.BODY, known)
+        assert (a, b) == ("A", "B") and again is obs
+        assert known == {self.BODY: obs}
+        assert parse_observers("observer B\n" + self.BODY) == (("B", obs),)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "observer a#b\n",  # exact, so reused, but the name still fails at line 1
+            "observer A B\n",
+            "observer\n",
+            "# note\nobserver A\n",
+            "# note\nobserver a#b\n",
+            "\nobserver A\n",
+            "observer  A\n",
+            "observer\tA\n",
+            " observer A\n",
+            "observer A \n",
+            "observer A\r\n",
+            "observer\rA\n",
+            "observer A\x85B\n",
+            "observer A\n  states {r}\nobserver B\n",
+        ],
+    )
+    def test_any_other_document_parses_as_it_does_alone(self, head):
+        known: dict = {}
+        (_, obs), = parse_observers("observer A\n" + self.BODY, known)
+        doc = head + self.BODY
+        try:
+            alone = parse_observers(doc)
+        except FormatError as e:
+            with pytest.raises(FormatError) as caught:
+                parse_observers(doc, known)
+            assert (str(caught.value), caught.value.line) == (str(e), e.line)
+        else:
+            got = parse_observers(doc, known)
+            assert got == alone and all(o is not obs for _, o in got)
+        assert known == {self.BODY: obs}
+
+    def test_crlf_documents_are_parsed_in_full(self):
+        known: dict = {}
+        crlf = self.BODY.replace("\n", "\r\n")
+        (_, obs), = parse_observers("observer A\r\n" + crlf, known)
+        assert known == {}
+        (_, again), = parse_observers("observer B\r\n" + crlf, known)
+        assert again == obs and again is not obs
+        with pytest.raises(FormatError) as caught:
+            parse_observers("observer a#b\r\n" + crlf, known)
+        assert caught.value.line == 1
+        assert str(caught.value) == "line 1: observer name 'a#b' contains forbidden ['#']"
+
+    def test_only_one_section_documents_are_kept(self):
+        known: dict = {}
+        two = "observer A\n" + self.BODY + "observer B\n" + self.BODY
+        assert len(parse_observers(two, known)) == 2
+        assert known == {}
+        # A failed document leaves nothing behind either.
+        with pytest.raises(FormatError, match="duplicate observer name 'A'"):
+            parse_observers("observer A\n" + self.BODY + "observer A\n" + self.BODY, known)
+        assert known == {}
+
+
 def _two_state_doc(u: str, v: str) -> str:
     """A member whose observer reaches the two-state estimate {u,v}."""
     return (
