@@ -115,11 +115,7 @@ def _cmd_synth(args) -> int:
     network = _parse(parse_network, args.file)
     report = run_algorithm3(network, _resolve_budget(args))
     if not report.verdict.observable:
-        print(
-            f"not observable, witness {state_text(report.verdict.witness)}; "
-            "no observers synthesized",
-            file=sys.stderr,
-        )
+        print(f"{report.verdict}; no observers synthesized", file=sys.stderr)
         return 1
     if args.out is None:
         print("\n".join(observer_documents(report.locals)), end="")

@@ -58,31 +58,20 @@ def is_iso_witness(o1: ObserverFsm, o2: ObserverFsm, mapping: dict) -> bool:
 def iso_check(o1: ObserverFsm, o2: ObserverFsm) -> IsoWitness | None:
     """Find an isomorphism witness, or None when the observers differ.
 
-    Observers are deterministic and every state is reachable, so walking
-    both from their initial states in lockstep pins the only candidate map.
-    If the walk pairs each state with one partner, outputs and enabled
-    labels agreeing, the map is onto: both sides run the same words, so it
-    reaches every state of each. Equal sizes then make it a bijection.
+    The walk proposes and ``is_iso_witness`` decides. Observers are
+    deterministic and every state is reachable, so under any isomorphism
+    the pairs a lockstep walk from the initial states reaches, along the
+    moves both sides have, are exactly its graph. Any map the pairs give is
+    thus the only candidate.
     """
-    if o1.alphabet != o2.alphabet or len(o1.states) != len(o2.states):
-        return None
-
-    def differ(pair: tuple[int, int]) -> bool:
-        x, y = pair
-        return o1.flags[x] != o2.flags[y] or o1.rows[x].keys() != o2.rows[y].keys()
 
     def expand(pair: tuple[int, int]) -> list[tuple[int, int]]:
         row2 = o2.rows[pair[1]]
-        return [(a, row2[label]) for label, a in o1.rows[pair[0]].items()]
+        return [(a, row2[label]) for label, a in o1.rows[pair[0]].items() if label in row2]
 
-    start = (o1.start, o2.start)
-    if differ(start):
-        return None
-    pairs, bad, _ = explore((start,), expand, stop=differ)
-    # Stored pairs agree; an o1 state paired twice admits no single map.
-    if bad is not None or len(dict(pairs)) != len(pairs):
-        return None
-    return IsoWitness({o1.states[x]: o2.states[y] for x, y in pairs})
+    pairs, _, _ = explore(((o1.start, o2.start),), expand)
+    mapping = {o1.states[x]: o2.states[y] for x, y in pairs}
+    return IsoWitness(mapping) if is_iso_witness(o1, o2, mapping) else None
 
 
 def _refinement_classes(machines: Sequence[Fsm]) -> list[list[int]]:

@@ -116,31 +116,22 @@ def run_algorithm3(
     max_states: int | None = DEFAULT_STATE_BUDGET,
     run_baseline: bool = False,
 ) -> PipelineReport:
-    """Reduce by bisimilarity, explore on the fly, lift the results back.
+    """Route otf's report on the bisimulation quotient, lifted back.
 
-    The verdict transfers to the full network unchanged, and each original
-    member is assigned the projected local observer of its class
+    The verdict and ledger transfer to the full network unchanged, and each
+    original member is assigned the projected local observer of its class
     representative. With ``run_baseline`` the report also carries the
     baseline ledger on the original network for comparison.
     """
     reduced, classes = quotient_network(network)
-    outcome = run_onthefly(reduced, max_states)
-    locals_ = None
-    if outcome.locals is not None:
-        by_rep = dict(outcome.locals)
+    report = run_onthefly_report(reduced, max_states)
+    locals_ = report.locals
+    if locals_ is not None:
+        by_rep = dict(locals_)
         rep = {name: cls[0] for cls in classes.classes for name in cls}
         locals_ = tuple((name, by_rep[rep[name]]) for name in network.names)
-    baseline = None
-    if run_baseline:
-        baseline = run_algorithm1(network, max_states).ledger
-    return PipelineReport(
-        algorithm="3",
-        verdict=outcome.verdict,
-        locals=locals_,
-        classes=classes,
-        ledger=ledger_for_outcome(outcome),
-        ledger_baseline=baseline,
-    )
+    baseline = run_algorithm1(network, max_states).ledger if run_baseline else None
+    return report._replace(algorithm="3", locals=locals_, classes=classes, ledger_baseline=baseline)
 
 
 def run_onthefly_report(

@@ -514,3 +514,31 @@ def naive_monitor(
         outputs = tuple(walk.output(z) for walk, z in zip(walks, states))
         records.append((index, label, moved, outputs, 1 if any(outputs) else 0))
     return records, tuple(states), None
+
+
+def brute_force_observer_iso(o1: ObserverFsm, o2: ObserverFsm) -> list[dict]:
+    """Every isomorphism from ``o1`` onto ``o2``, by trying each bijection.
+
+    A bijection qualifies when it sends the initial state to the initial
+    state, keeps every output, and maps the transition triples of ``o1``
+    exactly onto those of ``o2`` over an equal alphabet. Only the states,
+    initial state, alphabet, outputs and ``transitions()`` are read.
+    """
+    if o1.alphabet != o2.alphabet or len(o1.states) != len(o2.states):
+        return []
+    out1, out2 = dict(zip(o1.states, o1.flags)), dict(zip(o2.states, o2.flags))
+    if out1[o1.initial] != out2[o2.initial]:
+        return []
+    moves1, moves2 = o1.transitions(), set(o2.transitions())
+    # Non-initial states grouped by output; a bijection permutes within a group.
+    rest1 = [[z for z in o1.states if z != o1.initial and out1[z] == b] for b in (0, 1)]
+    rest2 = [[z for z in o2.states if z != o2.initial and out2[z] == b] for b in (0, 1)]
+    if list(map(len, rest1)) != list(map(len, rest2)):
+        return []
+    found = []
+    for zeros, ones in itertools.product(*map(itertools.permutations, rest2)):
+        mapping = dict(zip(rest1[0] + rest1[1], zeros + ones))
+        mapping[o1.initial] = o2.initial
+        if {(mapping[x], a, mapping[y]) for x, a, y in moves1} == moves2:
+            found.append(mapping)
+    return found

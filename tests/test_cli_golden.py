@@ -24,6 +24,7 @@ NETWORKS = {
     "notobs": "notobs.net",
     "dups": "dups.net",
     "composed": "composed.net",
+    "single": "single.net",
 }
 
 

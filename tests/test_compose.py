@@ -77,6 +77,22 @@ class TestNetwork:
         pairs.append(("A", m))
         assert net.members == (("A", m),)
 
+    def test_members_cannot_be_assigned_or_deleted(self, net_ab):
+        twin = Network(net_ab.members)
+        for change in (
+            lambda: setattr(net_ab, "members", (("B", make_fsm_b()),)),
+            lambda: delattr(net_ab, "members"),
+            lambda: setattr(net_ab, "extra", 1),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+            assert net_ab == twin and hash(net_ab) == hash(twin)
+        assert net_ab.names == ("A", "B")
+
+    def test_repr_shows_the_members(self, fsm_a):
+        net = Network((("A", fsm_a),))
+        assert repr(net) == f"Network(members=(('A', {fsm_a!r}),))"
+
     def test_empty_member_name_rejected(self):
         with pytest.raises(InvalidInputError) as caught:
             Network((("A", make_fsm_a()), ("", make_fsm_b())))

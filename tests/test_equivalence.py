@@ -8,7 +8,9 @@ import pytest
 
 from critnet import (
     Fsm,
+    MalformedFsmError,
     Network,
+    ObserverFsm,
     bisim_check,
     build_observer,
     check_observable,
@@ -34,6 +36,7 @@ from genutil import (
 )
 from oracles import (
     brute_force_largest_bisim,
+    brute_force_observer_iso,
     is_bisimulation,
     naive_is_iso_witness,
     naive_iso_check,
@@ -207,6 +210,65 @@ class TestObserverIso:
         cycle = _det_observer(["a"], [("x", "a", "y"), ("y", "a", "x")])
         assert is_iso_witness(cycle, cycle, {fz("x"): fz("x"), fz("y"): fz("y")})
         assert not is_iso_witness(cycle, cycle, {fz("x"): fz("y"), fz("y"): fz("x")})
+
+
+def _altered(rng: random.Random, obs: ObserverFsm) -> ObserverFsm | None:
+    """``obs`` with one output flipped or one move retargeted; None when
+    that leaves a state unreachable."""
+    outputs = dict(zip(obs.states, obs.flags))
+    moves = {(x, a): y for x, a, y in obs.transitions()}
+    if rng.random() < 0.5 or not moves:
+        z = rng.choice(obs.states)
+        outputs[z] = 1 - outputs[z]
+    else:
+        x, a, _ = rng.choice(obs.transitions())
+        moves[x, a] = rng.choice(obs.states)
+    try:
+        return ObserverFsm(obs.states, obs.initial, obs.alphabet, moves, outputs)
+    except MalformedFsmError:
+        return None
+
+
+def _observer_pairs(rng: random.Random, count: int) -> list[tuple[ObserverFsm, ObserverFsm]]:
+    """Pairs of equal size and alphabet, in turn: a renamed copy's observer,
+    a split-state variant's, an altered observer, and an earlier observer."""
+    earlier: dict[tuple, list[ObserverFsm]] = {}
+    pairs = []
+    while len(pairs) < count:
+        m = random_fsm(rng, max_states=4, max_labels=2)
+        obs = build_observer(m)
+        if not 2 <= len(obs.states) <= 6:
+            continue
+        same_shape = earlier.setdefault((obs.alphabet, len(obs.states)), [])
+        kind = len(pairs) % 4
+        if kind == 0:
+            other = build_observer(renamed_copy(m, "r_"))
+        elif kind == 1:
+            other = build_observer(split_state_variant(rng, m, "s"))
+        elif kind == 2:
+            other = _altered(rng, obs)
+        else:
+            other = rng.choice(same_shape) if same_shape else None
+        same_shape.append(obs)
+        if other is not None and len(other.states) == len(obs.states):
+            pairs.append((obs, other))
+    return pairs
+
+
+class TestIsoCheckAgainstBruteForce:
+    def test_agrees_with_every_bijection_tried(self):
+        pairs = _observer_pairs(random.Random(2801), 2000)
+        isomorphic = 0
+        for o1, o2 in pairs:
+            assert o1.alphabet == o2.alphabet and len(o1.states) == len(o2.states)
+            found = brute_force_observer_iso(o1, o2)
+            # Deterministic, fully reachable observers admit at most one.
+            assert len(found) <= 1
+            w = iso_check(o1, o2)
+            assert (w is None) == (not found)
+            assert w is None or w.mapping in found
+            isomorphic += bool(found)
+        assert isomorphic >= 300 and len(pairs) - isomorphic >= 300
 
 
 class TestLargestBisimulation:

@@ -330,6 +330,18 @@ class TestDecentralized:
         pairs.append(("A", obs))
         assert bank.locals == (("A", obs),)
 
+    def test_locals_cannot_be_assigned_or_deleted(self, net_ab, fsm_b):
+        bank = build_decentralized(net_ab)
+        twin = DecentralizedObserver(bank.locals)
+        for change in (
+            lambda: setattr(bank, "locals", (("B", build_observer(fsm_b)),)),
+            lambda: delattr(bank, "locals"),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+            assert bank == twin and hash(bank) == hash(twin)
+        assert bank.names == ("A", "B")
+
     def test_single_local_composes_to_itself(self, fsm_a):
         bank = build_decentralized(Network((("A", fsm_a),)))
         assert compose_decentralized(bank) is bank.locals[0][1]
