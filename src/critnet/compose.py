@@ -5,12 +5,13 @@ label fires only when every member owning it has at least one successor;
 otherwise it blocks. A product state is critical as soon as one component is.
 
 ``explore`` is the one breadth-first kernel behind every synchronous product
-in the package. ``walk_product`` steps packed ints through per-(label,
-owner) delta tables for the plant and the observer bank; the on-the-fly
-walk builds its rows as it goes. ``compose_many`` hands the plant over as
-an int table (``Fsm.int_moves``). It names each product state once, at the
-end, as "(x1,x2,...,xN)", and numbers the states by those names, as ids
-follow sorted names in every machine. A member's states are flattened into
+in the package. ``walk_product`` steps packed ints for the plant and the
+observer bank (see there) and records targets by discovery position; the
+on-the-fly walk builds its rows as it goes. ``compose_many`` hands the
+plant over as an int table (``Fsm.int_moves``). It names each product
+state once, at the end, as "(x1,x2,...,xN)", and numbers the states by
+those names, as ids follow sorted names in every machine. A member's
+states are flattened into
 that name only when all of them split (``tuple_parts``) into the same
 number of parts, which every product does; otherwise they stay whole, so
 "(x,y)" next to "x" keeps distinct names. Re-composing a composed machine,
@@ -171,12 +172,14 @@ def explore(
     sort: bool = False,
     stop: Callable[[Hashable], bool] | None = None,
     on_generation: Callable[[int, int, int], None] | None = None,
+    seen: dict | None = None,
 ) -> tuple[list[Hashable], Hashable | None, int]:
     """Breadth-first walk from ``init``, one generation at a time.
 
     A generation is expanded in discovery order, or ascending with ``sort``.
     Code after a ``yield`` in ``expand`` runs only once the kernel has stored
-    that successor or found it stored, so callers record moves there. A fresh
+    that successor or found it stored, so callers record moves there, and
+    its discovery position in ``seen``, an empty dict they may pass. A fresh
     state for which ``stop`` holds ends the walk before it is stored, and the
     move to it is never recorded. More than ``max_states`` states, in the
     initial set or after any store, raise ``BudgetExceededError`` with
@@ -187,7 +190,9 @@ def explore(
     and the number of generations expanded before the stop.
     """
     limit = inf if max_states is None else max_states
-    seen = dict.fromkeys(init)
+    seen = {} if seen is None else seen
+    for s in init:
+        seen.setdefault(s, len(seen))
     check_budget(len(seen), max_states, budget_message)
     frontier = list(seen)
     generation = 0
@@ -203,8 +208,8 @@ def explore(
                 if t not in seen:
                     if stop is not None and stop(t):
                         return list(seen), t, generation
-                    seen[t] = None
-                    if len(seen) > limit:
+                    seen[t] = stored = len(seen)
+                    if stored >= limit:
                         raise BudgetExceededError(budget_message.format(max_states))
                     push(t)
         frontier = next_frontier
@@ -222,69 +227,87 @@ def field_layout(widths: Sequence[int], low: int = 0) -> list[tuple[int, int]]:
     return layout
 
 
-def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[list, list, list]:
+def _step(s: int, label: str, fields) -> int | tuple[int, ...] | None:
+    """State ``s``'s move on ``label`` by its owners' ``fields``: None, a delta, or deltas."""
+    delta, split = 0, ()
+    for rows, mask, shift in fields:
+        z = (s & mask) >> shift
+        ys = rows[z].get(label)
+        if ys is None:
+            return None
+        if ys.__class__ is not int:
+            if len(ys) > 1:  # (y - z) << shift per target, with no closure
+                split += (tuple(map(shift.__rlshift__, map(z.__rsub__, ys))),)
+                continue
+            ys = ys[0]
+        delta += (ys - z) << shift
+    return tuple(map(delta.__add__, map(sum, product(*split)))) if split else delta
+
+
+def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[list, list]:
     """Breadth-first walk of the synchronous product of int tables, packed.
 
     Member i has a row ``{label: targets}`` (one id, or ascending ids) per
     state id in ``rows_of[i]`` and initial ids ``starts[i]``; ``owners`` is
     ``owners_by_label`` of the members. A state is one int with a field per
-    member (``field_layout``). Each (label, owner) table maps the owner's
-    masked field to None (blocked), the delta of its one move, or a tuple of
-    deltas; nondeterministic owners combine in ``itertools.product`` order,
-    so states are found in member-id order. Returns the states in discovery
-    order, their rows ``{label: target or list of targets}``, and per member
-    its state id in each state, by discovery position.
+    member (``field_layout``). ``_step`` gives a move as None (blocked), one
+    delta, or deltas in ``itertools.product`` order, so states are found in
+    member-id order. A label only some members own memoizes moves by its
+    owners' fields (``s & mask``) on first use; one every member owns would
+    key that by the whole state, so each owner has a table built up front.
+    Returns per state, by discovery position, its row ``{label: target
+    position or list of positions}``, and per member its id in each state.
     """
     # The initial states alone can be too many to list, so count them first.
     check_budget(prod(map(len, starts)), max_states, budget_message)
     layout = field_layout([(len(rows) - 1).bit_length() or 1 for rows in rows_of])
     steps = []
     for label, members in owners:
-        tables = []
-        for i in members:
-            mask, shift = layout[i]
-            table = {}
-            tables.append((mask, table))
-            for z, row in enumerate(rows_of[i]):
-                ys = row.get(label)
-                if ys is None:
-                    table[z << shift] = None
-                elif ys.__class__ is int:
-                    table[z << shift] = (ys - z) << shift
-                elif len(ys) == 1:
-                    table[z << shift] = (ys[0] - z) << shift
-                else:
-                    table[z << shift] = tuple((y - z) << shift for y in ys)
-        steps.append((label, tables))
-    # The kernel expands states in the order it stores them, so moves[p]
-    # is the row of product state p: per label, its one target or a list.
-    moves: list[dict[str, int | list[int]]] = []
+        fields = [(rows_of[i], *layout[i]) for i in members]
+        if len(members) < len(rows_of):
+            steps.append((label, sum(mask for _, mask, _ in fields), {}, fields))
+            continue
+        keys = [[z << shift for z in range(len(rows))] for rows, _, shift in fields]
+        tables = [(f[1], {k: _step(k, label, (f,)) for k in ks}) for f, ks in zip(fields, keys)]
+        steps.append((label, 0, tables, None))
+    # The kernel expands states in the order it stores them: moves[p] is state p's row.
+    moves, seen = [], {}
 
     def expand(s: int):
         moves.append(row := {})
-        for label, tables in steps:
-            delta, split = 0, ()
-            for mask, table in tables:
-                d = table[s & mask]
-                if d is None:
-                    break
-                if d.__class__ is int:
-                    delta += d
-                else:
-                    split += (d,)
+        for label, mask, memo, fields in steps:
+            base = s
+            if mask:
+                d = memo.get(s & mask, memo)
+                if d is memo:
+                    d = memo[s & mask] = _step(s, label, fields)
             else:
-                if not split:
-                    yield s + delta
-                    row[label] = s + delta
-                    continue
-                row[label] = targets = []
-                for ds in product(*split):
-                    yield (t := s + delta + sum(ds))
-                    targets.append(t)
+                d, split = 0, ()
+                for mask, table in memo:
+                    x = table[s & mask]
+                    if x is None:
+                        d = split = None
+                        break
+                    if x.__class__ is int:
+                        d += x
+                    else:
+                        split += (x,)
+                if split:
+                    base, d = s + d, map(sum, product(*split))
+            if d is None:
+                continue
+            if d.__class__ is int:
+                yield (t := s + d)
+                row[label] = seen[t]
+                continue
+            row[label] = targets = []
+            for x in d:
+                yield (t := base + x)
+                targets.append(seen[t])
 
     initial = [sum(z << shift for z, (_, shift) in zip(ids, layout)) for ids in product(*starts)]
-    reached, _, _ = explore(initial, expand, max_states, budget_message)
-    return reached, moves, [[(s & mask) >> shift for s in reached] for mask, shift in layout]
+    reached, _, _ = explore(initial, expand, max_states, budget_message, seen=seen)
+    return moves, [[(s & mask) >> shift for s in reached] for mask, shift in layout]
 
 
 def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
@@ -306,7 +329,7 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     owners = owners_by_label(machines)
     states_of, rows_of, flags_of = zip(*(m.int_moves() for m in machines))
     starts = [[z for z, (_, init) in enumerate(flags) if init] for flags in flags_of]
-    reached, moves, fields = walk_product(rows_of, owners, starts, max_states, budget)
+    moves, fields = walk_product(rows_of, owners, starts, max_states, budget)
 
     # A member's states are split into their parts once, and only if a name
     # has a bracket; see the module docstring for when they split.
@@ -323,10 +346,10 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     for x, y in zip(names, names[1:]):
         if x == y:
             raise MalformedFsmError(f"product name collision at {x!r}")
-    position = {reached[p]: i for i, p in enumerate(order)}
+    rank = dict(zip(order, range(len(order))))
     rows = [
         {
-            label: (position[t],) if t.__class__ is int else tuple(sorted(map(position.get, t)))
+            label: (rank[t],) if t.__class__ is int else tuple(sorted(map(rank.__getitem__, t)))
             for label, t in moves[p].items()
         }
         for p in order

@@ -41,6 +41,7 @@ from .observer import ObserverFsm, state_sort_key, state_text
 # `\s` matches exactly the characters for which str.isspace() holds, which
 # are the ones the reader splits lines and tokens on.
 _FORBIDDEN = re.compile(r'[#"{}\s]')
+_FLAT = re.compile(r'\([^#"{}\s()]*\)')
 
 
 def _check_token(token: str, what: str, line: int | None = None) -> str:
@@ -60,11 +61,11 @@ def _check_state(token: str, line: int | None = None) -> str:
     So besides the characters every token avoids, its parentheses balance
     and it has no comma outside them; product names like "(x,y)" pass.
     """
-    _check_token(token, "state", line)
     # Plain names and flat product names like "(x,y)", nearly all tokens, need no scan.
-    if "(" not in token and ")" not in token and "," not in token:
+    if token.isidentifier() or _FLAT.fullmatch(token):
         return token
-    if token[0] == "(" and token[-1] == ")" and token.count("(") == 1 == token.count(")"):
+    _check_token(token, "state", line)
+    if "(" not in token and ")" not in token and "," not in token:
         return token
     parts = split_commas(token, "(", ")")
     if parts is None:

@@ -376,9 +376,9 @@ def compose_decentralized(
     every local owning it, and blocks when any of them has no move. With a
     single local the bank composes to that local itself, within the same
     budget. ``walk_product`` steps one field per distinct table
-    (``distinct_tables``) and hands back the bank's rows and each table's
-    position in every aggregate; each local names its positions with its
-    own states once, at the end.
+    (``distinct_tables``) and hands back the bank's rows by position, as
+    kept, and each table's position in every aggregate; each local names
+    its positions with its own states once, at the end.
     """
     budget = "composed bank exceeded {} states"
     if len(d.locals) == 1:
@@ -388,16 +388,11 @@ def compose_decentralized(
     numbers, distinct = distinct_tables(d.observers)
     owners = owners_by_label(distinct)
     rows_of, starts = [obs.rows for obs in distinct], [(obs.start,) for obs in distinct]
-    aggs, moves, fields = walk_product(rows_of, owners, starts, max_states, budget)
-    position = {agg: p for p, agg in enumerate(aggs)}
+    moves, fields = walk_product(rows_of, owners, starts, max_states, budget)
     states = [list(map(obs.states.__getitem__, fields[c])) for obs, c in zip(d.observers, numbers)]
     flags = [list(map(obs.flags.__getitem__, ids)) for obs, ids in zip(distinct, fields)]
-    return ObserverFsm._trusted(
-        list(zip(*states)),
-        {label for label, _ in owners},
-        [{label: position[dst] for label, dst in row.items()} for row in moves],
-        [1 if any(f) else 0 for f in zip(*flags)],
-    )
+    flags = [1 if any(f) else 0 for f in zip(*flags)]
+    return ObserverFsm._trusted(list(zip(*states)), {label for label, _ in owners}, moves, flags)
 
 
 def _lockstep(obs: ObserverFsm, m: Fsm):

@@ -12,11 +12,13 @@ its parts. A stored transition costs the sizes of its source and target
 plus one for the label, and every stored state carries one unit for its
 output bit. Time counts stored transitions. Candidates rejected or
 abandoned before storage cost nothing, so a first-step straddle yields a
-time ledger of zero.
+time ledger of zero. Each observer's sums run in C, not per state.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import mul
 from typing import NamedTuple
 
 from .compose import Network
@@ -55,11 +57,10 @@ def ledger_for_observers(observers: list[ObserverFsm]) -> CostLedger:
     space = time = 0
     for obs in observers:
         size = [sum(map(len, z)) if z.__class__ is tuple else len(z) for z in obs.states]
-        for here, row in zip(size, obs.rows):
-            targets = row.values()
-            space += len(targets) * (here + 1) + sum(map(size.__getitem__, targets))
-            time += len(targets)
-        space += len(size)
+        degree = list(map(len, obs.rows))
+        time += (moves := sum(degree))
+        targets = map(size.__getitem__, chain.from_iterable(map(dict.values, obs.rows)))
+        space += sum(map(mul, degree, size)) + moves + len(size) + sum(targets)
     return CostLedger(space=space, time=time)
 
 

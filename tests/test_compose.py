@@ -470,6 +470,35 @@ class TestPackedWalkAgainstReference:
         assert sum(seen.values()) >= 500 and min(seen.values()) >= 40
         assert branching >= 80 and wide >= 30
 
+    @pytest.mark.parametrize("rules", ["memo", "tables", "both"])
+    def test_both_step_rules_match_the_tuple_walk(self, rules):
+        # A label only some members own steps through one memo by its owners'
+        # fields, a label every member owns through a table per owner. With
+        # "memo" or "both", "c" has two or more owners but not every member,
+        # and each owner has two moves on it from the initial state, so the
+        # memo holds a tuple of deltas from the first step on.
+        rng = random.Random(2901 + len(rules))
+        branching = 0
+        for k in range(120):
+            machines = _rule_members(rng, rules)
+            owned = [sum(label in m.alphabet for m in machines) for label in "abc"]
+            if rules == "tables":
+                assert all(m.alphabet == {"a", "b"} for m in machines)
+            else:
+                assert 2 <= owned[2] < len(machines) and owned[1] < len(machines)
+            assert ("a" in machines[0].alphabet) == (owned[0] == len(machines)) == (rules != "memo")
+            want = tuple_product_table(machines)
+            if rules != "tables":
+                assert len(want[1][0]["c"]) >= 2 ** owned[2]
+            n = len(want[0])
+            assert tuple_product_table(machines, n) == want
+            assert compose_many(machines, n).int_moves() == _renumbered(want, sorted(want[0])), k
+            for walk in (tuple_product_table, compose_many):
+                with pytest.raises(BudgetExceededError, match=f"^product exceeded {n - 1} states$"):
+                    walk(machines, n - 1)
+            branching += any(len(ys) > 1 for row in want[1] for ys in row.values())
+        assert branching >= 90
+
 
 class TestSortedExplore:
     """``explore`` with ``sort`` walks the unsorted walk's generations, ascending."""
@@ -539,6 +568,41 @@ def _shaped_member(rng, n, alphabet, initial=1, wide=0.3):
     start_critical = rng.random() < 0.35
     critical = [s for s in states if (start_critical if s in start else rng.random() < 0.35)]
     return Fsm(states, start, alphabet, transitions, critical)
+
+
+def _rule_members(rng, rules):
+    """Three to five members for one of ``walk_product``'s step rules.
+
+    "tables": every member owns "a" and "b" and nothing else. "memo": "c"
+    is owned by every member but the last, member 0 owns neither "a" nor
+    "b", and each may have a private label, so no label is owned by every
+    member.
+    "both": "memo" where every member owns "a" too. Every owner of "c" has
+    two moves on it from its initial state q0. With "tables" most states
+    move on each label, so that the product gets past its initial state.
+    """
+    count = rng.randint(3, 5)
+    machines = []
+    for i in range(count):
+        if rules == "tables":
+            alphabet = ["a", "b"]
+        else:
+            alphabet = ["c"] * (i < count - 1) + [f"p{i}"] * (rng.random() < 0.4)
+            alphabet += ["a"] * (rules == "both" or (i > 0 and rng.random() < 0.6))
+            alphabet += ["b"] * (i > 0 and rng.random() < 0.5)
+        states = [f"q{j}" for j in range(rng.randint(2, 4))]
+        moves = {
+            (x, a, y)
+            for x in states
+            for a in alphabet
+            if rng.random() < (0.9 if rules == "tables" else 0.6)
+            for y in rng.sample(states, 2 if rng.random() < 0.4 else 1)
+        }
+        if "c" in alphabet:
+            moves.update(("q0", "c", y) for y in rng.sample(states, 2))
+        critical = [x for x in states if rng.random() < 0.35]
+        machines.append(Fsm(states, ["q0"], alphabet, sorted(moves), critical))
+    return machines
 
 
 def _shaped_members(rng, shape, pool):

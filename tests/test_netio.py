@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -24,6 +25,8 @@ from critnet import (
     serialize_network,
     serialize_observer,
 )
+from critnet import netio
+from critnet.compose import split_commas
 from critnet.netio import dot_documents, observer_documents
 from genutil import random_network, renamed
 
@@ -509,6 +512,50 @@ class TestStateTokens:
         net = parse_network(_two_state_doc("(x,y)", "(x,(y,z))"))
         obs = build_observer(net.get("M"))
         assert "{(x,(y,z)),(x,y)}" in serialize_observer("M", obs)
+
+    def test_shortcut_check_matches_the_full_scan(self):
+        # Every token up to six characters over brackets, a comma, forbidden
+        # characters and two kinds of space: the check with its shortcut for
+        # plain and flat product names accepts and refuses as the full scan
+        # does, with the same message.
+        tokens = [""]
+        for size in range(1, 7):
+            tokens += map("".join, itertools.product("a(),#{ \u00a0", repeat=size))
+        assert len(tokens) == sum(8**k for k in range(7))
+        want = _outcomes(_full_state_check, tokens)
+        assert _outcomes(netio._check_state, tokens) == want
+        # Tokens hold no letter but "a", so each word counts one kind of refusal.
+        refused = "\n".join(x[0] for x in want if x.__class__ is tuple)
+        kinds = [refused.count(w) for w in ("forbidden", "unbalanced", "comma outside")]
+        assert refused.count("empty") == 1 and min(kinds) > 100, kinds
+        assert len(tokens) - refused.count("\n") - 1 > 100  # accepted
+
+
+def _full_state_check(token: str, line: int | None = None) -> str:
+    """``netio._check_state`` as it was before its shortcut: every token is scanned."""
+    netio._check_token(token, "state", line)
+    if "(" not in token and ")" not in token and "," not in token:
+        return token
+    if token[0] == "(" and token[-1] == ")" and token.count("(") == 1 == token.count(")"):
+        return token
+    parts = split_commas(token, "(", ")")
+    if parts is None:
+        raise FormatError(f"unbalanced parentheses in {token!r}", line)
+    if len(parts) > 1:
+        raise FormatError(f"state {token!r} has a comma outside parentheses", line)
+    return token
+
+
+def _outcomes(check, tokens: list[str]) -> list:
+    """Per token, what ``check`` returns, or the arguments of the ``FormatError`` it raises."""
+    outcomes = []
+    push = outcomes.append
+    for token in tokens:
+        try:
+            push(check(token))
+        except FormatError as e:
+            push(e.args)
+    return outcomes
 
 
 STATE_TOKENS = st.text("ab(),", min_size=1, max_size=6)

@@ -10,6 +10,7 @@ from critnet import (
     BudgetExceededError,
     CostLedger,
     Network,
+    ObserverFsm,
     build_decentralized,
     build_observer,
     check_observable,
@@ -127,6 +128,14 @@ class TestReducedPipeline:
             assert report.ledger.time <= report.ledger_baseline.time
 
 
+def _rebuilt(obs: ObserverFsm, names: list) -> ObserverFsm:
+    """``obs`` through the public constructor, the state at position p named
+    ``names[p]`` and the states listed backwards."""
+    trans = {(names[p], x): names[q] for p, row in enumerate(obs.rows) for x, q in row.items()}
+    outputs = dict(zip(names, obs.flags))
+    return ObserverFsm(names[::-1], names[obs.start], obs.alphabet, trans, outputs)
+
+
 class TestAggregateScan:
     def test_single_member_agrees_with_direct_check(self):
         rng = random.Random(603)
@@ -197,3 +206,42 @@ class TestAggregateScan:
                 space = sum(size(src) + size(dst) + 1 for src, _, dst in triples)
                 want = CostLedger(space=space + len(obs.states), time=len(triples))
                 assert ledger_for_observers([obs]) == want
+
+    def test_ledger_matches_literal_sum_on_constructed_observers(self):
+        # The same sum, charged for a whole list at once, over seeded locals
+        # and banks (copies included), over each of them rebuilt by the public
+        # constructor with its states listed backwards, so that the initial
+        # state sits away from position 0, and over each bank with every
+        # other state renamed to an estimate, so that its states mix
+        # frozensets and tuples, listed backwards too.
+        def size(z):
+            return sum(map(len, z)) if isinstance(z, tuple) else len(z)
+
+        def literal(observers):
+            space = time = 0
+            for obs in observers:
+                states = obs.states
+                for src, row in zip(states, obs.rows):
+                    for dst in row.values():
+                        space, time = space + size(src) + size(states[dst]) + 1, time + 1
+                space += len(states)
+            return CostLedger(space=space, time=time)
+
+        rng = random.Random(607)
+        away = mixed = 0
+        for _ in range(80):
+            copies = rng.choice([0, 2])
+            net = with_duplicates(rng, random_network(rng, max_members=3, max_states=4), copies)
+            bank = build_decentralized(net)
+            stored = [*bank.observers, compose_decentralized(bank)]
+            backwards = [_rebuilt(obs, obs.states) for obs in stored]
+            names = [
+                z if p % 2 else frozenset(f"s{p}.{k}" for k in range(p % 3 + 1))
+                for p, z in enumerate(stored[-1].states)
+            ]
+            blend = _rebuilt(stored[-1], names)
+            for observers in (stored, backwards, [blend]):
+                assert ledger_for_observers(observers) == literal(observers)
+            away += any(obs.start for obs in backwards)
+            mixed += len({z.__class__ for z in blend.states}) == 2
+        assert away >= 45 and mixed >= 40
