@@ -4,25 +4,25 @@ Members synchronize on shared labels and interleave on private ones. A shared
 label fires only when every member owning it has at least one successor;
 otherwise it blocks. A product state is critical as soon as one component is.
 
-``explore`` is the one breadth-first kernel behind every synchronous product
-in the package. ``walk_product`` steps packed ints for the plant and the
-observer bank (see there) and records targets by discovery position; the
-on-the-fly walk builds its rows as it goes. ``compose_many`` hands the
-plant over as an int table (``Fsm.int_moves``). It names each product
-state once, at the end, as "(x1,x2,...,xN)", and numbers the states by
-those names, as ids follow sorted names in every machine. A member's
-states are flattened into
-that name only when all of them split (``tuple_parts``) into the same
-number of parts, which every product does; otherwise they stay whole, so
-"(x,y)" next to "x" keeps distinct names. Re-composing a composed machine,
-in memory or read back from a file, thus flattens again, and association
-order changes neither state names nor structure. Member state names are
-assumed free of commas outside brackets and of unbalanced brackets.
+``walk_product`` steps packed ints for the plant and the observer bank (see
+there). It records each move's target by its stored position, so it stores
+targets itself; ``explore`` is the breadth-first kernel of every other walk:
+on the fly, observer construction and reachability, ``iso_check`` and the
+validator. ``compose_many`` hands the plant over as an int table
+(``Fsm.int_moves``). It names each product state once, at the end, as
+"(x1,x2,...,xN)", and numbers the states by those names, as ids follow sorted
+names in every machine. A member's states are flattened into that name only
+when all of them split (``tuple_parts``) into the same number of parts, which
+every product does; otherwise they stay whole, so "(x,y)" next to "x" keeps
+distinct names. Re-composing a composed machine, in memory or read back from a
+file, thus flattens again, and association order changes neither state names
+nor structure. Member state names are assumed free of commas outside brackets
+and of unbalanced brackets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from itertools import product
 from math import inf, prod
 
@@ -172,14 +172,12 @@ def explore(
     sort: bool = False,
     stop: Callable[[Hashable], bool] | None = None,
     on_generation: Callable[[int, int, int], None] | None = None,
-    seen: dict | None = None,
 ) -> tuple[list[Hashable], Hashable | None, int]:
     """Breadth-first walk from ``init``, one generation at a time.
 
     A generation is expanded in discovery order, or ascending with ``sort``.
     Code after a ``yield`` in ``expand`` runs only once the kernel has stored
-    that successor or found it stored, so callers record moves there, and
-    its discovery position in ``seen``, an empty dict they may pass. A fresh
+    that successor or found it stored, so callers record moves there. A fresh
     state for which ``stop`` holds ends the walk before it is stored, and the
     move to it is never recorded. More than ``max_states`` states, in the
     initial set or after any store, raise ``BudgetExceededError`` with
@@ -190,7 +188,7 @@ def explore(
     and the number of generations expanded before the stop.
     """
     limit = inf if max_states is None else max_states
-    seen = {} if seen is None else seen
+    seen: dict = {}
     for s in init:
         seen.setdefault(s, len(seen))
     check_budget(len(seen), max_states, budget_message)
@@ -244,6 +242,18 @@ def _step(s: int, label: str, fields) -> int | tuple[int, ...] | None:
     return tuple(map(delta.__add__, map(sum, product(*split)))) if split else delta
 
 
+def _steps(rows_of, owners, layout) -> Iterator[tuple]:
+    """Per label, how ``walk_product`` steps it: ``(label, mask, memo, fields)``."""
+    for label, members in owners:
+        fields = [(rows_of[i], *layout[i]) for i in members]
+        if len(members) < len(rows_of):
+            yield label, sum(mask for _, mask, _ in fields), {}, fields
+            continue
+        keys = [[z << shift for z in range(len(rows))] for rows, _, shift in fields]
+        tables = [(f[1], {k: _step(k, label, (f,)) for k in ks}) for f, ks in zip(fields, keys)]
+        yield label, 0, tables, None
+
+
 def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[list, list]:
     """Breadth-first walk of the synchronous product of int tables, packed.
 
@@ -255,31 +265,25 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
     member-id order. A label only some members own memoizes moves by its
     owners' fields (``s & mask``) on first use; one every member owns would
     key that by the whole state, so each owner has a table built up front.
+    Each target is stored as the walk steps to it, in ``explore``'s order and budget.
     Returns per state, by discovery position, its row ``{label: target
     position or list of positions}``, and per member its id in each state.
     """
     # The initial states alone can be too many to list, so count them first.
     check_budget(prod(map(len, starts)), max_states, budget_message)
     layout = field_layout([(len(rows) - 1).bit_length() or 1 for rows in rows_of])
-    steps = []
-    for label, members in owners:
-        fields = [(rows_of[i], *layout[i]) for i in members]
-        if len(members) < len(rows_of):
-            steps.append((label, sum(mask for _, mask, _ in fields), {}, fields))
-            continue
-        keys = [[z << shift for z in range(len(rows))] for rows, _, shift in fields]
-        tables = [(f[1], {k: _step(k, label, (f,)) for k in ks}) for f, ks in zip(fields, keys)]
-        steps.append((label, 0, tables, None))
-    # The kernel expands states in the order it stores them: moves[p] is state p's row.
-    moves, seen = [], {}
-
-    def expand(s: int):
+    steps = list(_steps(rows_of, owners, layout))
+    limit = inf if max_states is None else max_states
+    states = list(map(sum, product(*[[z << f[1] for z in ids] for ids, f in zip(starts, layout)])))
+    seen, moves = dict(zip(states, range(len(states)))), []
+    for s in states:  # expanded in the order stored, so moves[p] is state p's row
         moves.append(row := {})
         for label, mask, memo, fields in steps:
             base = s
             if mask:
-                d = memo.get(s & mask, memo)
-                if d is memo:
+                try:
+                    d = memo[s & mask]
+                except KeyError:  # a miss costs more than with get, but a hit less
                     d = memo[s & mask] = _step(s, label, fields)
             else:
                 d, split = 0, ()
@@ -297,17 +301,25 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
             if d is None:
                 continue
             if d.__class__ is int:
-                yield (t := s + d)
-                row[label] = seen[t]
+                if (p := seen.get(t := s + d)) is None:
+                    p = seen[t] = len(states)
+                    if p >= limit:
+                        raise BudgetExceededError(budget_message.format(max_states))
+                    states.append(t)
+                row[label] = p
                 continue
             row[label] = targets = []
             for x in d:
-                yield (t := base + x)
-                targets.append(seen[t])
-
-    initial = [sum(z << shift for z, (_, shift) in zip(ids, layout)) for ids in product(*starts)]
-    reached, _, _ = explore(initial, expand, max_states, budget_message, seen=seen)
-    return moves, [[(s & mask) >> shift for s in reached] for mask, shift in layout]
+                if (p := seen.get(t := base + x)) is None:
+                    p = seen[t] = len(states)
+                    if p >= limit:
+                        raise BudgetExceededError(budget_message.format(max_states))
+                    states.append(t)
+                targets.append(p)
+    ids = []
+    for mask, shift in layout:
+        ids.append(list(map(shift.__rrshift__, map(mask.__and__, states))))
+    return moves, ids
 
 
 def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
@@ -336,27 +348,28 @@ def compose_many(machines: Sequence[Fsm], max_states: int | None = None) -> Fsm:
     texts, critical = [], []
     for states, flags, ids in zip(states_of, flags_of, fields):
         parts = list(map(tuple_parts, states)) if "(" in "".join(states) else ()
-        text = list(map(",".join, parts)) if len(set(map(len, parts))) == 1 else states
-        texts.append([text[z] for z in ids])
-        critical.append([flags[z][0] for z in ids])
-    names = ["(" + ",".join(x) + ")" for x in zip(*texts)]
+        texts.append(list(map(",".join, parts)) if len(set(map(len, parts))) == 1 else states)
+        critical.append(map([crit for crit, _ in flags].__getitem__, ids))
+    # The first and last members' texts carry the brackets, so a name is one join.
+    texts[0], texts[-1] = ["(" + x for x in texts[0]], [x + ")" for x in texts[-1]]
+    names = list(map(",".join, zip(*[map(x.__getitem__, ids) for x, ids in zip(texts, fields)])))
+    critical = list(map(any, zip(*critical)))
     # Ids follow sorted names, and sorting puts any equal names side by side.
     order = sorted(range(len(names)), key=names.__getitem__)
-    names = [names[p] for p in order]
+    names = list(map(names.__getitem__, order))
     for x, y in zip(names, names[1:]):
         if x == y:
             raise MalformedFsmError(f"product name collision at {x!r}")
-    rank = dict(zip(order, range(len(order))))
-    rows = [
-        {
-            label: (rank[t],) if t.__class__ is int else tuple(sorted(map(rank.__getitem__, t)))
-            for label, t in moves[p].items()
-        }
-        for p in order
-    ]
+    rank = [0] * len(order)  # by discovery position
+    for r, p in enumerate(order):
+        rank[p] = r
+    ones = list(zip(rank))  # (rank,) per position, shared by every single target
+    for row in moves:  # remapped in place
+        for label, t in row.items():
+            row[label] = ones[t] if t.__class__ is int else tuple(sorted(map(rank.__getitem__, t)))
     initial = prod(map(len, starts))
-    flags = [(any(c), p < initial) for p, c in enumerate(zip(*critical))]
-    return Fsm._trusted(names, {label for label, _ in owners}, rows, [flags[p] for p in order])
+    flags = [(critical[p], p < initial) for p in order]
+    return Fsm._trusted(names, {label for label, _ in owners}, [moves[p] for p in order], flags)
 
 
 def compose_network(network: Network, max_states: int | None = None) -> Fsm:

@@ -41,7 +41,6 @@ from .observer import ObserverFsm, state_sort_key, state_text
 # `\s` matches exactly the characters for which str.isspace() holds, which
 # are the ones the reader splits lines and tokens on.
 _FORBIDDEN = re.compile(r'[#"{}\s]')
-_FLAT = re.compile(r'\([^#"{}\s()]*\)')
 
 
 def _check_token(token: str, what: str, line: int | None = None) -> str:
@@ -61,8 +60,10 @@ def _check_state(token: str, line: int | None = None) -> str:
     So besides the characters every token avoids, its parentheses balance
     and it has no comma outside them; product names like "(x,y)" pass.
     """
-    # Plain names and flat product names like "(x,y)", nearly all tokens, need no scan.
-    if token.isidentifier() or _FLAT.fullmatch(token):
+    # Plain names and flat product names, "(x,y)" around an identifier and commas, need no scan.
+    if token.isidentifier() or (
+        token[1:-1].replace(",", "_").isidentifier() and token[0] + token[-1] == "()"
+    ):
         return token
     _check_token(token, "state", line)
     if "(" not in token and ")" not in token and "," not in token:

@@ -48,9 +48,10 @@ def state_text(z: ObserverState) -> str:
 
 
 def state_sort_key(z: ObserverState):
+    """Estimates by size, then by sorted names, before tuples, which compare part by part."""
     if isinstance(z, frozenset):
-        return (len(z), tuple(sorted(z)))
-    return tuple(state_sort_key(part) for part in z)
+        return (0, len(z), tuple(sorted(z)))
+    return (1, tuple(map(state_sort_key, z)))
 
 
 def _state_fault(z: ObserverState) -> str:

@@ -530,6 +530,26 @@ class TestStateTokens:
         assert refused.count("empty") == 1 and min(kinds) > 100, kinds
         assert len(tokens) - refused.count("\n") - 1 > 100  # accepted
 
+    def test_product_shaped_tokens_match_the_full_scan(self):
+        # Flat product names skip the scan when their parts, commas read as
+        # underscores, make an identifier, so parts here are what decides
+        # that: a digit, an underscore, a non-ASCII letter, a hyphen, the
+        # empty part, a no-break space and brackets. Nested forms put a flat
+        # name inside another, first or last.
+        parts = ["a", "_", "1", "\u00e9", "-", "", "\u00a0", "(", ")"]
+        flat = [
+            "(" + ",".join(x) + ")" for k in range(1, 4) for x in itertools.product(parts, repeat=k)
+        ]
+        tokens = flat + [f"(({x}))" for x in flat]
+        for x, y in itertools.product(flat, parts):
+            tokens += (f"({x},{y})", f"({y},{x})")
+        want = _outcomes(_full_state_check, tokens)
+        assert _outcomes(netio._check_state, tokens) == want
+        accepted = {x for x, y in zip(tokens, want) if x == y}
+        assert {"(a,_,\u00e9)", "(1,a)", "(_,1)", "((a,1),a)"} <= accepted
+        assert {"(a\u00a0)", "(a,()", "((a),-))"}.isdisjoint(accepted)
+        assert 1000 < len(accepted) < len(tokens) - 1000
+
 
 def _full_state_check(token: str, line: int | None = None) -> str:
     """``netio._check_state`` as it was before its shortcut: every token is scanned."""

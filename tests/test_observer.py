@@ -10,6 +10,7 @@ import critnet.observer
 from critnet import (
     BudgetExceededError,
     DecentralizedObserver,
+    FormatError,
     Fsm,
     InvalidInputError,
     MalformedFsmError,
@@ -20,9 +21,11 @@ from critnet import (
     check_observable,
     compose_decentralized,
     compose_network,
+    export_dot,
     iso_check,
     run_onthefly,
     sampled_runs_agree,
+    serialize_observer,
     start_session,
     state_text,
     validate_critical_observer,
@@ -214,6 +217,19 @@ class TestObserverFsmValidation:
         assert obs.start == 1 and obs.initial == z1
         assert list(obs.rows) == [{"a": 1}, {"b": 2}, {"a": 0}]
         assert list(obs.flags) == [1, 0, 0]
+
+    def test_estimates_and_aggregates_mixed_order_and_render(self):
+        # The constructor takes estimates and tuples of them side by side;
+        # canonical order puts estimates first, so nothing compares a tuple
+        # with an estimate's key.
+        a, b = self._z("a"), (self._z("b"),)
+        obs = ObserverFsm([a, b], a, ["x"], {(a, "x"): b}, {a: 0, b: 1})
+        assert obs.transitions() == [(a, "x", b)]
+        with pytest.raises(FormatError) as caught:
+            serialize_observer("M", obs)
+        assert str(caught.value) == "only estimate-state observers serialize; composed banks do not"
+        dot = export_dot(obs)
+        assert '"{a}" -> "({b})" [label="x"];' in dot and '"({b})" [shape=doublecircle];' in dot
 
     def test_never_equal_to_a_non_observer(self, fsm_a):
         obs = build_observer(fsm_a)
