@@ -22,7 +22,7 @@ and of unbalanced brackets.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import product
 from math import inf, prod
 
@@ -242,16 +242,23 @@ def _step(s: int, label: str, fields) -> int | tuple[int, ...] | None:
     return tuple(map(delta.__add__, map(sum, product(*split)))) if split else delta
 
 
-def _steps(rows_of, owners, layout) -> Iterator[tuple]:
-    """Per label, how ``walk_product`` steps it: ``(label, mask, memo, fields)``."""
+def label_plan(owners, fields) -> list[tuple]:
+    """How a packed walk steps each label: ``(label, mask, memo, owners' fields)``, where
+    ``fields[i]`` is member i's with its mask second. A label only some members own has one
+    memo keyed by its owners' fields (``s & mask``); one every member owns has mask None and a
+    ``(mask, memo, (field,))`` per owner, as one memo would key the whole state. Every memo
+    is filled on first use."""
+    plan = []
     for label, members in owners:
-        fields = [(rows_of[i], *layout[i]) for i in members]
-        if len(members) < len(rows_of):
-            yield label, sum(mask for _, mask, _ in fields), {}, fields
-            continue
-        keys = [[z << shift for z in range(len(rows))] for rows, _, shift in fields]
-        tables = [(f[1], {k: _step(k, label, (f,)) for k in ks}) for f, ks in zip(fields, keys)]
-        yield label, 0, tables, None
+        mask, own = 0, ()
+        for i in members:
+            mask += fields[i][1]
+            own += (fields[i],)
+        if len(fields) == 1 or len(members) < len(fields):
+            plan.append((label, mask, {}, own))
+        else:
+            plan.append((label, None, [(f[1], {}, (f,)) for f in own], own))
+    return plan
 
 
 def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[list, list]:
@@ -262,33 +269,35 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
     ``owners_by_label`` of the members. A state is one int with a field per
     member (``field_layout``). ``_step`` gives a move as None (blocked), one
     delta, or deltas in ``itertools.product`` order, so states are found in
-    member-id order. A label only some members own memoizes moves by its
-    owners' fields (``s & mask``) on first use; one every member owns would
-    key that by the whole state, so each owner has a table built up front.
-    Each target is stored as the walk steps to it, in ``explore``'s order and budget.
+    member-id order. Labels step through ``label_plan``'s memos, and a miss
+    calls ``_step``. Each target is stored as the walk steps to it, in
+    ``explore``'s order and budget.
     Returns per state, by discovery position, its row ``{label: target
     position or list of positions}``, and per member its id in each state.
     """
     # The initial states alone can be too many to list, so count them first.
     check_budget(prod(map(len, starts)), max_states, budget_message)
     layout = field_layout([(len(rows) - 1).bit_length() or 1 for rows in rows_of])
-    steps = list(_steps(rows_of, owners, layout))
+    plan = label_plan(owners, [(rows, *f) for rows, f in zip(rows_of, layout)])
     limit = inf if max_states is None else max_states
     states = list(map(sum, product(*[[z << f[1] for z in ids] for ids, f in zip(starts, layout)])))
     seen, moves = dict(zip(states, range(len(states)))), []
     for s in states:  # expanded in the order stored, so moves[p] is state p's row
         moves.append(row := {})
-        for label, mask, memo, fields in steps:
+        for label, mask, memo, fields in plan:
             base = s
-            if mask:
+            if mask is not None:
                 try:
                     d = memo[s & mask]
                 except KeyError:  # a miss costs more than with get, but a hit less
                     d = memo[s & mask] = _step(s, label, fields)
             else:
                 d, split = 0, ()
-                for mask, table in memo:
-                    x = table[s & mask]
+                for mask, own, one in memo:
+                    try:
+                        x = own[s & mask]
+                    except KeyError:
+                        x = own[s & mask] = _step(s, label, one)
                     if x is None:
                         d = split = None
                         break

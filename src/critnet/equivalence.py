@@ -126,14 +126,10 @@ def bisim_check(m1: Fsm, m2: Fsm) -> frozenset[tuple[str, str]] | None:
     a member blocks a shared label it owns but cannot fire, while a member
     that does not own the label lets everyone else fire it. And each initial
     state must be matched by one of the other machine, so a relation missing
-    an initial state on either side does not count.
+    an initial state on either side does not count: ``quotient_network``'s rule.
     """
-    if m1.alphabet != m2.alphabet:
-        return None
-    pairs = largest_bisimulation(m1, m2)
-    if not m1.initial <= {a for a, _ in pairs} or not m2.initial <= {b for _, b in pairs}:
-        return None
-    return pairs
+    merged = len(quotient_network(Network((("1", m1), ("2", m2))))[0].members) == 1
+    return largest_bisimulation(m1, m2) if merged else None
 
 
 class EquivalenceClasses(NamedTuple):
@@ -156,7 +152,7 @@ def quotient_network(network: Network) -> tuple[Network, EquivalenceClasses]:
     alphabet, and an alphabet two or more members share gets one refinement
     over one member per equal table (``distinct_tables``); a copy takes its
     table's classes. Initial states can only be related to initial states,
-    so two such members pass ``bisim_check`` exactly when their initial
+    so two such members are interchangeable exactly when their initial
     states fall in the same set of classes, which extends their keys.
     """
     members = network.members

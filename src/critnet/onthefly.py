@@ -11,12 +11,11 @@ An aggregate is one int: the count of members whose estimate lies inside
 their critical set, above it the count of those whose estimate touches it,
 then one field per member (``compose.field_layout``, member 0 highest), n
 bits wide for n states, holding the estimate's key (``EstimateTable``), so
-aggregates sort canonically as plain ints. Each label memoizes, by its
-owners' fields, the delta a move adds to fields and counts, or None when it
-is blocked, so a move is one AND, one lookup and one add; a miss reads the
-owners' rows by those keys. A label every member owns steps each member
-through its own memo instead, as its memo key would be the whole aggregate.
-The moves a memo first yields are logged and decoded after the walk.
+aggregates sort canonically as plain ints. Labels step through the memos of
+``compose.label_plan``, as the product walk's do: each holds the delta a move
+adds to fields and counts, or None when it is blocked, so a move is one AND,
+one lookup and one add; a miss reads the owners' rows by their keys. The
+moves a memo first yields are logged and decoded after the walk.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from .compose import Network, explore, field_layout, owners_by_label
+from .compose import Network, explore, field_layout, label_plan, owners_by_label
 from .observer import EstimateTable, ObserverFsm, Verdict
 
 
@@ -88,20 +87,19 @@ def run_onthefly(
     logged. Estimates are named only in the outcome.
     """
     machines = network.machines
-    n = len(machines)
-    width = n.bit_length()
+    width = len(machines).bit_length()
     inside = (1 << width) - 1
     # Per member: its table, field mask and shift, and the recorded moves
-    # {(key, label): key} and kept keys, both in first-recorded order.
+    # {(key, label): key} in first-recorded order.
     tables = [EstimateTable(m) for m in machines]
     layout = field_layout([len(m.states) for m in machines], 2 * width)
-    fields = [(t, mask, shift, {}, {t.start: None}) for t, (mask, shift) in zip(tables, layout)]
+    fields = [(t, mask, shift, {}) for t, (mask, shift) in zip(tables, layout)]
     initial = sum((t.touches[t.start] << width) + t.contained[t.start] for t in tables)
-    initial += sum(t.start << shift for t, _, shift, _, _ in fields)
+    initial += sum(t.start << shift for t, _, shift, _ in fields)
 
     def step(agg: int, label: str, owners) -> int | None:
         delta = 0
-        for t, mask, shift, _, _ in owners:
+        for t, mask, shift, _ in owners:
             z = (agg & mask) >> shift
             y = t.row(z).get(label)
             if y is None:
@@ -110,17 +108,7 @@ def run_onthefly(
             delta += t.contained[y] - t.contained[z]
         return delta
 
-    moves = []
-    for label, members in owners_by_label(machines):
-        mask, owners = 0, ()
-        for i in members:
-            mask += fields[i][1]
-            owners += (fields[i],)
-        if n == 1 or len(members) < n:
-            moves.append((label, mask, {}, owners))
-        else:
-            moves.append((label, None, [(f[1], {}, (f,)) for f in owners], owners))
-    log = []
+    moves, log = label_plan(owners_by_label(machines), fields), []
 
     def expand(agg: int):
         for label, mask, memo, owners in moves:
@@ -166,17 +154,18 @@ def run_onthefly(
         on_generation=on_generation,
     )
     for src, dst, owners, label in log:
-        for t, mask, shift, recorded, kept in owners:
-            kept.setdefault(y := (dst & mask) >> shift)
-            recorded.setdefault(((src & mask) >> shift, label), y)
+        for _, mask, shift, recorded in owners:
+            recorded.setdefault(((src & mask) >> shift, label), (dst & mask) >> shift)
     # Each field of a stored aggregate is an initial key or a logged target,
-    # so every recorded move starts at a kept key; each is named once.
-    named = [dict(zip(kept, map(t.estimate, kept))) for t, _, _, _, kept in fields]
+    # so every recorded move starts at a kept key: the initial key, then the
+    # recorded targets in first-recorded order. Each is named once.
+    kept = [list(dict.fromkeys((t.start, *recorded.values()))) for t, _, _, recorded in fields]
+    named = [dict(zip(keys, map(t.estimate, keys))) for t, keys in zip(tables, kept)]
     if witness is None:
         verdict = Verdict(True)
-        locals_ = tuple((name, f[0].observer(list(f[4]))) for name, f in zip(network.names, fields))
+        locals_ = tuple(zip(network.names, map(EstimateTable.observer, tables, kept)))
     else:
-        verdict = Verdict(False, tuple(t.estimate((witness & m) >> s) for t, m, s, _, _ in fields))
+        verdict = Verdict(False, tuple(t.estimate((witness & m) >> s) for t, m, s, _ in fields))
         locals_ = None
     return OnTheFlyOutcome(
         verdict=verdict,
@@ -186,6 +175,6 @@ def run_onthefly(
         witnessed_states=tuple(tuple(names.values()) for names in named),
         witnessed_transitions=tuple(
             tuple((names[src], label, names[dst]) for (src, label), dst in d.items())
-            for names, (_, _, _, d, _) in zip(named, fields)
+            for names, (_, _, _, d) in zip(named, fields)
         ),
     )

@@ -13,6 +13,8 @@ from critnet import (
     InvalidInputError,
     MalformedFsmError,
     Network,
+    build_decentralized,
+    compose_decentralized,
     compose_many,
     compose_network,
     in_language,
@@ -24,7 +26,13 @@ from critnet import (
 from critnet.compose import explore
 from conftest import make_fsm_a, make_fsm_b
 from genutil import random_fsm, random_network
-from oracles import extended_delta, naive_compose, project_word, structural_key
+from oracles import (
+    extended_delta,
+    naive_bank_product,
+    naive_compose,
+    project_word,
+    structural_key,
+)
 from product_oracle import tuple_product_table
 
 
@@ -470,13 +478,16 @@ class TestPackedWalkAgainstReference:
         assert sum(seen.values()) >= 500 and min(seen.values()) >= 40
         assert branching >= 80 and wide >= 30
 
-    @pytest.mark.parametrize("rules", ["memo", "tables", "both"])
+    @pytest.mark.parametrize("rules", ["memo", "tables", "both", "late", "blocked"])
     def test_both_step_rules_match_the_tuple_walk(self, rules):
         # A label only some members own steps through one memo by its owners'
-        # fields, a label every member owns through a table per owner. With
-        # "memo" or "both", "c" has two or more owners but not every member,
-        # and each owner has two moves on it from the initial state, so the
-        # memo holds a tuple of deltas from the first step on.
+        # fields, a label every member owns through a memo per owner, filled
+        # on first use. With "memo" or "both", "c" has two or more owners but
+        # not every member, and each owner has two moves on it from the
+        # initial state, so the memo holds a tuple of deltas from the first
+        # step on. With "late" and "blocked", "a" is owned by every member
+        # and blocked at the initial state, and first fires later. The
+        # observer banks of the same networks walk the same rules.
         rng = random.Random(2901 + len(rules))
         branching = 0
         for k in range(120):
@@ -484,12 +495,17 @@ class TestPackedWalkAgainstReference:
             owned = [sum(label in m.alphabet for m in machines) for label in "abc"]
             if rules == "tables":
                 assert all(m.alphabet == {"a", "b"} for m in machines)
+            elif rules in ("late", "blocked"):
+                assert owned[0] == len(machines) and owned[1] == owned[2] == 0
             else:
                 assert 2 <= owned[2] < len(machines) and owned[1] < len(machines)
-            assert ("a" in machines[0].alphabet) == (owned[0] == len(machines)) == (rules != "memo")
+                assert ("a" in machines[0].alphabet) == (owned[0] == len(machines)) == (rules != "memo")
             want = tuple_product_table(machines)
-            if rules != "tables":
+            if rules in ("memo", "both"):
                 assert len(want[1][0]["c"]) >= 2 ** owned[2]
+            elif rules != "tables":
+                assert "a" not in want[1][0] and any("a" in row for row in want[1])
+                assert ("a" in machines[0].int_moves()[1][0]) == (rules == "blocked")
             n = len(want[0])
             assert tuple_product_table(machines, n) == want
             assert compose_many(machines, n).int_moves() == _renumbered(want, sorted(want[0])), k
@@ -497,6 +513,15 @@ class TestPackedWalkAgainstReference:
                 with pytest.raises(BudgetExceededError, match=f"^product exceeded {n - 1} states$"):
                     walk(machines, n - 1)
             branching += any(len(ys) > 1 for row in want[1] for ys in row.values())
+            bank = build_decentralized(Network([(f"M{i}", m) for i, m in enumerate(machines)]))
+            naive = naive_bank_product(bank)
+            composed = compose_decentralized(bank, len(naive.states))
+            assert (composed.states, composed.initial) == (naive.states, naive.initial), k
+            assert composed.transitions() == naive.transitions()
+            assert list(composed.flags) == list(naive.flags)
+            budget = f"^composed bank exceeded {len(naive.states) - 1} states$"
+            with pytest.raises(BudgetExceededError, match=budget):
+                compose_decentralized(bank, len(naive.states) - 1)
         assert branching >= 90
 
 
@@ -580,12 +605,22 @@ def _rule_members(rng, rules):
     "both": "memo" where every member owns "a" too. Every owner of "c" has
     two moves on it from its initial state q0. With "tables" most states
     move on each label, so that the product gets past its initial state.
+    "late" and "blocked": every member owns "a" and a private label. One
+    member, the blocker, has no move on "a" from q0, a private move to q1
+    and a move on "a" from q1; every other member moves on "a" from every
+    state. So "a" is blocked at the initial state and first fires from a
+    later generation. With "late" the blocker is member 0, so no other
+    owner is looked up at the initial state; with "blocked" it is a later
+    member, so the owners before it are looked up there first.
     """
     count = rng.randint(3, 5)
+    blocker = rng.randint(1, count - 1) if rules == "blocked" else 0
     machines = []
     for i in range(count):
         if rules == "tables":
             alphabet = ["a", "b"]
+        elif rules in ("late", "blocked"):
+            alphabet = ["a", f"p{i}"]
         else:
             alphabet = ["c"] * (i < count - 1) + [f"p{i}"] * (rng.random() < 0.4)
             alphabet += ["a"] * (rules == "both" or (i > 0 and rng.random() < 0.6))
@@ -600,6 +635,11 @@ def _rule_members(rng, rules):
         }
         if "c" in alphabet:
             moves.update(("q0", "c", y) for y in rng.sample(states, 2))
+        if rules in ("late", "blocked") and i == blocker:
+            moves = {move for move in moves if move[:2] != ("q0", "a")}
+            moves.update([("q0", f"p{i}", "q1"), ("q1", "a", rng.choice(states))])
+        elif rules in ("late", "blocked"):
+            moves.update((x, "a", rng.choice(states)) for x in states)
         critical = [x for x in states if rng.random() < 0.35]
         machines.append(Fsm(states, ["q0"], alphabet, sorted(moves), critical))
     return machines

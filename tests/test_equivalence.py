@@ -377,6 +377,37 @@ class TestBisimCheck:
         assert not verdict(Network((("M1", m1), ("M3", m3))))
 
 
+class TestBisimCheckAgainstQuotient:
+    def test_check_passes_exactly_when_the_pair_merges(self):
+        # A pair is interchangeable exactly when the quotient of the
+        # two-member network keeps one class, and ``bisim_check`` then gives
+        # the largest bisimulation: renamed copies, split-state variants,
+        # and random machines over equal and over unequal alphabets.
+        rng = random.Random(3102)
+        merged = 0
+        for k in range(2400):
+            small = k % 4 == 2  # so that some unrelated pairs merge too
+            m1 = random_fsm(rng, max_states=2 if small else 4, max_labels=1 if small else 3)
+            if k % 4 == 0:
+                m2 = renamed_copy(m1, "c_")
+            elif k % 4 == 1:
+                m2 = split_state_variant(rng, m1, "v")
+            elif small:
+                m2 = random_fsm(rng, max_states=3, alphabet=sorted(m1.alphabet))
+            else:
+                m2 = random_fsm(rng, max_states=4)
+            reduced, _ = quotient_network(Network((("M1", m1), ("M2", m2))))
+            pairs = largest_bisimulation(m1, m2)
+            # Equal alphabets, and every initial state of either side related.
+            rule = m1.alphabet == m2.alphabet and (
+                m1.initial <= {a for a, _ in pairs} and m2.initial <= {b for _, b in pairs}
+            )
+            assert bisim_check(m1, m2) == (pairs if rule else None), k
+            assert len(reduced.members) == 2 - rule, k
+            merged += rule
+        assert 0.3 <= merged / 2400 <= 0.7
+
+
 class TestQuotient:
     def test_duplicate_members_dropped(self, fsm_a, fsm_b):
         net = Network(

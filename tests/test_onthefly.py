@@ -188,6 +188,32 @@ class TestRunOnTheFly:
                     assert step(m, src, label) == dst
 
 
+class TestWitnessedRecords:
+    """What the witnessed fields hold, read from the outcome alone."""
+
+    def test_states_are_the_initial_estimate_then_each_new_target(self):
+        # Each member's witnessed states are its initial estimate, then the
+        # targets of its witnessed transitions in order, each listed once;
+        # on an observable outcome each local's states are exactly those.
+        rng = random.Random(3101)
+        refuted = everyone = 0
+        for _ in range(2000):
+            net = random_network(rng, max_members=4, max_states=4)
+            out = run_onthefly(net)
+            pieces = zip(net.machines, out.witnessed_states, out.witnessed_transitions)
+            for m, states, moves in pieces:
+                start = build_observer(m).initial
+                assert states == tuple(dict.fromkeys((start, *(dst for _, _, dst in moves))))
+            if out.locals is None:
+                refuted += 1
+            else:
+                for (_, local), states in zip(out.locals, out.witnessed_states):
+                    assert local.states == states
+            labels = [m.alphabet for m in net.machines]
+            everyone += len(labels) > 1 and bool(frozenset.intersection(*labels))
+        assert refuted >= 300 and 2000 - refuted >= 300 and everyone >= 200
+
+
 class TestAgainstNaiveSearch:
     """Witness and recording order against a generation-sorted naive BFS."""
 
