@@ -5,19 +5,19 @@ label fires only when every member owning it has at least one successor;
 otherwise it blocks. A product state is critical as soon as one component is.
 
 ``walk_product`` steps packed ints for the plant and the observer bank (see
-there). It records each move's target by its stored position, so it stores
-targets itself; ``explore`` is the breadth-first kernel of every other walk:
-on the fly, observer construction and reachability, ``iso_check`` and the
-validator. ``compose_many`` hands the plant over as an int table
-(``Fsm.int_moves``). It names each product state once, at the end, as
-"(x1,x2,...,xN)", and numbers the states by those names, as ids follow sorted
-names in every machine. A member's states are flattened into that name only
-when all of them split (``tuple_parts``) into the same number of parts, which
-every product does; otherwise they stay whole, so "(x,y)" next to "x" keeps
-distinct names. Re-composing a composed machine, in memory or read back from a
-file, thus flattens again, and association order changes neither state names
-nor structure. Member state names are assumed free of commas outside brackets
-and of unbalanced brackets.
+there) and stores each target as it steps, as the on-the-fly walk does;
+``explore`` is the breadth-first kernel of the walks that are not packed:
+observer construction and reachability, ``iso_check`` and the validator.
+``compose_many`` hands the plant over as an int table (``Fsm.int_moves``). It
+names each product state once, at the end, as "(x1,x2,...,xN)", and numbers
+the states by those names, as ids follow sorted names in every machine. A
+member's states are flattened into that name only when all of them split
+(``tuple_parts``) into the same number of parts, which every product does;
+otherwise they stay whole, so "(x,y)" next to "x" keeps distinct names.
+Re-composing a composed machine, in memory or read back from a file, thus
+flattens again, and association order changes neither state names nor
+structure. Member state names are assumed free of commas outside brackets and
+of unbalanced brackets.
 """
 
 from __future__ import annotations
@@ -168,51 +168,29 @@ def explore(
     expand: Callable[[Hashable], Iterable[Hashable]],
     max_states: int | None = None,
     budget_message: str = "",
-    *,
-    sort: bool = False,
     stop: Callable[[Hashable], bool] | None = None,
-    on_generation: Callable[[int, int, int], None] | None = None,
-) -> tuple[list[Hashable], Hashable | None, int]:
-    """Breadth-first walk from ``init``, one generation at a time.
+) -> tuple[list[Hashable], Hashable | None]:
+    """Breadth-first walk from ``init``, each state expanded in the order stored.
 
-    A generation is expanded in discovery order, or ascending with ``sort``.
-    Code after a ``yield`` in ``expand`` runs only once the kernel has stored
-    that successor or found it stored, so callers record moves there. A fresh
-    state for which ``stop`` holds ends the walk before it is stored, and the
-    move to it is never recorded. More than ``max_states`` states, in the
-    initial set or after any store, raise ``BudgetExceededError`` with
-    ``budget_message.format(max_states)``. ``on_generation`` gets (generation,
-    frontier size, states stored) before each generation.
-
-    Returns the stored states in discovery order, the stop state or None,
-    and the number of generations expanded before the stop.
+    A fresh state for which ``stop`` holds ends the walk before it is stored.
+    More than ``max_states`` states, in the initial set or after any store,
+    raise ``BudgetExceededError`` with ``budget_message.format(max_states)``.
+    Returns the stored states in discovery order and the stop state or None.
     """
     limit = inf if max_states is None else max_states
-    seen: dict = {}
-    for s in init:
-        seen.setdefault(s, len(seen))
+    seen = dict.fromkeys(init)
     check_budget(len(seen), max_states, budget_message)
-    frontier = list(seen)
-    generation = 0
-    while frontier:
-        if on_generation is not None:
-            on_generation(generation, len(frontier), len(seen))
-        if sort:
-            frontier.sort()
-        next_frontier = []
-        push = next_frontier.append
-        for s in frontier:
-            for t in expand(s):
-                if t not in seen:
-                    if stop is not None and stop(t):
-                        return list(seen), t, generation
-                    seen[t] = stored = len(seen)
-                    if stored >= limit:
-                        raise BudgetExceededError(budget_message.format(max_states))
-                    push(t)
-        frontier = next_frontier
-        generation += 1
-    return list(seen), None, generation
+    states = list(seen)
+    for s in states:
+        for t in expand(s):
+            if t not in seen:
+                if stop is not None and stop(t):
+                    return states, t
+                seen[t] = None
+                states.append(t)
+                if len(states) > limit:
+                    raise BudgetExceededError(budget_message.format(max_states))
+    return states, None
 
 
 def field_layout(widths: Sequence[int], low: int = 0) -> list[tuple[int, int]]:
@@ -271,7 +249,7 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
     delta, or deltas in ``itertools.product`` order, so states are found in
     member-id order. Labels step through ``label_plan``'s memos, and a miss
     calls ``_step``. Each target is stored as the walk steps to it, in
-    ``explore``'s order and budget.
+    ``explore``'s order and budget, so the row can hold its position.
     Returns per state, by discovery position, its row ``{label: target
     position or list of positions}``, and per member its id in each state.
     """

@@ -69,7 +69,7 @@ def iso_check(o1: ObserverFsm, o2: ObserverFsm) -> IsoWitness | None:
         row2 = o2.rows[pair[1]]
         return [(a, row2[label]) for label, a in o1.rows[pair[0]].items() if label in row2]
 
-    pairs, _, _ = explore(((o1.start, o2.start),), expand)
+    pairs, _ = explore(((o1.start, o2.start),), expand)
     mapping = {o1.states[x]: o2.states[y] for x, y in pairs}
     return IsoWitness(mapping) if is_iso_witness(o1, o2, mapping) else None
 

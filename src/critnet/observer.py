@@ -109,7 +109,7 @@ class ObserverFsm:
                 raise MalformedFsmError(f"transition label {label!r} not in alphabet")
             rows[index[src]][label] = index[dst]
 
-        reached, _, _ = explore((index[initial],), lambda i: rows[i].values())
+        reached, _ = explore((index[initial],), lambda i: rows[i].values())
         if len(reached) != len(states):
             seen = set(reached)
             unreachable = sorted(state_text(z) for i, z in enumerate(states) if i not in seen)
@@ -287,7 +287,7 @@ def build_observer(m: Fsm, max_states: int | None = None) -> ObserverFsm:
     takes the estimates in the order the walk stores them.
     """
     table = EstimateTable(m)
-    keys, _, _ = explore(
+    keys, _ = explore(
         (table.start,), lambda key: table.row(key).values(), max_states, "observer exceeded {} states"
     )
     return table.observer(keys)
@@ -428,7 +428,7 @@ def validate_critical_observer(obs: ObserverFsm, m: Fsm) -> bool:
     init, successors, wrong = _lockstep(obs, m)
     if any(map(wrong, init)):
         return False
-    _, bad, _ = explore(init, successors, stop=wrong)
+    _, bad = explore(init, successors, stop=wrong)
     return bad is None
 
 

@@ -14,16 +14,19 @@ bits wide for n states, holding the estimate's key (``EstimateTable``), so
 aggregates sort canonically as plain ints. Labels step through the memos of
 ``compose.label_plan``, as the product walk's do: each holds the delta a move
 adds to fields and counts, or None when it is blocked, so a move is one AND,
-one lookup and one add; a miss reads the owners' rows by their keys. The
-moves a memo first yields are logged and decoded after the walk.
+one lookup and one add; a miss reads the owners' rows by their keys. Like
+``compose.walk_product``, the walk stores each fresh aggregate as it steps;
+a move that fills a memo is logged, and the log is decoded after the walk.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from math import inf
 from typing import NamedTuple
 
-from .compose import Network, explore, field_layout, label_plan, owners_by_label
+from .compose import Network, check_budget, field_layout, label_plan, owners_by_label
+from .errors import BudgetExceededError
 from .observer import EstimateTable, ObserverFsm, Verdict
 
 
@@ -66,6 +69,20 @@ class OnTheFlyOutcome(NamedTuple):
     ]
 
 
+def _step(agg: int, label: str, owners, width: int) -> int | None:
+    """The delta ``label`` adds to ``agg``'s owners' fields and to both counts
+    (``width`` bits each), or None when some owner blocks it."""
+    delta = 0
+    for t, mask, shift, _ in owners:
+        z = (agg & mask) >> shift
+        y = t.row(z).get(label)
+        if y is None:
+            return None
+        delta += ((y - z) << shift) + ((t.touches[y] - t.touches[z]) << width)
+        delta += t.contained[y] - t.contained[z]
+    return delta
+
+
 def run_onthefly(
     network: Network,
     max_states: int | None = None,
@@ -75,9 +92,10 @@ def run_onthefly(
 
     Exploration is breadth first by generation; aggregates within a
     generation go in canonical order and labels in sorted order, so the
-    first straddling aggregate (the witness) is reproducible. The optional
-    ``on_generation`` callback receives (generation index, frontier size,
-    aggregates seen so far) at the start of each generation.
+    first straddling aggregate (the witness) is reproducible. A fresh
+    aggregate is straddle-tested, then stored and counted against
+    ``max_states``. ``on_generation`` receives (generation index, frontier
+    size, aggregates seen so far) at the start of each generation.
 
     Each member's estimates live in its own lazily built ``EstimateTable``;
     an aggregate packs their keys into one int (see the module docstring),
@@ -94,65 +112,61 @@ def run_onthefly(
     tables = [EstimateTable(m) for m in machines]
     layout = field_layout([len(m.states) for m in machines], 2 * width)
     fields = [(t, mask, shift, {}) for t, (mask, shift) in zip(tables, layout)]
-    initial = sum((t.touches[t.start] << width) + t.contained[t.start] for t in tables)
-    initial += sum(t.start << shift for t, _, shift, _ in fields)
-
-    def step(agg: int, label: str, owners) -> int | None:
-        delta = 0
-        for t, mask, shift, _ in owners:
-            z = (agg & mask) >> shift
-            y = t.row(z).get(label)
-            if y is None:
-                return None
-            delta += ((y - z) << shift) + ((t.touches[y] - t.touches[z]) << width)
-            delta += t.contained[y] - t.contained[z]
-        return delta
-
-    moves, log = label_plan(owners_by_label(machines), fields), []
-
-    def expand(agg: int):
-        for label, mask, memo, owners in moves:
-            if mask is not None:
-                delta = memo.get(agg & mask, step)
-                if delta is step:
-                    delta = memo[agg & mask] = step(agg, label, owners)
-                    if delta is not None:
-                        yield agg + delta
-                        log.append((agg, agg + delta, owners, label))
-                elif delta is not None:
-                    yield agg + delta
-                continue
-            # A part is memoized once a move using it is resumed, so a miss
-            # marks a first recording even after the label was blocked.
-            delta, fresh = 0, []
-            for mask, own, one in memo:
-                part = own.get(agg & mask, step)
-                if part is step:
-                    part = step(agg, label, one)
-                    fresh.append((own, agg & mask, part))
-                if part is None:
-                    own[agg & mask] = None
-                    break
-                delta += part
-            else:
-                yield agg + delta
-                if fresh:
-                    for own, key, part in fresh:
-                        own[key] = part
-                    log.append((agg, agg + delta, owners, label))
-
+    initial = 0
+    for t, _, shift, _ in fields:
+        initial += (t.touches[t.start] << width) + t.contained[t.start] + (t.start << shift)
+    plan, log = label_plan(owners_by_label(machines), fields), []
+    limit = inf if max_states is None else max_states
+    message = "exploration exceeded {} aggregates"
+    check_budget(1, max_states, message)
     # The initial aggregate is never straddle-tested: construction forces
     # each member's initial states to one side of its critical set, which
     # puts the initial product wholly on one side too.
-    seen, witness, generations = explore(
-        (initial,),
-        expand,
-        max_states,
-        "exploration exceeded {} aggregates",
-        sort=True,
-        stop=lambda agg: agg & inside << width and not agg & inside,
-        on_generation=on_generation,
-    )
+    frontier, seen, witness, generations = [initial], {initial}, None, 0
+    while frontier and witness is None:
+        if on_generation is not None:
+            on_generation(generations, len(frontier), len(seen))
+        expanding, frontier = sorted(frontier), []
+        for agg in expanding:
+            for label, mask, memo, owners in plan:
+                if mask is not None:
+                    delta = memo.get(agg & mask, _step)
+                    fresh = delta is _step
+                    if fresh:
+                        delta = memo[agg & mask] = _step(agg, label, owners, width)
+                else:
+                    # A part is memoized only once a move using it fires, so a
+                    # miss marks a first recording even after the label was
+                    # blocked.
+                    delta, fresh = 0, []
+                    for mask, own, one in memo:
+                        part = own.get(agg & mask, _step)
+                        if part is _step:
+                            part = _step(agg, label, one, width)
+                            fresh.append((own, agg & mask, part))
+                        if part is None:
+                            own[agg & mask] = delta = None
+                            break
+                        delta += part
+                    else:
+                        for own, key, part in fresh:
+                            own[key] = part
+                if delta is None:
+                    continue
+                if (t := agg + delta) not in seen:
+                    if t & inside << width and not t & inside:
+                        witness = t
+                        break
+                    seen.add(t)
+                    if len(seen) > limit:
+                        raise BudgetExceededError(message.format(max_states))
+                    frontier.append(t)
+                if fresh:
+                    log.append((agg, t, owners, label))
+            if witness is not None:
+                break
+        else:
+            generations += 1
     for src, dst, owners, label in log:
         for _, mask, shift, recorded in owners:
             recorded.setdefault(((src & mask) >> shift, label), (dst & mask) >> shift)
@@ -165,7 +179,9 @@ def run_onthefly(
         verdict = Verdict(True)
         locals_ = tuple(zip(network.names, map(EstimateTable.observer, tables, kept)))
     else:
-        verdict = Verdict(False, tuple(t.estimate((witness & m) >> s) for t, m, s, _ in fields))
+        masks, shifts = zip(*layout)
+        keys = map(int.__rshift__, map(witness.__and__, masks), shifts)
+        verdict = Verdict(False, tuple(map(EstimateTable.estimate, tables, keys)))
         locals_ = None
     return OnTheFlyOutcome(
         verdict=verdict,

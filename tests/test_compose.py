@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
@@ -525,48 +526,50 @@ class TestPackedWalkAgainstReference:
         assert branching >= 90
 
 
-class TestSortedExplore:
-    """``explore`` with ``sort`` walks the unsorted walk's generations, ascending."""
+def _fifo_walk(init, succ, stop=frozenset()):
+    """Reference breadth-first search over a queue: the states stored, in
+    order, and the first fresh state in ``stop`` (never stored), or None."""
+    stored = list(dict.fromkeys(init))
+    queue = deque(stored)
+    while queue:
+        for t in succ[queue.popleft()]:
+            if t not in stored:
+                if t in stop:
+                    return stored, t
+                stored.append(t)
+                queue.append(t)
+    return stored, None
 
-    @staticmethod
-    def _walk(init, succ, sort, max_states=None):
-        expanded, starts = [], []
 
-        def expand(s):
-            expanded.append(s)
-            return succ[s]
+class TestExplore:
+    """``explore`` against a queue-based breadth-first search on random graphs."""
 
-        seen, stop, count = explore(
-            init,
-            expand,
-            max_states,
-            "walk exceeded {} states",
-            sort=sort,
-            on_generation=lambda generation, size, stored: starts.append(len(expanded)),
-        )
-        assert stop is None and count == len(starts)
-        bounds = zip(starts, [*starts[1:], len(expanded)])
-        return seen, [expanded[a:b] for a, b in bounds]
-
-    def test_generations_stored_set_and_budget_match_the_unsorted_walk(self):
+    def test_order_stop_and_budget_match_a_fifo_search(self):
         rng = random.Random(1701)
-        shuffled = 0
+        stopped = grown = 0
         for _ in range(300):
             n = rng.randint(1, 40)
             succ = {s: rng.sample(range(n), rng.randint(0, min(3, n))) for s in range(n)}
-            init = rng.sample(range(n), rng.randint(1, min(3, n)))
-            seen, generations = self._walk(init, succ, False)
-            seen_sorted, generations_sorted = self._walk(init, succ, True)
-            assert all(g == sorted(g) for g in generations_sorted)
-            assert [set(g) for g in generations_sorted] == [set(g) for g in generations]
-            assert sorted(seen_sorted) == sorted(seen)
-            shuffled += generations_sorted != generations
-            stored = len(seen)
-            for sort in (False, True):
-                assert len(self._walk(init, succ, sort, stored)[0]) == stored
-                with pytest.raises(BudgetExceededError, match=f"^walk exceeded {stored - 1} states$"):
-                    self._walk(init, succ, sort, stored - 1)
-        assert shuffled >= 100
+            init = rng.sample(range(n), rng.randint(1, min(3, n))) * rng.randint(1, 2)
+            want, _ = _fifo_walk(init, succ)
+            assert explore(init, succ.__getitem__) == (want, None)
+            # An initial state is never tested, so a stop set may hold one.
+            stop = set(rng.sample(range(n), rng.randint(1, min(3, n))))
+            stored, bad = _fifo_walk(init, succ, stop)
+            assert explore(init, succ.__getitem__, stop=stop.__contains__) == (stored, bad)
+            assert bad is None or bad not in stored
+            stopped += bad is not None
+            message = "walk exceeded {} states"
+            assert explore(init, succ.__getitem__, len(want), message)[0] == want
+            with pytest.raises(BudgetExceededError, match=f"^{message.format(len(want) - 1)}$"):
+                explore(init, succ.__getitem__, len(want) - 1, message)
+            # The initial set alone is counted before any state is expanded.
+            m = len(set(init))
+            assert explore(init, lambda s: (), m, message)[0] == want[:m]
+            with pytest.raises(BudgetExceededError, match=f"^{message.format(m - 1)}$"):
+                explore(init, None, m - 1, message)
+            grown += len(want) > m
+        assert stopped >= 100 and grown >= 100
 
 
 def _branching_owners(machines, label):

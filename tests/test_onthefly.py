@@ -349,7 +349,7 @@ class TestCanonicalRanks:
 
 
 class TestHotPathsKeepPlainLocals:
-    """No local of the on-the-fly walk's ``expand``, of the product walk or of
+    """No local of the on-the-fly walk, of the product walk or of
     ``EstimateTable.row`` is a closure cell.
 
     A comprehension or nested function reading a local turns it into a cell,
@@ -358,14 +358,11 @@ class TestHotPathsKeepPlainLocals:
     generator expressions and nested functions still do.)
     """
 
-    @staticmethod
-    def _nested(function, name):
-        (code,) = [c for c in function.__code__.co_consts if getattr(c, "co_name", None) == name]
-        return code
-
-    @pytest.mark.parametrize("function", [run_onthefly], ids=["run_onthefly"])
-    def test_expand_has_no_cells(self, function):
-        assert self._nested(function, "expand").co_cellvars == ()
+    def test_onthefly_walk_has_no_cells(self):
+        # The on-the-fly walk steps in its own loop, as the product walk
+        # does; a set-up or naming expression that reads ``width`` or the
+        # witness would make it a cell.
+        assert run_onthefly.__code__.co_cellvars == ()
 
     def test_product_walk_has_no_cells(self):
         # The product walk steps in its own loop, so its own locals are the
