@@ -5,7 +5,8 @@ label fires only when every member owning it has at least one successor;
 otherwise it blocks. A product state is critical as soon as one component is.
 
 ``walk_product`` steps packed ints for the plant and the observer bank (see
-there) and stores each target as it steps, as the on-the-fly walk does;
+there), runs of labels in blocks, and stores each target as it steps, as the
+on-the-fly walk does;
 ``explore`` is the breadth-first kernel of the walks that are not packed:
 observer construction and reachability, ``iso_check`` and the validator.
 ``compose_many`` hands the plant over as an int table (``Fsm.int_moves``). It
@@ -220,22 +221,47 @@ def _step(s: int, label: str, fields) -> int | tuple[int, ...] | None:
     return tuple(map(delta.__add__, map(sum, product(*split)))) if split else delta
 
 
+# A block's memo holds at most 2**BLOCK_BITS keys. In-process, against one memo per label,
+# `run_onthefly` on the benchmark's `line` and `chain` inputs read 1.04x and 0.96x with 6 bits,
+# 0.79x and 0.82x with 9, 0.74x and 0.77x with 12, but with 12 their 14-bit plants and banks
+# form no blocks. Fields at most 1.5 BLOCK_BITS wide form none: a block key is most of the state.
+BLOCK_BITS = 9
+
+
+def _fill(s: int, labels, step, *args) -> tuple:
+    """A block's moves from ``s``, ``(label, move, None)`` per label that moves, each from the
+    label's memo. A miss calls ``step(s, label, own, *args)``, and the move it finds carries
+    ``own`` in place of None: first stepped here, so the on-the-fly walk logs it."""
+    moves = ()
+    for label, mask, memo, own in labels:
+        if (x := memo.get(s & mask)) is None:
+            d = step(s, label, own, *args)
+            x = memo[s & mask] = () if d is None else ((label, d, None),)
+            x = x and ((label, d, own),)
+        moves += x
+    return moves
+
+
 def label_plan(owners, fields) -> list[tuple]:
-    """How a packed walk steps each label: ``(label, mask, memo, owners' fields)``, where
-    ``fields[i]`` is member i's with its mask second. A label only some members own has one
-    memo keyed by its owners' fields (``s & mask``); one every member owns has mask None and a
-    ``(mask, memo, (field,))`` per owner, as one memo would key the whole state. Every memo
-    is filled on first use."""
-    plan = []
+    """How a packed walk steps the labels, in sorted order: ``(label, mask, memo, owners'
+    fields)`` each, ``fields[i]`` being member i's (mask second, shift third), the memo keyed by
+    ``s & mask``; mask None and a ``(mask, memo, (field,))`` per owner for a label all members
+    own. In fields over 1.5 ``BLOCK_BITS`` bits wide, runs of other labels whose owners span at
+    most ``BLOCK_BITS`` bits are blocks, ``(None, mask, memo of _fill's moves, run)``."""
+    plan, last, n = [], (None, None), len(fields)
+    wide = (fields[0][1] >> fields[-1][2]).bit_length() > BLOCK_BITS * 3 // 2
     for label, members in owners:
         mask, own = 0, ()
         for i in members:
             mask += fields[i][1]
             own += (fields[i],)
-        if len(fields) == 1 or len(members) < len(fields):
-            plan.append((label, mask, {}, own))
+        if len(members) == n > 1:
+            plan.append(last := (label, None, [(f[1], {}, (f,)) for f in own], own))
+        elif wide and last[1] is not None and (join := last[1] | mask).bit_count() <= BLOCK_BITS:
+            run = [last] if last[0] is not None else last[3]
+            plan[-1] = last = (None, join, {}, [*run, (label, mask, {}, own)])
         else:
-            plan.append((label, None, [(f[1], {}, (f,)) for f in own], own))
+            plan.append(last := (label, mask, {}, own))
     return plan
 
 
@@ -247,9 +273,10 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
     ``owners_by_label`` of the members. A state is one int with a field per
     member (``field_layout``). ``_step`` gives a move as None (blocked), one
     delta, or deltas in ``itertools.product`` order, so states are found in
-    member-id order. Labels step through ``label_plan``'s memos, and a miss
-    calls ``_step``. Each target is stored as the walk steps to it, in
-    ``explore``'s order and budget, so the row can hold its position.
+    member-id order. Labels step through ``label_plan``'s memos, a block per
+    lookup, and a miss calls ``_step`` (in a block, via ``_fill``). Each
+    target is stored as the walk steps to it, in ``explore``'s order and
+    budget, so the row can hold its position.
     Returns per state, by discovery position, its row ``{label: target
     position or list of positions}``, and per member its id in each state.
     """
@@ -261,6 +288,8 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
     states = list(map(sum, product(*[[z << f[1] for z in ids] for ids, f in zip(starts, layout)])))
     seen, moves = dict(zip(states, range(len(states)))), []
     for s in states:  # expanded in the order stored, so moves[p] is state p's row
+        if len(states) > limit:  # every state is expanded, so one stored past the budget raises
+            raise BudgetExceededError(budget_message.format(max_states))
         moves.append(row := {})
         for label, mask, memo, fields in plan:
             base = s
@@ -268,7 +297,7 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
                 try:
                     d = memo[s & mask]
                 except KeyError:  # a miss costs more than with get, but a hit less
-                    d = memo[s & mask] = _step(s, label, fields)
+                    d = memo[s & mask] = _step(s, label, fields) if label else _fill(s, fields, _step)
             else:
                 d, split = 0, ()
                 for mask, own, one in memo:
@@ -290,19 +319,30 @@ def walk_product(rows_of, owners, starts, max_states, budget_message) -> tuple[l
             if d.__class__ is int:
                 if (p := seen.get(t := s + d)) is None:
                     p = seen[t] = len(states)
-                    if p >= limit:
-                        raise BudgetExceededError(budget_message.format(max_states))
                     states.append(t)
                 row[label] = p
                 continue
-            row[label] = targets = []
-            for x in d:
-                if (p := seen.get(t := base + x)) is None:
-                    p = seen[t] = len(states)
-                    if p >= limit:
-                        raise BudgetExceededError(budget_message.format(max_states))
-                    states.append(t)
-                targets.append(p)
+            if label is not None:
+                row[label] = targets = []
+                for x in d:
+                    if (p := seen.get(t := base + x)) is None:
+                        p = seen[t] = len(states)
+                        states.append(t)
+                    targets.append(p)
+                continue
+            for label, d, _ in d:  # a block's moves, each stored as a label's
+                if d.__class__ is int:
+                    if (p := seen.get(t := s + d)) is None:
+                        p = seen[t] = len(states)
+                        states.append(t)
+                    row[label] = p
+                    continue
+                row[label] = targets = []
+                for x in d:
+                    if (p := seen.get(t := s + x)) is None:
+                        p = seen[t] = len(states)
+                        states.append(t)
+                    targets.append(p)
     ids = []
     for mask, shift in layout:
         ids.append(list(map(shift.__rrshift__, map(mask.__and__, states))))

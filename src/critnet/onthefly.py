@@ -13,10 +13,10 @@ then one field per member (``compose.field_layout``, member 0 highest), n
 bits wide for n states, holding the estimate's key (``EstimateTable``), so
 aggregates sort canonically as plain ints. Labels step through the memos of
 ``compose.label_plan``, as the product walk's do: each holds the delta a move
-adds to fields and counts, or None when it is blocked, so a move is one AND,
-one lookup and one add; a miss reads the owners' rows by their keys. Like
-``compose.walk_product``, the walk stores each fresh aggregate as it steps;
-a move that fills a memo is logged, and the log is decoded after the walk.
+adds to fields and counts (None: blocked), or a block's moves, so one AND and
+one lookup serve a run of labels; a miss reads the owners' rows by their keys.
+Like ``compose.walk_product``, the walk stores each fresh aggregate as it
+steps; a move first stepped is logged, and the log is decoded after the walk.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections.abc import Callable
 from math import inf
 from typing import NamedTuple
 
-from .compose import Network, check_budget, field_layout, label_plan, owners_by_label
+from .compose import Network, _fill, check_budget, field_layout, label_plan, owners_by_label
 from .errors import BudgetExceededError
 from .observer import EstimateTable, ObserverFsm, Verdict
 
@@ -99,10 +99,11 @@ def run_onthefly(
 
     Each member's estimates live in its own lazily built ``EstimateTable``;
     an aggregate packs their keys into one int (see the module docstring),
-    so a generation sorts as plain ints. A member's witnessed transitions
-    are its part of the logged moves, in order, and its witnessed states
-    their targets after its initial key; the move into the witness is never
-    logged. Estimates are named only in the outcome.
+    so a generation sorts as plain ints. A move is logged where its label's
+    memo is filled, as a block's first fill steps it. A member's witnessed
+    transitions are its part of the logged moves, in order, and its
+    witnessed states their targets after its initial key; the move into the
+    witness is never logged. Estimates are named only in the outcome.
     """
     machines = network.machines
     width = len(machines).bit_length()
@@ -132,8 +133,10 @@ def run_onthefly(
                 if mask is not None:
                     delta = memo.get(agg & mask, _step)
                     fresh = delta is _step
-                    if fresh:
+                    if fresh and label:
                         delta = memo[agg & mask] = _step(agg, label, owners, width)
+                    elif fresh:  # a block
+                        delta = memo[agg & mask] = _fill(agg, owners, _step, width)
                 else:
                     # A part is memoized only once a move using it fires, so a
                     # miss marks a first recording even after the label was
@@ -153,16 +156,32 @@ def run_onthefly(
                             own[key] = part
                 if delta is None:
                     continue
-                if (t := agg + delta) not in seen:
-                    if t & inside << width and not t & inside:
-                        witness = t
-                        break
-                    seen.add(t)
-                    if len(seen) > limit:
-                        raise BudgetExceededError(message.format(max_states))
-                    frontier.append(t)
-                if fresh:
-                    log.append((agg, t, owners, label))
+                if label is not None:
+                    if (t := agg + delta) not in seen:
+                        if t & inside << width and not t & inside:
+                            witness = t
+                            break
+                        seen.add(t)
+                        if len(seen) > limit:
+                            raise BudgetExceededError(message.format(max_states))
+                        frontier.append(t)
+                    if fresh:
+                        log.append((agg, t, owners, label))
+                    continue
+                for label, delta, owners in delta:  # a block's moves, each stepped as a label's
+                    if (t := agg + delta) not in seen:
+                        if t & inside << width and not t & inside:
+                            witness = t
+                            break
+                        seen.add(t)
+                        if len(seen) > limit:
+                            raise BudgetExceededError(message.format(max_states))
+                        frontier.append(t)
+                    if fresh and owners:
+                        log.append((agg, t, owners, label))
+                else:
+                    continue
+                break
             if witness is not None:
                 break
         else:

@@ -156,3 +156,40 @@ def with_duplicates(
             dup = renamed_copy(m, f"d{c}_")
         members.append((f"{name}_copy{c}", dup))
     return Network(tuple(members))
+
+
+def block_members(
+    rng: random.Random, sizes: list[int], reach: int = 3, branching: float = 0.3
+) -> list[Fsm]:
+    """Members whose labels the packed walks step in blocks.
+
+    Member i has ``sizes[i]`` states and moves among its first ``reach``
+    only, so the others just widen its packed field. It owns "b{i}" and
+    "b{i+1}" of a run shared by neighbours, as in a chain of buffers; "m",
+    which every member owns and which sorts between that run and the
+    private labels "p{i}"; and "r{i}" and "r{i+2}" of a last run. Each run
+    spans more than one block. A move has two targets with probability
+    ``branching``. On the "b" label it shares with its left neighbour, one member
+    has no move from its initial state, only from a state the walk reaches
+    later, so that label first fires after the first step.
+    """
+    count, late = len(sizes), rng.randrange(1, len(sizes))
+    assert 2 <= count <= 7 and min(sizes) >= 2  # "r{count + 1}" is one digit
+    machines = []
+    for i, n in enumerate(sizes):
+        states = [f"q{j}" for j in range(n)]
+        alphabet = ["m", f"b{i}", f"b{i + 1}", f"p{i}", f"r{i}", f"r{i + 2}"]
+        moves = {
+            (states[x], label, y)
+            for x in range(min(reach, n))
+            for label in alphabet
+            if rng.random() < 0.6
+            for y in rng.sample(states[:reach], 2 if rng.random() < branching else 1)
+        }
+        moves.add(("q0", f"p{i}", "q1"))
+        if i == late:
+            moves = {move for move in moves if move[:2] != ("q0", f"b{i}")}
+            moves.add(("q1", f"b{i}", rng.choice(states[:reach])))
+        critical = [x for x in states[:reach] if rng.random() < 0.3]
+        machines.append(Fsm(states, ["q0"], alphabet, sorted(moves), critical))
+    return machines

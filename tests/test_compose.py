@@ -24,9 +24,9 @@ from critnet import (
     serialize_network,
     tuple_parts,
 )
-from critnet.compose import explore
+from critnet.compose import BLOCK_BITS, explore
 from conftest import make_fsm_a, make_fsm_b
-from genutil import random_fsm, random_network
+from genutil import block_members, random_fsm, random_network
 from oracles import (
     extended_delta,
     naive_bank_product,
@@ -479,7 +479,7 @@ class TestPackedWalkAgainstReference:
         assert sum(seen.values()) >= 500 and min(seen.values()) >= 40
         assert branching >= 80 and wide >= 30
 
-    @pytest.mark.parametrize("rules", ["memo", "tables", "both", "late", "blocked"])
+    @pytest.mark.parametrize("rules", ["memo", "tables", "both", "late", "blocked", "blocks"])
     def test_both_step_rules_match_the_tuple_walk(self, rules):
         # A label only some members own steps through one memo by its owners'
         # fields, a label every member owns through a memo per owner, filled
@@ -487,14 +487,24 @@ class TestPackedWalkAgainstReference:
         # not every member, and each owner has two moves on it from the
         # initial state, so the memo holds a tuple of deltas from the first
         # step on. With "late" and "blocked", "a" is owned by every member
-        # and blocked at the initial state, and first fires later. The
-        # observer banks of the same networks walk the same rules.
+        # and blocked at the initial state, and first fires later. With
+        # "blocks" the fields are wide enough for runs of labels to step as
+        # blocks (``genutil.block_members``): each run spans more than one
+        # block, "m", which every member owns, sorts between two runs, some
+        # moves in a block have two targets, and a "b" label first fires
+        # after the first step. The observer banks of the same networks walk
+        # the same rules.
         rng = random.Random(2901 + len(rules))
-        branching = 0
-        for k in range(120):
+        branching = late = banks = 0
+        count = 40 if rules == "blocks" else 120
+        for k in range(count):
             machines = _rule_members(rng, rules)
             owned = [sum(label in m.alphabet for m in machines) for label in "abc"]
-            if rules == "tables":
+            if rules == "blocks":
+                widths = [(len(m.states) - 1).bit_length() for m in machines]
+                assert sum(widths) > BLOCK_BITS * 3 // 2
+                assert all("m" in m.alphabet for m in machines)
+            elif rules == "tables":
                 assert all(m.alphabet == {"a", "b"} for m in machines)
             elif rules in ("late", "blocked"):
                 assert owned[0] == len(machines) and owned[1] == owned[2] == 0
@@ -502,7 +512,10 @@ class TestPackedWalkAgainstReference:
                 assert 2 <= owned[2] < len(machines) and owned[1] < len(machines)
                 assert ("a" in machines[0].alphabet) == (owned[0] == len(machines)) == (rules != "memo")
             want = tuple_product_table(machines)
-            if rules in ("memo", "both"):
+            if rules == "blocks":
+                first = set(want[1][0])
+                late += any(a[0] == "b" and a not in first for row in want[1] for a in row)
+            elif rules in ("memo", "both"):
                 assert len(want[1][0]["c"]) >= 2 ** owned[2]
             elif rules != "tables":
                 assert "a" not in want[1][0] and any("a" in row for row in want[1])
@@ -513,8 +526,13 @@ class TestPackedWalkAgainstReference:
             for walk in (tuple_product_table, compose_many):
                 with pytest.raises(BudgetExceededError, match=f"^product exceeded {n - 1} states$"):
                     walk(machines, n - 1)
-            branching += any(len(ys) > 1 for row in want[1] for ys in row.values())
+            branching += any(len(ys) > 1 for row in want[1] for a, ys in row.items() if a != "m")
             bank = build_decentralized(Network([(f"M{i}", m) for i, m in enumerate(machines)]))
+            if rules == "blocks":  # a bank of these has thousands of states: check a few wide ones
+                widths = [(len(o.states) - 1).bit_length() for _, o in bank.locals]
+                if banks == 4 or sum(widths) <= BLOCK_BITS * 3 // 2:
+                    continue
+                banks += 1
             naive = naive_bank_product(bank)
             composed = compose_decentralized(bank, len(naive.states))
             assert (composed.states, composed.initial) == (naive.states, naive.initial), k
@@ -523,7 +541,8 @@ class TestPackedWalkAgainstReference:
             budget = f"^composed bank exceeded {len(naive.states) - 1} states$"
             with pytest.raises(BudgetExceededError, match=budget):
                 compose_decentralized(bank, len(naive.states) - 1)
-        assert branching >= 90
+        assert branching >= count * 3 // 4
+        assert rules != "blocks" or late >= 30 and banks == 4
 
 
 def _fifo_walk(init, succ, stop=frozenset()):
@@ -615,7 +634,10 @@ def _rule_members(rng, rules):
     later generation. With "late" the blocker is member 0, so no other
     owner is looked up at the initial state; with "blocked" it is a later
     member, so the owners before it are looked up there first.
+    "blocks": five members from ``genutil.block_members``.
     """
+    if rules == "blocks":
+        return block_members(rng, [rng.randint(5, 8) for _ in range(5)], branching=0.1)
     count = rng.randint(3, 5)
     blocker = rng.randint(1, count - 1) if rules == "blocked" else 0
     machines = []

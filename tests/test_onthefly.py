@@ -16,12 +16,14 @@ from critnet import (
     build_decentralized,
     build_observer,
     compose_decentralized,
+    compose_network,
     run_onthefly,
     straddle_test,
 )
-from critnet.compose import walk_product
+from critnet import compose, onthefly
+from critnet.compose import BLOCK_BITS, walk_product
 from critnet.observer import EstimateTable, state_sort_key
-from genutil import SHARED_POOL, random_fsm, random_network
+from genutil import SHARED_POOL, block_members, random_fsm, random_network
 from oracles import (
     check_aggregate_observer,
     naive_first_straddle,
@@ -267,6 +269,41 @@ class TestAgainstNaiveSearch:
         assert seen["common"] >= 250 and seen["two initial"] >= 300
         assert seen["over 64 bits"] >= 50
 
+    def test_outcome_matches_naive_bfs_on_block_networks(self):
+        # Five to seven members from ``genutil.block_members``, whose fields
+        # are wide enough for runs of labels to step as blocks: each run
+        # spans more than one block, "m", which every member owns, sorts
+        # between two runs, and a "b" label is blocked at the start and fires
+        # later ("late" counts networks where a "b" move is witnessed from a
+        # member's later estimate). Two-target moves make estimates of two
+        # states.
+        rng = random.Random(509)
+        seen = Counter()
+        for _ in range(300):
+            sizes = [rng.randint(3, 4) for _ in range(rng.randint(5, 7))]
+            assert sum(sizes) > BLOCK_BITS * 3 // 2
+            net = Network([(f"M{i}", m) for i, m in enumerate(block_members(rng, sizes, 2))])
+            calls = []
+            try:
+                out = run_onthefly(net, 500, lambda *call: calls.append(call))
+            except BudgetExceededError:
+                seen["over budget"] += 1
+                continue
+            naive = naive_first_straddle(net)
+            assert out.verdict.witness == naive.witness
+            assert [list(states) for states in out.witnessed_states] == naive.states
+            assert [list(moves) for moves in out.witnessed_transitions] == naive.moves
+            assert (out.aggregates_seen, calls) == (naive.stored, naive.generations)
+            if naive.stored > 1:
+                message = f"^exploration exceeded {naive.stored - 1} aggregates$"
+                with pytest.raises(BudgetExceededError, match=message):
+                    run_onthefly(net, naive.stored - 1)
+            seen["refuted" if naive.witness else "observable"] += 1
+            pieces = zip(naive.states, naive.moves)
+            seen["late"] += any(a[0] == "b" and z != zs[0] for zs, ms in pieces for z, a, _ in ms)
+        assert seen["over budget"] <= 80 and seen["refuted"] >= 120 and seen["observable"] >= 60
+        assert seen["late"] >= 120
+
     def test_generations_and_budget_point_match_naive_bfs(self):
         rng = random.Random(508)
         checked = 0
@@ -346,6 +383,65 @@ class TestCanonicalRanks:
             for z in out.witnessed_states[0]:
                 past += sum(comb(n, k) for k in range(1, len(z))) > 2**30
         assert past >= 100
+
+
+class TestOneStepPerKey:
+    """A packed walk computes the move of a label only some members own once
+    per key of its owners' fields, whether the label steps alone or in a
+    block: a block's first fill reads each label's own memo before it calls
+    ``_step``, so blocks add no ``_step`` calls, even on tiny products where
+    memos rarely hit."""
+
+    def test_each_walk_steps_a_label_once_per_owner_key(self, monkeypatch):
+        rng = random.Random(512)
+        fills = Counter()
+        for module in (compose, onthefly):
+            fill = module._fill
+
+            def counted(s, labels, step, *args, fill=fill, module=module):
+                fills[module.__name__] += 1
+                return fill(s, labels, step, *args)
+
+            monkeypatch.setattr(module, "_fill", counted)
+        for k in range(240):
+            if k % 3 == 2:  # shaped like the benchmark's `mixed` networks
+                net = random_network(rng, max_members=4, max_states=4)
+            else:  # wide enough for blocks: in the on-the-fly walk, or in the plant and bank
+                sizes = [rng.randint(*((3, 4), (5, 8))[k % 3]) for _ in range(5)]
+                net = Network([(f"M{i}", m) for i, m in enumerate(block_members(rng, sizes, 2))])
+            members = net.machines
+            labels = set().union(*(m.alphabet for m in members))
+            shared = {a for a in labels if not all(a in m.alphabet for m in members)}
+            walks = (
+                (compose, lambda: compose_network(net)),
+                (compose, lambda: compose_decentralized(build_decentralized(net))),
+                (onthefly, lambda: run_onthefly(net, 2000)),
+            )
+            for module, walk in walks:
+                totals = []
+                for bits in (0, BLOCK_BITS):  # with no blocks, then with them
+                    monkeypatch.setattr(compose, "BLOCK_BITS", bits)
+                    calls = Counter()
+                    step = module._step
+
+                    def counted(s, label, fields, *args, step=step, calls=calls):
+                        calls[label, s & sum(f[1] for f in fields)] += 1
+                        return step(s, label, fields, *args)
+
+                    monkeypatch.setattr(module, "_step", counted)
+                    try:
+                        done = walk()
+                    except BudgetExceededError:
+                        done = None
+                    finally:
+                        monkeypatch.setattr(module, "_step", step)
+                    assert all(n == 1 for (label, _), n in calls.items() if label in shared), k
+                    totals.append(sum(calls.values()))
+                # A walk cut short, at a witness or the budget, may have
+                # filled a block past the move it stopped at.
+                if done is not None and getattr(done, "locals", ()) is not None:
+                    assert totals[0] == totals[1], k
+        assert fills["critnet.compose"] >= 1000 and fills["critnet.onthefly"] >= 1000
 
 
 class TestHotPathsKeepPlainLocals:
